@@ -1,12 +1,11 @@
 """``repro.analysis`` — a zero-new-dependency static-analysis toolkit.
 
-Four engines behind one CLI (``python -m repro.analysis``):
+Three engines behind one CLI (``python -m repro.analysis``):
 
 * :mod:`repro.analysis.lint` + :mod:`repro.analysis.rules` — an AST lint
-  engine with repo-specific rules (autograd safety, lock discipline,
-  observability hygiene) and flake8-style ``# noqa: RPR###`` suppression;
-* :mod:`repro.analysis.shapes` — a symbolic shape checker that rejects
-  inconsistent H/A/I/L model configurations before any forward pass;
+  engine with repo-specific rules (autograd safety, observability
+  hygiene, inference throughput) and flake8-style ``# noqa: RPR###``
+  suppression;
 * :mod:`repro.analysis.races` — an Eraser-style lockset monitor that
   instruments classes under test and flags shared writes with no common
   lock, exporting observed lock-order edges;
@@ -17,12 +16,10 @@ Four engines behind one CLI (``python -m repro.analysis``):
   naming/registry contract (RPR604).
 
 All engines report through :class:`repro.analysis.findings.Finding`, with
-text, JSONL and SARIF emitters, fingerprint-based baseline suppression
-(:mod:`repro.analysis.baseline`), and the tier-1 test suite gates the
-tree on ``lint``, ``shapes`` and ``flow`` staying clean.
+text, JSONL and SARIF emitters, and the tier-1 test suite gates the tree
+on ``lint`` and ``flow`` staying clean.
 """
 
-from .baseline import apply_baseline, fingerprint, load_baseline, write_baseline
 from .cfg import CFG, Block, build_cfg, iter_functions
 from .contracts import (
     MetricUse,
@@ -43,13 +40,6 @@ from .findings import (
 from .flow import FlowReport, LockOrderEdge, ProgramIndex, analyze_flow, build_index
 from .lint import Rule, lint_paths, register, registered_rules
 from .races import LocksetMonitor, RaceReport, write_order_edges_jsonl
-from .shapes import (
-    ShapeError,
-    check_adtd_config,
-    check_encoder_config,
-    check_tree,
-    infer_module_shape,
-)
 
 from . import rules as _rules  # noqa: F401 - populate the rule registry
 
@@ -60,10 +50,6 @@ __all__ = [
     "read_findings_jsonl",
     "findings_to_sarif",
     "write_findings_sarif",
-    "fingerprint",
-    "load_baseline",
-    "write_baseline",
-    "apply_baseline",
     "Rule",
     "register",
     "registered_rules",
@@ -86,9 +72,4 @@ __all__ = [
     "parse_registry",
     "check_contracts",
     "registry_markdown",
-    "ShapeError",
-    "check_encoder_config",
-    "check_adtd_config",
-    "check_tree",
-    "infer_module_shape",
 ]

@@ -3,17 +3,14 @@
 ::
 
     python -m repro.analysis lint src/            # AST lint (RPR rules)
-    python -m repro.analysis shapes src/          # symbolic shape checks
     python -m repro.analysis races                # race-detector self-check
     python -m repro.analysis flow src/            # CFG/call-graph analyses
     python -m repro.analysis lint src/ --format jsonl --out findings.jsonl
-    python -m repro.analysis flow src/ --format sarif --baseline accepted.jsonl
+    python -m repro.analysis flow src/ --format sarif --out flow.sarif
 
 Every subcommand shares the reporting surface: ``--format
-text|jsonl|sarif`` for stdout, ``--out`` to also archive the findings
-(JSONL unless the path ends in ``.sarif``), ``--baseline`` to suppress
-accepted findings by fingerprint, and ``--write-baseline`` to record the
-current findings as accepted. Exit status is 0 when no *non-baselined*
+text|jsonl|sarif`` for stdout and ``--out`` to also archive the findings
+(JSONL unless the path ends in ``.sarif``). Exit status is 0 when no
 ``error``-severity findings were produced, 1 otherwise — suitable as a
 CI gate.
 """
@@ -25,7 +22,6 @@ import json
 import sys
 from typing import Sequence
 
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .findings import (
     Finding,
     findings_to_sarif,
@@ -67,29 +63,10 @@ def _add_common(subparser: argparse.ArgumentParser) -> None:
         default=None,
         help="also write findings here (SARIF if the path ends in .sarif, JSONL otherwise)",
     )
-    subparser.add_argument(
-        "--baseline",
-        default=None,
-        help="suppress findings whose fingerprints appear in this baseline file",
-    )
-    subparser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="PATH",
-        help="record the current findings as the accepted baseline and exit 0",
-    )
 
 
 def _report(findings: list[Finding], args: argparse.Namespace) -> int:
-    """Baseline handling + emission + exit code, shared by every command."""
-    if args.write_baseline is not None:
-        path = write_baseline(findings, args.write_baseline)
-        print(f"baselined {len(findings)} findings to {path}", file=sys.stderr)
-        return 0
-    if args.baseline is not None:
-        findings, suppressed = apply_baseline(findings, load_baseline(args.baseline))
-        if suppressed:
-            print(f"suppressed {suppressed} baselined findings", file=sys.stderr)
+    """Emission + exit code, shared by every command."""
     _emit(findings, args.format, args.out)
     return _exit_code(findings)
 
@@ -98,7 +75,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Repo-aware static analysis: lint, shape checks, race detection, "
+            "Repo-aware static analysis: lint, race detection, "
             "flow (lock-order / resource-leak / metric-contract) analysis."
         ),
     )
@@ -110,12 +87,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     lint_parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue and exit"
     )
-
-    shapes_parser = subparsers.add_parser(
-        "shapes", help="symbolically check model configurations"
-    )
-    shapes_parser.add_argument("paths", nargs="*", default=["src"])
-    _add_common(shapes_parser)
 
     races_parser = subparsers.add_parser(
         "races", help="self-check the lockset race detector"
@@ -163,14 +134,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print(f"{rule.id}  {rule.name:<28} {rule.description}")
             return 0
         return _report(lint_paths(args.paths), args)
-
-    if args.command == "shapes":
-        from .shapes import check_tree
-
-        findings, checked = check_tree(args.paths)
-        code = _report(findings, args)
-        print(f"checked {checked} configurations", file=sys.stderr)
-        return code
 
     if args.command == "races":
         from .races import self_check

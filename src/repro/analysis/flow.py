@@ -642,7 +642,7 @@ def _is_pool_acquire(call: ast.Call, env: _TypeEnv) -> bool:
     if any("pool" in t.lower() for t in types):
         return True
     if env.lock_id(receiver) is not None:
-        return False  # a known lock: RPR202 territory, not a resource
+        return False  # a known lock, not a resource
     text = _receiver_text(call).lower()
     return "pool" in text
 

@@ -4,10 +4,10 @@ Rules are small classes registered with :func:`register`; each gets a
 parsed :class:`FileContext` (source, AST with parent links, suppression
 map) and yields :class:`~repro.analysis.findings.Finding` records. The
 engine is repo-aware rather than general-purpose: rules encode invariants
-of *this* codebase (autograd discipline, lock discipline, observability
-discipline) that a generic linter cannot know.
+of *this* codebase (autograd discipline, observability hygiene, batched
+forwards) that a generic linter cannot know.
 
-Suppression mirrors flake8: a ``# noqa: RPR201`` comment on the flagged
+Suppression mirrors flake8: a ``# noqa: RPR101`` comment on the flagged
 line silences that rule there; bare ``# noqa`` silences every rule on the
 line. Suppressions are deliberate, visible exceptions — the tier-1 gate
 keeps everything else at zero.

@@ -65,7 +65,7 @@ class RaceReport:
     def to_finding(self) -> Finding:
         return Finding(
             tool="races",
-            rule="RPR501",
+            rule="RPR701",
             message=self.format(),
             context={"cls": self.cls, "attr": self.attr},
         )
@@ -106,7 +106,7 @@ class _TrackedLock:
         self._inner.release()
 
     def __enter__(self) -> "_TrackedLock":
-        self.acquire()  # noqa: RPR202 - this *is* the with-implementation
+        self.acquire()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -430,7 +430,7 @@ def self_check() -> Iterator[Finding]:
     if not racy_monitor.reports:
         yield Finding(
             tool="races",
-            rule="RPR500",
+            rule="RPR700",
             message="self-check failed: injected unlocked write was not detected",
         )
 
@@ -440,6 +440,6 @@ def self_check() -> Iterator[Finding]:
     for report in clean_monitor.reports:
         yield Finding(
             tool="races",
-            rule="RPR500",
+            rule="RPR700",
             message=f"self-check failed: false positive on guarded class ({report.format()})",
         )

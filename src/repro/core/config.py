@@ -1,8 +1,7 @@
 """Configuration objects for the public detector API.
 
-The original :class:`~repro.core.detector.TasteDetector` constructor grew
-a dozen keyword arguments; this module replaces that surface with three
-small frozen dataclasses:
+The :class:`~repro.core.detector.TasteDetector` surface is three small
+frozen dataclasses:
 
 * :class:`DetectorConfig` — *what* the detector does: caching, pipelining,
   pool sizes, scan method. Validated at construction time (e.g. a negative
@@ -13,14 +12,11 @@ small frozen dataclasses:
   and whether fault give-ups degrade gracefully or raise.
 * :class:`DetectOptions` — per-call options for ``detect()``: an optional
   :class:`~repro.faults.FaultPlan` and a trace artifact path.
-
-Old keyword arguments keep working through a deprecation shim in the
-detector (one :class:`DeprecationWarning` per legacy call).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -127,17 +123,13 @@ class RuntimeConfig:
     stays frozen and shareable). ``retry_policy`` is applied to every
     data-preparation stage and to connection setup; ``degrade=True`` turns
     exhausted retries into degraded/failed table markers instead of a
-    raised exception. ``strict_api=True`` upgrades the legacy-kwarg shim
-    from :class:`DeprecationWarning` to a hard
-    :class:`~repro.errors.LegacyAPIError` (a ``TypeError``); the default
-    stays permissive for one more release.
+    raised exception.
     """
 
     tracer: "Tracer | None" = None
     metrics: "MetricsRegistry | NullMetricsRegistry | None" = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     degrade: bool = True
-    strict_api: bool = False
 
     def replace(self, **changes: Any) -> "RuntimeConfig":
         return replace(self, **changes)
@@ -157,8 +149,3 @@ class DetectOptions:
 
     def replace(self, **changes: Any) -> "DetectOptions":
         return replace(self, **changes)
-
-
-def detector_config_field_names() -> tuple[str, ...]:
-    """Names of :class:`DetectorConfig` fields (used by the legacy shim)."""
-    return tuple(f.name for f in fields(DetectorConfig))

@@ -22,23 +22,16 @@ resilience)::
         runtime=RuntimeConfig(retry_policy=RetryPolicy(max_attempts=5)),
     )
     report = detector.detect(server, options=DetectOptions(fault_plan=plan))
-
-The pre-1.1 keyword arguments (``caching=``, ``pipelined=``, ...) still
-work through a deprecation shim that emits one :class:`DeprecationWarning`
-per legacy call; under ``RuntimeConfig(strict_api=True)`` the shim raises
-:class:`~repro.errors.LegacyAPIError` instead (rule RPR403 flags in-repo
-call sites).
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from pathlib import Path
 
 from ..core.adtd import ADTDModel
 from ..db.server import CloudDatabaseServer
-from ..errors import LegacyAPIError, RetryGiveUpError
+from ..errors import RetryGiveUpError
 from ..faults.plan import FaultInjector
 from ..features.encoding import Featurizer
 from ..nn import compile as nn_compile
@@ -46,7 +39,7 @@ from ..obs import Tracer, write_spans_jsonl
 from ..obs.metrics import MetricsRegistry, NullMetricsRegistry, global_registry
 from ..sched.batcher import InferenceBatcher
 from ..sched.forward import Phase1Request, Phase1Result, Phase2Request, Phase2Result, bucket_width, run_grouped
-from .config import DetectOptions, DetectorConfig, RuntimeConfig, detector_config_field_names
+from .config import DetectOptions, DetectorConfig, RuntimeConfig
 from .latent_cache import LatentCache
 from .phases import TableJob
 from .pipeline import PipelinedExecutor, SequentialExecutor
@@ -54,9 +47,6 @@ from .results import DetectionReport
 from .thresholds import ThresholdPolicy
 
 __all__ = ["TasteDetector"]
-
-_CONFIG_KWARGS = set(detector_config_field_names())
-_RUNTIME_KWARGS = {"tracer", "metrics"}
 
 
 class TasteDetector:
@@ -90,10 +80,7 @@ class TasteDetector:
         *,
         config: DetectorConfig | None = None,
         runtime: RuntimeConfig | None = None,
-        **legacy_kwargs: object,
     ) -> None:
-        if legacy_kwargs:
-            config, runtime = _shim_legacy_kwargs(legacy_kwargs, config, runtime)
         self.config = config if config is not None else DetectorConfig()
         self.runtime = runtime if runtime is not None else RuntimeConfig()
         self.model = model
@@ -146,21 +133,6 @@ class TasteDetector:
             )
         else:
             nn_compile.disable(model)
-
-    # ------------------------------------------------------------------
-    # Read-only views kept for callers that inspected the old attributes.
-    # ------------------------------------------------------------------
-    @property
-    def pipelined(self) -> bool:
-        return self.config.pipelined
-
-    @property
-    def scan_method(self) -> str:
-        return self.config.scan_method
-
-    @property
-    def sample_seed(self) -> int:
-        return self.config.sample_seed
 
     # ------------------------------------------------------------------
     # Inference dispatch (shared by the stage implementations)
@@ -282,44 +254,3 @@ class TasteDetector:
         except RetryGiveUpError:
             self.metrics.counter("faults.giveups", stage="connect").inc()
             raise
-
-
-def _shim_legacy_kwargs(
-    legacy_kwargs: dict[str, object],
-    config: DetectorConfig | None,
-    runtime: RuntimeConfig | None,
-) -> tuple[DetectorConfig, RuntimeConfig]:
-    """Map pre-1.1 keyword arguments onto the config objects (deprecated)."""
-    unknown = set(legacy_kwargs) - _CONFIG_KWARGS - _RUNTIME_KWARGS
-    if unknown:
-        raise TypeError(
-            f"TasteDetector got unexpected keyword arguments {sorted(unknown)}"
-        )
-    config_kwargs = {k: v for k, v in legacy_kwargs.items() if k in _CONFIG_KWARGS}
-    runtime_kwargs = {k: v for k, v in legacy_kwargs.items() if k in _RUNTIME_KWARGS}
-    if (config is not None and config_kwargs) or (runtime is not None and runtime_kwargs):
-        raise TypeError(
-            "pass either config=/runtime= objects or legacy keyword arguments, not both"
-        )
-    if runtime is not None and runtime.strict_api:
-        raise LegacyAPIError(
-            "TasteDetector legacy keyword argument(s) "
-            f"{sorted(legacy_kwargs)} are rejected under "
-            "RuntimeConfig(strict_api=True); pass config=DetectorConfig(...) "
-            "/ runtime=RuntimeConfig(...) instead"
-        )
-    warnings.warn(
-        "TasteDetector keyword arguments "
-        f"({', '.join(sorted(legacy_kwargs))}) are deprecated; pass "
-        "config=DetectorConfig(...) / runtime=RuntimeConfig(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if config_kwargs:
-        config = DetectorConfig(**config_kwargs)  # type: ignore[arg-type]
-    if runtime_kwargs:
-        runtime = RuntimeConfig(**runtime_kwargs)  # type: ignore[arg-type]
-    return (
-        config if config is not None else DetectorConfig(),
-        runtime if runtime is not None else RuntimeConfig(),
-    )

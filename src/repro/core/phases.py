@@ -23,7 +23,7 @@ import numpy as np
 
 from ..db.connection import Connection
 from ..db.schema import TableMetadata
-from ..errors import DeadlineExceededError, RetryGiveUpError
+from ..errors import RetryDeadlineError, RetryGiveUpError
 from ..features.encoding import EncodedTable, split_metadata
 from ..nn.functional import stable_sigmoid
 from ..obs import NULL_METRICS, NULL_TRACER
@@ -195,7 +195,7 @@ class TableJob:
             policy.run(runner, label=f"{name}[{self.table_name}]", on_retry=on_retry)
         except RetryGiveUpError as error:
             metrics.counter("faults.giveups", stage=name).inc()
-            if isinstance(error, DeadlineExceededError):
+            if isinstance(error, RetryDeadlineError):
                 metrics.counter("faults.deadline_exceeded", stage=name).inc()
             if not getattr(detector, "degrade", True):
                 raise
@@ -304,7 +304,8 @@ class TableJob:
                 uncertain_names.append(chunk.metadata.columns[int(local)].column_name)
         if not uncertain_names:
             return
-        sample_seed = detector.sample_seed if detector.scan_method == "sample" else None
+        config = detector.config
+        sample_seed = config.sample_seed if config.scan_method == "sample" else None
         values = self.connection.fetch_values(
             self.table_name,
             uncertain_names,

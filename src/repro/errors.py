@@ -17,15 +17,10 @@ single except clause while still distinguishing the families:
   :class:`Overloaded` (quota or queue shed the job), :class:`Cancelled`
   (the job was cancelled), :class:`DeadlineExceeded` (a job or wait
   deadline passed).
-* **API errors** (:class:`LegacyAPIError`) — the strict-mode rejection of
-  pre-1.1 keyword arguments (still a :class:`TypeError`).
 
-Historic names remain importable from their original homes
-(``repro.faults.errors``, ``repro.db.pool``) as aliases of these classes;
-``RetryDeadlineError`` is also aliased as the pre-1.2
-``DeadlineExceededError``. This module deliberately imports nothing from
-the rest of ``repro`` so every subpackage can depend on it without
-cycles.
+The ``repro.faults`` and ``repro.db`` packages re-export the names their
+callers catch. This module deliberately imports nothing from the rest of
+``repro`` so every subpackage can depend on it without cycles.
 """
 
 from __future__ import annotations
@@ -37,13 +32,11 @@ __all__ = [
     "ConnectionDroppedError",
     "RetryGiveUpError",
     "RetryDeadlineError",
-    "DeadlineExceededError",
     "PoolExhaustedError",
     "ServiceError",
     "Overloaded",
     "Cancelled",
     "DeadlineExceeded",
-    "LegacyAPIError",
 ]
 
 
@@ -91,10 +84,6 @@ class RetryDeadlineError(RetryGiveUpError):
     """The per-call retry deadline left no room for another attempt."""
 
 
-#: Pre-1.2 name of :class:`RetryDeadlineError`, kept as an alias.
-DeadlineExceededError = RetryDeadlineError
-
-
 # ----------------------------------------------------------------------
 # Connection pool — see repro.db.pool
 # ----------------------------------------------------------------------
@@ -131,10 +120,3 @@ class Cancelled(ServiceError):
 
 class DeadlineExceeded(ServiceError):
     """A service-level deadline passed (job deadline or a blocking wait)."""
-
-
-# ----------------------------------------------------------------------
-# Strict public API
-# ----------------------------------------------------------------------
-class LegacyAPIError(ReproError, TypeError):
-    """Pre-1.1 keyword arguments used under ``RuntimeConfig(strict_api=True)``."""

@@ -17,12 +17,11 @@ reproducible:
 * The exception hierarchy (:class:`TransientDBError`,
   :class:`ConnectionDroppedError`, :class:`RetryGiveUpError`,
   :class:`RetryDeadlineError`) that separates retryable cloud weather
-  from real bugs — defined in :mod:`repro.errors` and aliased here.
+  from real bugs — defined in :mod:`repro.errors` and re-exported here.
 """
 
-from .errors import (
+from ..errors import (
     ConnectionDroppedError,
-    DeadlineExceededError,
     FaultError,
     RetryDeadlineError,
     RetryGiveUpError,
@@ -37,7 +36,6 @@ __all__ = [
     "ConnectionDroppedError",
     "RetryGiveUpError",
     "RetryDeadlineError",
-    "DeadlineExceededError",
     "RetryPolicy",
     "FaultRule",
     "FaultPlan",

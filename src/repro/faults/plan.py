@@ -3,10 +3,11 @@
 A :class:`FaultPlan` is a seeded, declarative description of *what goes
 wrong*: each :class:`FaultRule` targets an operation class (metadata
 fetch, content scan, connect, ...) and fires with a given probability,
-adding latency, raising a :class:`~repro.faults.errors.TransientDBError`,
+adding latency, raising a :class:`~repro.errors.TransientDBError`,
 dropping the connection, or throttling scans. Building the plan yields a
-:class:`FaultInjector` whose per-rule ``random.Random`` streams make every
-run with the same plan reproduce the same fault sequence.
+:class:`FaultInjector` whose draws are a hash of the plan seed and the
+operation's identity, so every run with the same plan reproduces the same
+faults on the same tables however its threads interleave.
 
 Faults fire *before* the underlying :class:`~repro.db.connection.Connection`
 operation runs, so a failed attempt charges nothing to the
@@ -20,14 +21,14 @@ in the ledger.
 
 from __future__ import annotations
 
-import random
+import hashlib
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..db.connection import Connection, ConnectionClosedError
+from ..errors import ConnectionDroppedError, TransientDBError
 from ..obs.metrics import MetricsRegistry, NullMetricsRegistry, global_registry
-from .errors import ConnectionDroppedError, TransientDBError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..db.schema import TableMetadata
@@ -66,8 +67,8 @@ class FaultRule:
         ``delay`` *per requested column* on content scans (a slow-scan
         brake) and only matches ``fetch_values``.
     probability:
-        Chance the rule fires on a matching operation, drawn from the
-        rule's own seeded stream.
+        Chance the rule fires on a matching operation (see
+        :class:`FaultInjector` for how the draw is keyed).
     delay:
         Seconds of injected latency (``latency``/``throttle`` kinds).
     max_faults:
@@ -161,11 +162,25 @@ class FaultPlan:
 class FaultInjector:
     """Evaluates a :class:`FaultPlan` against live operations (thread-safe).
 
-    One seeded ``random.Random`` stream per rule means the Bernoulli
-    outcome sequence of each rule is fixed by the plan alone: total fault
-    counts do not depend on thread interleaving for deterministic rules
-    (``probability`` 0 or 1, or ``max_faults`` caps), and are reproducible
-    run to run for probabilistic rules under sequential execution.
+    Each Bernoulli draw is a pure function of ``(plan.seed, rule index,
+    operation, table, n)`` where ``n`` counts how often that rule has been
+    evaluated for that operation on that table. No stream is shared
+    between tables, so *which table* eats a fault — hence per-table retry
+    counts, degraded sets and ledger totals — is the same for sequential,
+    pipelined, batched and served runs at any worker count.
+
+    The invariant is scoped to table-keyed operations. Three corners:
+
+    * Table-less operations (``connect``, ``list_tables``, ``execute``,
+      and the reconnect after a drop) are keyed with ``table=None``, so
+      their ``n`` is an arrival-order ordinal: fixed for the single
+      connect/list of a ``detect()`` call, schedule-dependent for
+      reconnects when several tables are in flight.
+    * A ``max_faults`` cap is global to the rule: it fixes *how many*
+      faults fire, but which table absorbs them follows arrival order
+      unless the rule also sets ``tables=``.
+    * Two jobs for the same table name through one injector share a
+      stream, so their draws interleave by arrival.
     """
 
     def __init__(
@@ -176,10 +191,7 @@ class FaultInjector:
         self.plan = plan
         self.metrics = metrics if metrics is not None else global_registry()
         self._lock = threading.Lock()
-        self._rngs = [
-            random.Random((plan.seed + 1) * 1_000_003 + index)
-            for index in range(len(plan.rules))
-        ]
+        self._evaluations: dict[tuple[int, str, str | None], int] = {}
         self._fired = [0] * len(plan.rules)
         self._injected_latency = 0.0
         self._counters = {
@@ -219,6 +231,18 @@ class FaultInjector:
         self.before("connect", None, server.cost_model)
         return FaultyConnection(server, self)
 
+    def _draw(self, index: int, operation: str, table: str | None) -> float:
+        """Uniform [0, 1) draw for the next evaluation of this key (under ``_lock``)."""
+        key = (index, operation, table)
+        ordinal = self._evaluations.get(key, 0)
+        self._evaluations[key] = ordinal + 1
+        # hashlib, not hash(): str hashes are salted per process.
+        digest = hashlib.blake2b(
+            repr((self.plan.seed, *key, ordinal)).encode(), digest_size=8
+        ).digest()
+        # 53 bits, as random.random() does: exact in [0, 1), never 1.0.
+        return (int.from_bytes(digest, "big") >> 11) / 2.0**53
+
     def before(self, operation: str, table: str | None, cost_model: Any, scale: int = 1) -> None:
         """Evaluate every matching rule ahead of one operation.
 
@@ -231,11 +255,12 @@ class FaultInjector:
             if not rule.matches(operation, table):
                 continue
             with self._lock:
+                # Draw before the cap check: a table's draw sequence must
+                # not depend on when other tables exhausted the cap.
+                if self._draw(index, operation, table) >= rule.probability:
+                    continue
                 if rule.max_faults is not None and self._fired[index] >= rule.max_faults:
                     continue
-                if rule.probability < 1.0:
-                    if self._rngs[index].random() >= rule.probability:
-                        continue
                 self._fired[index] += 1
                 if rule.kind in ("latency", "throttle"):
                     delay = rule.delay * (scale if rule.kind == "throttle" else 1)

@@ -21,9 +21,9 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
-from .errors import (
+from ..errors import (
     ConnectionDroppedError,
-    DeadlineExceededError,
+    RetryDeadlineError,
     RetryGiveUpError,
     TransientDBError,
 )
@@ -54,7 +54,7 @@ class RetryPolicy:
     deadline:
         Optional per-call budget (seconds). When the elapsed time plus the
         next backoff would exceed it, the call gives up with
-        :class:`DeadlineExceededError` instead of sleeping.
+        :class:`RetryDeadlineError` instead of sleeping.
     retryable:
         Exception classes worth retrying. Everything else propagates
         unchanged on the first occurrence.
@@ -111,7 +111,7 @@ class RetryPolicy:
 
         ``on_retry(error, attempt, delay)`` fires before each backoff sleep;
         ``on_giveup(error, attempts)`` fires once when giving up. Raises
-        :class:`RetryGiveUpError` (or :class:`DeadlineExceededError`) with
+        :class:`RetryGiveUpError` (or :class:`RetryDeadlineError`) with
         the last underlying error chained via ``__cause__``.
         """
         rng = random.Random(self.seed)
@@ -137,7 +137,7 @@ class RetryPolicy:
                 ):
                     if on_giveup is not None:
                         on_giveup(error, attempt)
-                    raise DeadlineExceededError(
+                    raise RetryDeadlineError(
                         f"{label} exceeded its {self.deadline:.3f}s deadline "
                         f"after {attempt} attempts: {error}",
                         last_error=error,

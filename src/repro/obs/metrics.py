@@ -53,6 +53,10 @@ class Counter:
         with self._lock:
             self.value += amount
 
+    def reset(self) -> None:
+        with self._lock:
+            self.value = 0.0
+
     def snapshot(self) -> dict[str, float]:
         with self._lock:
             return {"type": "counter", "value": self.value}
@@ -83,6 +87,11 @@ class Gauge:
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
 
+    def reset(self) -> None:
+        with self._lock:
+            self.value = 0.0
+            self.peak = 0.0
+
     def snapshot(self) -> dict[str, float]:
         with self._lock:
             return {"type": "gauge", "value": self.value, "peak": self.peak}
@@ -96,11 +105,15 @@ class Histogram:
     def __init__(self, buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> None:
         self._lock = threading.Lock()
         self.buckets = tuple(sorted(buckets))
-        self.bucket_counts = [0] * (len(self.buckets) + 1)  # +1 overflow
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
+        self.reset()
+
+    def reset(self) -> None:
+        with self._lock:
+            self.bucket_counts = [0] * (len(self.buckets) + 1)  # +1 overflow
+            self.count = 0
+            self.total = 0.0
+            self.min = float("inf")
+            self.max = float("-inf")
 
     def observe(self, value: float) -> None:
         with self._lock:
@@ -185,8 +198,16 @@ class MetricsRegistry:
         return {key: instrument.snapshot() for key, instrument in sorted(series.items())}
 
     def reset(self) -> None:
+        """Zero every instrument in place.
+
+        Series stay registered: the batcher, caches and plan cache capture
+        their handles at construction, so dropping the map would orphan
+        them and every later snapshot would read 0.
+        """
         with self._lock:
-            self._series.clear()
+            series = list(self._series.values())
+        for instrument in series:
+            instrument.reset()
 
     def __len__(self) -> int:
         with self._lock:

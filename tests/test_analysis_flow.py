@@ -1,5 +1,5 @@
 """Flow analyses: lock order (RPR601), resource balance (RPR602/603),
-metric contracts (RPR604), baseline suppression, SARIF, and the
+metric contracts (RPR604), SARIF, and the
 static-vs-dynamic lock-order comparison."""
 
 from __future__ import annotations
@@ -12,10 +12,6 @@ import pytest
 from repro.analysis import (
     LocksetMonitor,
     analyze_flow,
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    write_baseline,
     write_order_edges_jsonl,
 )
 from repro.analysis.__main__ import main
@@ -144,59 +140,6 @@ def test_fixture_findings_in_jsonl_and_sarif(fixture_tree, tmp_path, capsys):
     for result in located:
         region = result["locations"][0]["physicalLocation"]["region"]
         assert region["startLine"] >= 1
-
-
-def test_baseline_suppresses_and_exit_code_reflects_it(fixture_tree, tmp_path, capsys):
-    source, registry = fixture_tree
-    baseline_path = tmp_path / "accepted.jsonl"
-    code = main(
-        [
-            "flow",
-            str(source),
-            "--registry",
-            str(registry),
-            "--write-baseline",
-            str(baseline_path),
-        ]
-    )
-    assert code == 0  # writing a baseline always exits clean
-    capsys.readouterr()
-    recorded = load_baseline(baseline_path)
-    assert len(recorded) == 3
-
-    code = main(
-        [
-            "flow",
-            str(source),
-            "--registry",
-            str(registry),
-            "--baseline",
-            str(baseline_path),
-        ]
-    )
-    assert code == 0  # everything baselined: clean exit
-    output = capsys.readouterr()
-    assert "no findings" in output.out
-
-
-def test_fingerprints_are_line_stable(fixture_tree, tmp_path):
-    source, registry = fixture_tree
-    report = analyze_flow([str(source)], registry_path=registry, root=tmp_path)
-    before = {fingerprint(f) for f in report.findings}
-    # Shift every line: prepend a comment block.
-    source.write_text("# moved\n# down\n" + FIXTURE, encoding="utf-8")
-    shifted = analyze_flow([str(source)], registry_path=registry, root=tmp_path)
-    after = {fingerprint(f) for f in shifted.findings}
-    assert before == after
-    kept, suppressed = apply_baseline(shifted.findings, before)
-    assert kept == [] and suppressed == 3
-
-
-def test_write_baseline_roundtrip(fixture_tree, tmp_path):
-    source, registry = fixture_tree
-    report = analyze_flow([str(source)], registry_path=registry, root=tmp_path)
-    path = write_baseline(report.findings, tmp_path / "base.jsonl")
-    assert load_baseline(path) == {fingerprint(f) for f in report.findings}
 
 
 # ----------------------------------------------------------------------

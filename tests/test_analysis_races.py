@@ -68,7 +68,7 @@ def test_injected_unlocked_write_is_flagged():
     with pytest.raises(AssertionError, match="race on RacyCounter.count"):
         monitor.assert_clean()
     findings = monitor.findings()
-    assert findings and findings[0].rule == "RPR501"
+    assert findings and findings[0].rule == "RPR701"
 
 
 def test_guarded_class_is_clean():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import TasteDetector, ThresholdPolicy
+from repro.core import DetectorConfig, TasteDetector, ThresholdPolicy
 from repro.db import CloudDatabaseServer, CostModel
 
 FAST = CostModel(time_scale=0.0)
@@ -19,7 +19,8 @@ def server(tiny_corpus):
 @pytest.fixture()
 def detector(trained_model, featurizer):
     return TasteDetector(
-        trained_model, featurizer, ThresholdPolicy(0.1, 0.9), pipelined=False
+        trained_model, featurizer, ThresholdPolicy(0.1, 0.9),
+        config=DetectorConfig(pipelined=False),
     )
 
 
@@ -59,7 +60,8 @@ class TestDetection:
 class TestPrivacyMode:
     def test_no_scans_when_phase2_disabled(self, trained_model, featurizer, server):
         detector = TasteDetector(
-            trained_model, featurizer, ThresholdPolicy.privacy_mode(), pipelined=False
+            trained_model, featurizer, ThresholdPolicy.privacy_mode(),
+            config=DetectorConfig(pipelined=False),
         )
         report = detector.detect(server)
         assert server.ledger.num_scanned_columns() == 0
@@ -71,7 +73,8 @@ class TestUncertainColumns:
     def test_wide_band_scans_everything(self, trained_model, featurizer, server):
         """alpha=0, beta=1 makes every probability uncertain -> scan all."""
         detector = TasteDetector(
-            trained_model, featurizer, ThresholdPolicy(0.0, 1.0), pipelined=False
+            trained_model, featurizer, ThresholdPolicy(0.0, 1.0),
+            config=DetectorConfig(pipelined=False),
         )
         report = detector.detect(server)
         assert report.scanned_ratio() == 1.0
@@ -79,7 +82,8 @@ class TestUncertainColumns:
 
     def test_uncertain_types_recorded(self, trained_model, featurizer, server):
         detector = TasteDetector(
-            trained_model, featurizer, ThresholdPolicy(0.0, 1.0), pipelined=False
+            trained_model, featurizer, ThresholdPolicy(0.0, 1.0),
+            config=DetectorConfig(pipelined=False),
         )
         report = detector.detect(server)
         assert all(p.uncertain_types for p in report.predictions)
@@ -89,7 +93,7 @@ class TestCaching:
     def test_cache_populated_then_hit(self, trained_model, featurizer, server):
         detector = TasteDetector(
             trained_model, featurizer, ThresholdPolicy(0.0, 1.0),
-            caching=True, pipelined=False,
+            config=DetectorConfig(caching=True, pipelined=False),
         )
         report = detector.detect(server)
         assert report.cache_hits > 0
@@ -100,7 +104,7 @@ class TestCaching:
         the ablation never attempted them."""
         detector = TasteDetector(
             trained_model, featurizer, ThresholdPolicy(0.0, 1.0),
-            caching=False, pipelined=False,
+            config=DetectorConfig(caching=False, pipelined=False),
         )
         report = detector.detect(server)
         assert report.cache_hits == 0
@@ -115,7 +119,8 @@ class TestCaching:
         for caching in (True, False):
             server = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
             detector = TasteDetector(
-                trained_model, featurizer, policy, caching=caching, pipelined=False
+                trained_model, featurizer, policy,
+                config=DetectorConfig(caching=caching, pipelined=False),
             )
             reports.append(detector.detect(server))
         for a, b in zip(reports[0].predictions, reports[1].predictions):
@@ -132,7 +137,8 @@ class TestPipelinedEquivalence:
         for pipelined in (False, True):
             server = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
             detector = TasteDetector(
-                trained_model, featurizer, policy, pipelined=pipelined
+                trained_model, featurizer, policy,
+                config=DetectorConfig(pipelined=pipelined),
             )
             reports.append(detector.detect(server))
         by_key = lambda r: {
@@ -148,10 +154,12 @@ class TestScanMethods:
         server_first = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
         server_sample = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
         TasteDetector(
-            trained_model, featurizer, policy, pipelined=False, scan_method="first"
+            trained_model, featurizer, policy,
+            config=DetectorConfig(pipelined=False, scan_method="first"),
         ).detect(server_first)
         TasteDetector(
-            trained_model, featurizer, policy, pipelined=False, scan_method="sample"
+            trained_model, featurizer, policy,
+            config=DetectorConfig(pipelined=False, scan_method="sample"),
         ).detect(server_sample)
         assert (
             server_sample.ledger.simulated_seconds
@@ -160,7 +168,9 @@ class TestScanMethods:
 
     def test_invalid_scan_method(self, trained_model, featurizer):
         with pytest.raises(ValueError):
-            TasteDetector(trained_model, featurizer, scan_method="bogus")
+            TasteDetector(
+                trained_model, featurizer, config=DetectorConfig(scan_method="bogus")
+            )
 
 
 class TestWideTables:
@@ -174,7 +184,8 @@ class TestWideTables:
         )
         server = CloudDatabaseServer.from_tables(tiny_corpus.test[:3], FAST)
         detector = TasteDetector(
-            trained_model, narrow, ThresholdPolicy(0.1, 0.9), pipelined=False
+            trained_model, narrow, ThresholdPolicy(0.1, 0.9),
+            config=DetectorConfig(pipelined=False),
         )
         report = detector.detect(server)
         expected = sum(t.num_columns for t in tiny_corpus.test[:3])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import TasteDetector, ThresholdPolicy
+from repro.core import DetectorConfig, TasteDetector, ThresholdPolicy
 from repro.datagen import Column, Table
 from repro.db import CloudDatabaseServer, CostModel
 from repro.features import FeatureConfig, Featurizer
@@ -17,7 +17,8 @@ class TestDetectorFailures:
     def test_unknown_table_raises_cleanly(self, trained_model, featurizer, tiny_corpus):
         server = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
         detector = TasteDetector(
-            trained_model, featurizer, ThresholdPolicy(0.1, 0.9), pipelined=False
+            trained_model, featurizer, ThresholdPolicy(0.1, 0.9),
+            config=DetectorConfig(pipelined=False),
         )
         with pytest.raises(KeyError):
             detector.detect(server, ["no_such_table"])
@@ -27,14 +28,17 @@ class TestDetectorFailures:
     ):
         server = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
         detector = TasteDetector(
-            trained_model, featurizer, ThresholdPolicy(0.1, 0.9), pipelined=True
+            trained_model, featurizer, ThresholdPolicy(0.1, 0.9),
+            config=DetectorConfig(pipelined=True),
         )
         with pytest.raises(KeyError):
             detector.detect(server, [tiny_corpus.test[0].name, "no_such_table"])
 
     def test_empty_table_list(self, trained_model, featurizer, tiny_corpus):
         server = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
-        detector = TasteDetector(trained_model, featurizer, pipelined=False)
+        detector = TasteDetector(
+            trained_model, featurizer, config=DetectorConfig(pipelined=False)
+        )
         report = detector.detect(server, [])
         assert report.num_columns == 0
         assert report.scanned_ratio() == 0.0
@@ -49,7 +53,8 @@ class TestDegenerateTables:
             "solo", "", [Column("email", "", "varchar", ["a@b.c"] * 10, ["person.email"])]
         )
         report = TasteDetector(
-            trained_model, featurizer, ThresholdPolicy(0.0, 1.0), pipelined=False
+            trained_model, featurizer, ThresholdPolicy(0.0, 1.0),
+            config=DetectorConfig(pipelined=False),
         ).detect(self.make_server(table), ["solo"])
         assert report.num_columns == 1
         assert report.predictions[0].phase == 2
@@ -65,7 +70,8 @@ class TestDegenerateTables:
             ],
         )
         report = TasteDetector(
-            trained_model, featurizer, ThresholdPolicy(0.0, 1.0), pipelined=False
+            trained_model, featurizer, ThresholdPolicy(0.0, 1.0),
+            config=DetectorConfig(pipelined=False),
         ).detect(self.make_server(table), ["empties"])
         assert report.num_columns == 2
         assert all(np.isfinite(p.probabilities).all() for p in report.predictions)
@@ -85,7 +91,8 @@ class TestDegenerateTables:
             ],
         )
         report = TasteDetector(
-            trained_model, featurizer, ThresholdPolicy(0.0, 1.0), pipelined=False
+            trained_model, featurizer, ThresholdPolicy(0.0, 1.0),
+            config=DetectorConfig(pipelined=False),
         ).detect(self.make_server(table), ["odd"])
         assert report.num_columns == 1
 
@@ -99,7 +106,8 @@ class TestDegenerateTables:
             tokenizer, tiny_corpus.registry, FeatureConfig(column_split_threshold=4)
         )
         report = TasteDetector(
-            trained_model, featurizer, ThresholdPolicy(0.1, 0.9), pipelined=False
+            trained_model, featurizer, ThresholdPolicy(0.1, 0.9),
+            config=DetectorConfig(pipelined=False),
         ).detect(self.make_server(table), ["wide"])
         assert report.num_columns == 30
         assert [p.column_name for p in report.predictions] == [
@@ -116,8 +124,7 @@ class TestCacheEviction:
             trained_model,
             featurizer,
             ThresholdPolicy(0.0, 1.0),  # force Phase 2 everywhere
-            pipelined=False,
-            cache_capacity=1,
+            config=DetectorConfig(pipelined=False, cache_capacity=1),
         )
         report = detector.detect(server)
         assert report.num_columns == sum(t.num_columns for t in tiny_corpus.test)

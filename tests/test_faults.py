@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import threading
-import warnings
 
 import pytest
 
@@ -17,10 +16,10 @@ from repro.core import (
 from repro.db import CloudDatabaseServer, CostModel
 from repro.faults import (
     ConnectionDroppedError,
-    DeadlineExceededError,
     FaultInjector,
     FaultPlan,
     FaultRule,
+    RetryDeadlineError,
     RetryGiveUpError,
     RetryPolicy,
     TransientDBError,
@@ -39,7 +38,7 @@ def server(tiny_corpus):
     return CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
 
 
-def make_detector(model, featurizer, *, plan_metrics=None, **runtime_kwargs):
+def make_detector(model, featurizer, *, plan_metrics=None, pipelined=False, **runtime_kwargs):
     runtime_kwargs.setdefault("retry_policy", INSTANT)
     runtime_kwargs.setdefault("tracer", Tracer(enabled=False))
     if plan_metrics is not None:
@@ -50,7 +49,7 @@ def make_detector(model, featurizer, *, plan_metrics=None, **runtime_kwargs):
         # Wide uncertainty band: with an untrained model every column's
         # probabilities hover near 0.5, so every table goes through Phase 2.
         ThresholdPolicy(0.1, 0.9),
-        config=DetectorConfig(pipelined=False),
+        config=DetectorConfig(pipelined=pipelined),
         runtime=RuntimeConfig(**runtime_kwargs),
     )
 
@@ -146,7 +145,7 @@ class TestRetryPolicy:
         def always_fails():
             raise TransientDBError("slow")
 
-        with pytest.raises(DeadlineExceededError) as excinfo:
+        with pytest.raises(RetryDeadlineError) as excinfo:
             policy.run(always_fails, clock=lambda: next(clock), sleep=lambda s: None)
         assert isinstance(excinfo.value, RetryGiveUpError)  # one except clause catches both
         assert excinfo.value.attempts == 1
@@ -266,21 +265,26 @@ class TestFaultRules:
         assert injector.injected_latency == pytest.approx(0.01 * len(columns))
 
     def test_probabilistic_stream_reproducible(self, server):
-        def fired_sequence():
+        def fired_by_table(names):
             plan = FaultPlan(
                 seed=9, rules=(FaultRule("fetch_metadata", "transient", probability=0.5),)
             )
             connection = plan.build(metrics=MetricsRegistry()).connect(server)
-            outcomes = []
-            for name in server.database.table_names():
+            outcomes = {}
+            for name in names:
                 try:
                     connection.fetch_metadata(name)
-                    outcomes.append(False)
+                    outcomes[name] = False
                 except TransientDBError:
-                    outcomes.append(True)
+                    outcomes[name] = True
             return outcomes
 
-        assert fired_sequence() == fired_sequence()
+        names = server.database.table_names()
+        reference = fired_by_table(names)
+        assert len(set(reference.values())) == 2  # some fire, some do not
+        assert fired_by_table(names) == reference
+        # Keyed per table: arrival order does not move a fault elsewhere.
+        assert fired_by_table(names[::-1]) == reference
 
     def test_injected_metric_labelled_by_kind(self, server):
         metrics = MetricsRegistry()
@@ -322,56 +326,19 @@ class TestDetectorConfig:
 
 
 # ---------------------------------------------------------------------------
-# Legacy keyword shim
-# ---------------------------------------------------------------------------
-class TestLegacyShim:
-    def test_legacy_kwargs_work_with_one_warning(self, untrained_model, featurizer):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            detector = TasteDetector(
-                untrained_model, featurizer, pipelined=False, scan_method="sample"
-            )
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert detector.config.pipelined is False
-        assert detector.config.scan_method == "sample"
-
-    def test_legacy_runtime_kwargs(self, untrained_model, featurizer):
-        metrics = MetricsRegistry()
-        tracer = Tracer(enabled=False)
-        with pytest.deprecated_call():
-            detector = TasteDetector(
-                untrained_model, featurizer, tracer=tracer, metrics=metrics
-            )
-        assert detector.metrics is metrics
-        assert detector.tracer is tracer
-
-    def test_unknown_kwarg_raises(self, untrained_model, featurizer):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            TasteDetector(untrained_model, featurizer, pipelnied=True)
-
-    def test_mixing_config_and_legacy_raises(self, untrained_model, featurizer):
-        with pytest.raises(TypeError, match="not both"):
-            TasteDetector(
-                untrained_model, featurizer, config=DetectorConfig(), pipelined=False
-            )
-
-    def test_new_api_emits_no_warning(self, untrained_model, featurizer):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            TasteDetector(untrained_model, featurizer, config=DetectorConfig())
-        assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
-
-# ---------------------------------------------------------------------------
 # End-to-end resilience: detect() under fault plans
 # ---------------------------------------------------------------------------
 class TestGracefulDegradation:
+    pipelined = False
+
+    def detector(self, model, featurizer, **runtime_kwargs):
+        return make_detector(model, featurizer, pipelined=self.pipelined, **runtime_kwargs)
+
     def test_phase2_giveup_degrades_to_phase1(
         self, untrained_model, featurizer, server, tiny_corpus
     ):
         metrics = MetricsRegistry()
-        detector = make_detector(untrained_model, featurizer, metrics=metrics)
+        detector = self.detector(untrained_model, featurizer, metrics=metrics)
         plan = FaultPlan.transient(1.0)  # every content scan fails, always
         report = detector.detect(server, options=DetectOptions(fault_plan=plan))
 
@@ -401,7 +368,7 @@ class TestGracefulDegradation:
         self, untrained_model, featurizer, server, tiny_corpus
     ):
         metrics = MetricsRegistry()
-        detector = make_detector(untrained_model, featurizer, metrics=metrics)
+        detector = self.detector(untrained_model, featurizer, metrics=metrics)
         target = tiny_corpus.test[0].name
         plan = FaultPlan(
             rules=(FaultRule("fetch_metadata", "transient", tables=(target,)),)
@@ -417,7 +384,7 @@ class TestGracefulDegradation:
         assert all(t.predictions for t in others)
 
     def test_degrade_false_raises(self, untrained_model, featurizer, server):
-        detector = make_detector(untrained_model, featurizer, degrade=False)
+        detector = self.detector(untrained_model, featurizer, degrade=False)
         plan = FaultPlan.transient(1.0)
         with pytest.raises(RetryGiveUpError):
             detector.detect(server, options=DetectOptions(fault_plan=plan))
@@ -426,7 +393,7 @@ class TestGracefulDegradation:
         self, untrained_model, featurizer, server
     ):
         metrics = MetricsRegistry()
-        detector = make_detector(untrained_model, featurizer, metrics=metrics)
+        detector = self.detector(untrained_model, featurizer, metrics=metrics)
         plan = FaultPlan(rules=(FaultRule("connect", "transient"),))
         with pytest.raises(RetryGiveUpError):
             detector.detect(server, options=DetectOptions(fault_plan=plan))
@@ -435,7 +402,7 @@ class TestGracefulDegradation:
     def test_recovered_drop_keeps_report_ok(
         self, untrained_model, featurizer, server, tiny_corpus
     ):
-        detector = make_detector(untrained_model, featurizer)
+        detector = self.detector(untrained_model, featurizer)
         plan = FaultPlan(rules=(FaultRule("fetch_values", "drop", max_faults=1),))
         report = detector.detect(server, options=DetectOptions(fault_plan=plan))
         assert report.ok  # the drop was retried away, not degraded
@@ -448,7 +415,7 @@ class TestGracefulDegradation:
     ):
         def run(plan):
             server = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
-            detector = make_detector(untrained_model, featurizer)
+            detector = self.detector(untrained_model, featurizer)
             options = DetectOptions(fault_plan=plan) if plan is not None else None
             report = detector.detect(server, options=options)
             return report.cost
@@ -463,7 +430,7 @@ class TestGracefulDegradation:
             assert faulted[key] == clean[key], key
 
     def test_no_faults_plan_is_inert(self, untrained_model, featurizer, server):
-        detector = make_detector(untrained_model, featurizer)
+        detector = self.detector(untrained_model, featurizer)
         report = detector.detect(
             server, options=DetectOptions(fault_plan=FaultPlan.transient(0.0))
         )
@@ -471,6 +438,17 @@ class TestGracefulDegradation:
         assert report.faults_injected == 0
         assert report.retries == 0
         assert report.failure_summary()["ok"] is True
+
+
+class TestGracefulDegradationPipelined(TestGracefulDegradation):
+    """The same exact retry, give-up and ledger counts with tables in flight
+    on two prep workers: fault draws are keyed per table, not per arrival."""
+
+    pipelined = True
+    # One drop on the connection the workers share: which worker pays the
+    # reconnect is arrival-ordered (see FaultInjector), so the sequential
+    # test's exact connection count is not a pipelined invariant.
+    test_recovered_drop_keeps_report_ok = None
 
 
 class TestPipelineUnderFaults:
@@ -495,3 +473,42 @@ class TestPipelineUnderFaults:
         # Degraded/failed tables must not wedge the executor: a healthy
         # drain records zero stalled waits.
         assert metrics.counter("pipeline.wait_timeouts").value == 0
+
+    @pytest.mark.parametrize("prep_workers", [1, 2, 4])
+    def test_per_table_outcomes_match_sequential_run(
+        self, untrained_model, featurizer, tiny_corpus, prep_workers
+    ):
+        """Which table eats a probabilistic fault is fixed by the plan, not
+        by which worker reaches the injector first."""
+        tables = tiny_corpus.tables[:8]
+        plan = FaultPlan.transient(
+            0.4, seed=3, operations=("fetch_metadata", "fetch_values")
+        )
+
+        def outcomes(detector):
+            server = CloudDatabaseServer.from_tables(tables, FAST)
+            report = detector.detect(server, options=DetectOptions(fault_plan=plan))
+            return {
+                t.table_name: (
+                    t.retries, t.degraded, t.failed, tuple(p.phase for p in t.predictions)
+                )
+                for t in report.tables
+            }
+
+        reference = outcomes(make_detector(untrained_model, featurizer))
+        # The plan bites in every way a table can be affected.
+        assert sum(retries for retries, *_ in reference.values()) > len(tables)
+        assert any(degraded for _, degraded, _, _ in reference.values())
+        assert any(failed for _, _, failed, _ in reference.values())
+
+        detector = TasteDetector(
+            untrained_model,
+            featurizer,
+            ThresholdPolicy(0.1, 0.9),
+            config=DetectorConfig(pipelined=True, prep_workers=prep_workers),
+            runtime=RuntimeConfig(
+                metrics=MetricsRegistry(), retry_policy=INSTANT, tracer=Tracer(enabled=False)
+            ),
+        )
+        for _ in range(50):
+            assert outcomes(detector) == reference

@@ -10,6 +10,7 @@ from repro.baselines import BaselineDetector, BaselineTrainConfig, build_turl_mo
 from repro.core import (
     ADTDConfig,
     ADTDModel,
+    DetectorConfig,
     TasteDetector,
     ThresholdPolicy,
     TrainConfig,
@@ -78,7 +79,8 @@ class TestTasteEndToEnd:
         for _ in range(2):
             server = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
             detector = TasteDetector(
-                stack, featurizer, ThresholdPolicy(0.1, 0.9), pipelined=False
+                stack, featurizer, ThresholdPolicy(0.1, 0.9),
+                config=DetectorConfig(pipelined=False),
             )
             report = detector.detect(server)
             results.append(
@@ -102,8 +104,9 @@ class TestTasteEndToEnd:
         server_a = CloudDatabaseServer.from_tables(tiny_corpus.test[:3], FAST)
         server_b = CloudDatabaseServer.from_tables(tiny_corpus.test[:3], FAST)
         policy = ThresholdPolicy(0.1, 0.9)
-        report_a = TasteDetector(stack, featurizer, policy, pipelined=False).detect(server_a)
-        report_b = TasteDetector(clone, featurizer, policy, pipelined=False).detect(server_b)
+        config = DetectorConfig(pipelined=False)
+        report_a = TasteDetector(stack, featurizer, policy, config=config).detect(server_a)
+        report_b = TasteDetector(clone, featurizer, policy, config=config).detect(server_b)
         for a, b in zip(report_a.predictions, report_b.predictions):
             assert np.allclose(a.probabilities, b.probabilities, atol=1e-6)
 

@@ -9,12 +9,13 @@ import threading
 
 import pytest
 
-from repro.core import TasteDetector, ThresholdPolicy
+from repro.core import DetectorConfig, RuntimeConfig, TasteDetector, ThresholdPolicy
 from repro.db import CloudDatabaseServer, CostModel
 from repro.obs import (
     NULL_METRICS,
     NULL_SPAN,
     MetricsRegistry,
+    Span,
     Tracer,
     current_span,
     read_spans_jsonl,
@@ -124,6 +125,23 @@ class TestMetrics:
         assert gauge.value == 1
         assert gauge.peak == 2
 
+    def test_reset_zeroes_in_place_and_keeps_handles_live(self):
+        registry = MetricsRegistry()
+        hits = registry.counter("hits")
+        depth = registry.gauge("depth")
+        latency = registry.histogram("lat", buckets=(0.01,))
+        hits.inc(5)
+        depth.set(3)
+        latency.observe(0.5)
+        registry.reset()
+        snapshot = registry.snapshot()
+        assert snapshot["hits"]["value"] == 0
+        assert snapshot["depth"] == {"type": "gauge", "value": 0, "peak": 0}
+        assert snapshot["lat"]["count"] == 0 and snapshot["lat"]["buckets"]["+Inf"] == 0
+        # Handles captured before the reset still feed the registry.
+        hits.inc()
+        assert registry.snapshot()["hits"]["value"] == 1
+
     def test_histogram_stats_and_buckets(self):
         hist = MetricsRegistry().histogram("lat", buckets=(0.01, 0.1))
         for v in (0.005, 0.05, 0.5):
@@ -229,9 +247,8 @@ def traced_run(request):
         trained_model,
         featurizer,
         ThresholdPolicy(0.0, 1.0),  # force Phase 2 for every column
-        pipelined=True,
-        tracer=Tracer(),
-        metrics=registry,
+        config=DetectorConfig(pipelined=True),
+        runtime=RuntimeConfig(tracer=Tracer(), metrics=registry),
     )
     report = detector.detect(server)
     assert len(report.tables) >= 4, "fixture corpus too small for overlap test"
@@ -307,7 +324,8 @@ class TestTracePropagation:
         )
         detector = TasteDetector(
             trained_model, featurizer, ThresholdPolicy(0.1, 0.9),
-            pipelined=True, tracer=Tracer(), metrics=MetricsRegistry(),
+            config=DetectorConfig(pipelined=True),
+            runtime=RuntimeConfig(tracer=Tracer(), metrics=MetricsRegistry()),
         )
         path = tmp_path / "run.jsonl"
         report = detector.detect(server, trace_out=path)
@@ -338,8 +356,47 @@ class TestTracePropagation:
         )
         detector = TasteDetector(
             trained_model, featurizer, ThresholdPolicy(0.1, 0.9),
-            pipelined=False, tracer=Tracer(enabled=False), metrics=NULL_METRICS,
+            config=DetectorConfig(pipelined=False),
+            runtime=RuntimeConfig(tracer=Tracer(enabled=False), metrics=NULL_METRICS),
         )
         report = detector.detect(server)
         assert len(detector.tracer.spans()) == 0
         assert all(t.infer1_seconds > 0 for t in report.tables)
+
+    def test_disabled_tracer_constructs_no_spans(
+        self, trained_model, featurizer, tiny_corpus, monkeypatch
+    ):
+        """The disabled path is guarded by counted work, not wall clock
+        (the timing figure is the perf harness's ``obs.trace_overhead_pct``):
+        a pipelined run allocates no Span and records nothing."""
+        constructed = []
+        span_init = Span.__init__
+
+        def counting_init(span, *args, **kwargs):
+            constructed.append(span)
+            span_init(span, *args, **kwargs)
+
+        monkeypatch.setattr(Span, "__init__", counting_init)
+        tracer = Tracer(enabled=False)
+        handed_out = []
+        tracer_span = tracer.span
+
+        def recording_span(name, **attributes):
+            handed_out.append(tracer_span(name, **attributes))
+            return handed_out[-1]
+
+        monkeypatch.setattr(tracer, "span", recording_span)
+        server = CloudDatabaseServer.from_tables(
+            tiny_corpus.test, CostModel(time_scale=0.0)
+        )
+        detector = TasteDetector(
+            trained_model, featurizer, ThresholdPolicy(0.1, 0.9),
+            config=DetectorConfig(pipelined=True),
+            runtime=RuntimeConfig(tracer=tracer, metrics=NULL_METRICS),
+        )
+        report = detector.detect(server)
+        assert len(report.tables) == len(tiny_corpus.test)
+        assert handed_out, "the run never asked the tracer for a span"
+        assert all(span is NULL_SPAN for span in handed_out)
+        assert constructed == []
+        assert len(tracer) == 0
