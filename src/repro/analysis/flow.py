@@ -281,7 +281,7 @@ def build_index(paths, root: Path | None = None) -> ProgramIndex:
             continue  # lint reports RPR000
         modules.append((file_path, rel.replace("\\", "/"), tree))
     # Two passes: class-name universe first, then attribute typing (so
-    # ``self.cache = LatentCache(...)`` resolves across modules).
+    # ``self.latents = LatentCache(...)`` resolves across modules).
     infos: list[ModuleInfo] = []
     for file_path, rel, tree in modules:
         info = ModuleInfo(path=file_path, rel=rel, tree=tree)

@@ -25,7 +25,7 @@ activates are not tracked.
 Usage::
 
     monitor = LocksetMonitor()
-    with monitor.instrument(LatentCache):
+    with monitor.instrument(ConnectionPool):
         run_stress()
     monitor.assert_clean()          # raises with a formatted report
 """

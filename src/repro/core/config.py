@@ -90,7 +90,6 @@ class DetectorConfig:
     infer_workers: int = 2
     scan_method: str = "first"
     sample_seed: int = 0
-    cache_capacity: int = 256
     batching: BatchingConfig = field(default_factory=BatchingConfig)
     compile: CompileConfig = field(default_factory=CompileConfig)
 
@@ -106,8 +105,6 @@ class DetectorConfig:
             )
         if self.prep_workers < 1 or self.infer_workers < 1:
             raise ValueError("both thread pools need at least one worker")
-        if self.cache_capacity < 1:
-            raise ValueError("cache_capacity must be at least 1")
 
     def replace(self, **changes: Any) -> "DetectorConfig":
         """A modified copy (re-validated)."""

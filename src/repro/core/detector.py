@@ -1,7 +1,7 @@
 """The TASTE detector: the public entry point of the framework.
 
-Wires together the ADTD model, the featurizer, the (α, β) threshold policy,
-the latent cache and an executor, and runs end-to-end detection against a
+Wires together the ADTD model, the featurizer, the (α, β) threshold policy
+and an executor, and runs end-to-end detection against a
 simulated cloud database server. See paper Fig. 1 for the flow.
 
 Typical use::
@@ -40,7 +40,6 @@ from ..obs.metrics import MetricsRegistry, NullMetricsRegistry, global_registry
 from ..sched.batcher import InferenceBatcher
 from ..sched.forward import Phase1Request, Phase1Result, Phase2Request, Phase2Result, bucket_width, run_grouped
 from .config import DetectOptions, DetectorConfig, RuntimeConfig
-from .latent_cache import LatentCache
 from .phases import TableJob
 from .pipeline import PipelinedExecutor, SequentialExecutor
 from .results import DetectionReport
@@ -92,11 +91,6 @@ class TasteDetector:
         )
         self.retry_policy = self.runtime.retry_policy
         self.degrade = self.runtime.degrade
-        self.cache = LatentCache(
-            capacity=self.config.cache_capacity,
-            enabled=self.config.caching,
-            metrics=self.metrics,
-        )
         # The cross-table batcher only helps when several tables are in
         # flight at once, i.e. under the pipelined executor; sequential
         # runs go through the same width-bucketed forwards locally.
@@ -222,10 +216,9 @@ class TasteDetector:
             tables=results,
             wall_seconds=wall,
             cost=server.ledger.snapshot(),
-            cache_hits=self.cache.hits,
-            cache_misses=self.cache.misses,
-            cache_evictions=self.cache.evictions,
-            cache_disabled_lookups=self.cache.disabled_lookups,
+            cache_hits=sum(job.latents.hits for job in jobs),
+            cache_misses=sum(job.latents.misses for job in jobs),
+            cache_disabled_lookups=sum(job.latents.disabled_lookups for job in jobs),
             retries=sum(result.retries for result in results),
             giveups=sum(1 for result in results if result.degraded or result.failed),
             faults_injected=injector.total_fired if injector is not None else 0,

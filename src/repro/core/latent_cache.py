@@ -1,25 +1,29 @@
-"""The latent cache of the metadata tower (paper Sec. 4.2.2).
+"""The per-table latent hand-off of the metadata tower (paper Sec. 4.2.2).
 
 Because the content tower depends on the metadata tower's per-layer outputs
-but not vice versa, Phase 1 can store ``Encode_i^{M_t}`` for every layer and
-Phase 2 can reuse them, skipping the whole metadata-tower recomputation.
-The cache is a bounded LRU keyed by table identity, with hit/miss/eviction
-counters so the ablation ("TASTE without caching") can quantify the saving.
+but not vice versa, Phase 1 can keep ``Encode_i^{M_t}`` for every layer and
+the *same table's* Phase 2 can reuse them, skipping the whole
+metadata-tower recomputation.
 
-Lookups against a *disabled* cache are counted separately
-(``disabled_lookups``), not as misses: the "without caching" ablation never
-attempts a lookup, so reporting misses for it would overstate churn.
+Each :class:`~repro.core.phases.TableJob` owns one :class:`LatentCache`,
+keyed by chunk index: the P1-inference stage ``put``\\ s the latents of
+every chunk with at least one uncertain column, and the P2-inference stage
+``get``\\ s them, which removes them. Nothing is shared between tables,
+runs or tenants, so nothing can be evicted, go stale or leak across a
+tenant boundary. No lock is needed: the executors never run two stages of
+one job at once, and ``put`` (stage 2) always precedes ``get`` (stage 4).
 
-All counters are mirrored into a :class:`~repro.obs.metrics.MetricsRegistry`
-(``cache.hits`` / ``cache.misses`` / ``cache.evictions`` /
-``cache.disabled_lookups`` counters plus ``cache.bytes`` and
-``cache.entries`` gauges), the process-global one by default.
+Lookups against a *disabled* store (the "TASTE without caching" ablation)
+are counted as ``disabled_lookups``, not as misses: the ablation never
+attempts a lookup, so reporting misses for it would overstate churn. Every
+``get`` increments exactly one of the ``cache.hits`` / ``cache.misses`` /
+``cache.disabled_lookups`` counters of a
+:class:`~repro.obs.metrics.MetricsRegistry`, the process-global one by
+default.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,20 +35,9 @@ __all__ = ["CachedEncoding", "LatentCache"]
 
 @dataclass
 class CachedEncoding:
-    """Everything Phase 2 needs to reuse Phase 1's metadata encoding."""
+    """One chunk's metadata-tower outputs, all Phase 2 needs to reuse them."""
 
     layer_outputs: list[np.ndarray]  # [(1, M, H)] per layer, incl. embeddings
-    meta_mask: np.ndarray  # (1, M) bool
-    col_positions: np.ndarray  # (1, C)
-    numeric: np.ndarray  # (1, C, F)
-    meta_logits: np.ndarray  # (1, C, num_labels) — Phase 1's raw scores
-
-    @property
-    def nbytes(self) -> int:
-        """Approximate payload size in bytes."""
-        arrays = [*self.layer_outputs, self.meta_mask, self.col_positions,
-                  self.numeric, self.meta_logits]
-        return int(sum(a.nbytes for a in arrays))
 
     def usable_at(self, meta_width: int) -> bool:
         """Whether these latents can stand in for a fresh metadata forward.
@@ -60,107 +53,31 @@ class CachedEncoding:
 
 @dataclass
 class LatentCache:
-    """Bounded LRU cache of metadata latent representations."""
+    """One table's Phase-1 latents, keyed by chunk index and read once."""
 
-    capacity: int = 256
     enabled: bool = True
+    metrics: MetricsRegistry | NullMetricsRegistry | None = None
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
     disabled_lookups: int = 0
-    bytes: int = 0
-    metrics: MetricsRegistry | NullMetricsRegistry | None = None
-    _store: "OrderedDict[str, CachedEncoding]" = field(default_factory=OrderedDict)
-    _sizes: dict[str, int] = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    entries: dict[int, CachedEncoding] = field(default_factory=dict, repr=False)
 
-    def _metrics(self) -> MetricsRegistry | NullMetricsRegistry:
-        return self.metrics if self.metrics is not None else global_registry()
+    def put(self, chunk_index: int, encoding: CachedEncoding) -> None:
+        if self.enabled:
+            self.entries[chunk_index] = encoding
 
-    # Metric emission happens strictly *outside* ``_lock``: the registry's
-    # get-or-create and each instrument's own lock must never nest inside
-    # the cache lock, or ``LatentCache._lock`` picks up lock-order edges
-    # into the metrics substrate (flagged by the RPR601 flow analysis).
-
-    def put(self, key: str, encoding: CachedEncoding) -> None:
+    def get(self, chunk_index: int) -> CachedEncoding | None:
+        """Hand over (and forget) a chunk's latents; ``None`` if absent."""
+        metrics = self.metrics if self.metrics is not None else global_registry()
         if not self.enabled:
-            return
-        metrics = self._metrics()
-        evicted = 0
-        with self._lock:
-            if key in self._store:
-                self._store.move_to_end(key)
-                self.bytes -= self._sizes.get(key, 0)
-            size = encoding.nbytes
-            self._store[key] = encoding
-            self._sizes[key] = size
-            self.bytes += size
-            while len(self._store) > self.capacity:
-                evicted_key, _ = self._store.popitem(last=False)
-                self.bytes -= self._sizes.pop(evicted_key, 0)
-                self.evictions += 1
-                evicted += 1
-            total_bytes = self.bytes
-            entries = len(self._store)
-        if evicted:
-            metrics.counter("cache.evictions").inc(evicted)
-        metrics.gauge("cache.bytes").set(total_bytes)
-        metrics.gauge("cache.entries").set(entries)
-
-    def get(self, key: str) -> CachedEncoding | None:
-        metrics = self._metrics()
-        with self._lock:
-            if not self.enabled:
-                # Not a miss: the lookup was never attempted against a store.
-                self.disabled_lookups += 1
-                outcome = "disabled"
-                encoding = None
-            else:
-                encoding = self._store.get(key)
-                if encoding is None:
-                    self.misses += 1
-                    outcome = "miss"
-                else:
-                    self.hits += 1
-                    outcome = "hit"
-                    self._store.move_to_end(key)
-        if outcome == "disabled":
+            self.disabled_lookups += 1
             metrics.counter("cache.disabled_lookups").inc()
-        elif outcome == "miss":
+            return None
+        encoding = self.entries.pop(chunk_index, None)
+        if encoding is None:
+            self.misses += 1
             metrics.counter("cache.misses").inc()
         else:
+            self.hits += 1
             metrics.counter("cache.hits").inc()
         return encoding
-
-    def invalidate(self, key: str) -> None:
-        metrics = self._metrics()
-        with self._lock:
-            removed = self._store.pop(key, None) is not None
-            if removed:
-                self.bytes -= self._sizes.pop(key, 0)
-            total_bytes = self.bytes
-            entries = len(self._store)
-        if removed:
-            metrics.gauge("cache.bytes").set(total_bytes)
-            metrics.gauge("cache.entries").set(entries)
-
-    def clear(self) -> None:
-        metrics = self._metrics()
-        with self._lock:
-            self._store.clear()
-            self._sizes.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-            self.disabled_lookups = 0
-            self.bytes = 0
-        metrics.gauge("cache.bytes").set(0)
-        metrics.gauge("cache.entries").set(0)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._store)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._store

@@ -28,6 +28,7 @@ from ..features.encoding import EncodedTable, split_metadata
 from ..nn.functional import stable_sigmoid
 from ..obs import NULL_METRICS, NULL_TRACER
 from ..sched.forward import Phase1Request, Phase2Request
+from .latent_cache import LatentCache
 from .results import ColumnPrediction, TableResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,13 +69,13 @@ class ChunkState:
 class TableJob:
     """Processing state for one table across the four stages.
 
-    ``cache_scope`` namespaces this job's latent-cache keys; the detection
-    service sets it per (tenant, server) so two tenants with a table of
-    the same name can never poison each other's cached latents. The
-    direct ``detect()`` path leaves it empty (one connection, one run —
-    the table name alone is unambiguous). ``span_attrs`` is merged into
-    every stage span, which is how service runs link job → table → stage
-    without changing the span tree shape.
+    ``latents`` is the job's own :class:`LatentCache`: P1 inference puts
+    the metadata latents of each chunk Phase 2 will read, P2 inference
+    takes them, and the store is emptied once P2 inference returns or the
+    job gives up. Being per job, it is isolated between tables, runs and
+    tenants by construction. ``span_attrs`` is merged into every stage
+    span, which is how service runs link job → table → stage without
+    changing the span tree shape.
     """
 
     def __init__(
@@ -82,23 +83,20 @@ class TableJob:
         detector: "TasteDetector",
         connection: Connection,
         table_name: str,
-        cache_scope: str = "",
         span_attrs: dict[str, object] | None = None,
     ) -> None:
         self.detector = detector
         self.connection = connection
         self.table_name = table_name
-        self.cache_scope = cache_scope
         self.span_attrs = span_attrs if span_attrs is not None else {}
+        self.latents = LatentCache(
+            enabled=detector.config.caching, metrics=detector.metrics
+        )
         self.metadata: TableMetadata | None = None
         self.chunks: list[ChunkState] = []
         self.content_by_column: dict[int, list[str]] = {}
         self.result = TableResult(table_name, predictions=[])
         self.completed_stages = 0
-
-    def cache_key(self, chunk_index: int) -> str:
-        """Latent-cache key for one chunk, prefixed with the job's scope."""
-        return f"{self.cache_scope}{self.table_name}#{chunk_index}"
 
     # ------------------------------------------------------------------
     @property
@@ -212,6 +210,7 @@ class TableJob:
         table still appears in the final report.
         """
         self.result.error = str(error)
+        self.latents.entries.clear()
         if stage == 0:
             self.result.failed = True
             self.result.predictions = []
@@ -253,11 +252,15 @@ class TableJob:
         detector = self.detector
         policy = detector.thresholds
         registry = detector.featurizer.registry
+        # The batcher keeps a chunk's latents only when this policy sends
+        # one of its columns to Phase 2, i.e. only when stage 4 reads them.
+        keep_latents = policy if self.latents.enabled and policy.phase2_enabled else None
 
         requests = [
             Phase1Request(
                 encoded=chunk.encoded_p1,
                 meta_width=detector.bucketed_width(len(chunk.encoded_p1.meta.token_ids)),
+                phase2_policy=keep_latents,
             )
             for chunk in self.chunks
         ]
@@ -267,8 +270,8 @@ class TableJob:
             probs = outcome.probs  # (C, num_labels)
             chunk.meta_probs = probs
 
-            if policy.phase2_enabled:
-                detector.cache.put(self.cache_key(chunk_index), outcome.encoding)
+            if outcome.encoding is not None:
+                self.latents.put(chunk_index, outcome.encoding)
 
             uncertain = policy.uncertain_columns(probs) if policy.phase2_enabled else np.zeros(0, dtype=np.int64)
             chunk.uncertain_local = uncertain
@@ -353,7 +356,7 @@ class TableJob:
                     encoded=encoded,
                     meta_width=detector.bucketed_width(len(encoded.meta.token_ids)),
                     content_width=detector.bucketed_width(len(encoded.content.token_ids)),
-                    cached=detector.cache.get(self.cache_key(chunk_index)),
+                    cached=self.latents.get(chunk_index),
                 )
             )
             request_chunks.append(chunk)

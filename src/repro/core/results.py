@@ -20,7 +20,7 @@ __all__ = ["ColumnPrediction", "TableResult", "DetectionReport", "SCHEMA_VERSION
 
 #: Version stamp written by every ``to_dict()`` and checked by every
 #: ``from_dict()``. Bump on any backwards-incompatible field change.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _check_version(payload: dict[str, Any], record: str) -> None:
@@ -149,7 +149,8 @@ class DetectionReport:
     A run under fault injection still returns a *complete* report: every
     requested table appears in ``tables``, with ``degraded``/``failed``
     markers where retries ran out. ``failure_summary()`` condenses the
-    resilience outcome of the run.
+    resilience outcome of the run. The ``cache_*`` fields count this
+    run's latent lookups only, summed over its tables.
     """
 
     tables: list[TableResult]
@@ -157,7 +158,6 @@ class DetectionReport:
     cost: dict[str, float]
     cache_hits: int = 0
     cache_misses: int = 0
-    cache_evictions: int = 0
     cache_disabled_lookups: int = 0
     retries: int = 0
     giveups: int = 0
@@ -235,7 +235,6 @@ class DetectionReport:
             "cost": dict(self.cost),
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "cache_evictions": self.cache_evictions,
             "cache_disabled_lookups": self.cache_disabled_lookups,
             "retries": self.retries,
             "giveups": self.giveups,
@@ -251,7 +250,6 @@ class DetectionReport:
             cost=dict(payload.get("cost", {})),
             cache_hits=int(payload.get("cache_hits", 0)),
             cache_misses=int(payload.get("cache_misses", 0)),
-            cache_evictions=int(payload.get("cache_evictions", 0)),
             cache_disabled_lookups=int(payload.get("cache_disabled_lookups", 0)),
             retries=int(payload.get("retries", 0)),
             giveups=int(payload.get("giveups", 0)),

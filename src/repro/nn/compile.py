@@ -18,7 +18,8 @@ identical shapes. This module trades that overhead for a
 * **Fused weight layouts**: the per-layer Q/K/V projections are
   concatenated into one ``(H, 3H)`` GEMM at build time, and the
   asymmetric cross-attention's K/V pair into one ``(H, 2H)`` GEMM whose
-  input buffer is fed directly from latent-cache slices.
+  input buffer is fed directly from the latents Phase 1 kept for the
+  chunk (:class:`~repro.core.latent_cache.CachedEncoding`).
 
 Bitwise safety
 --------------

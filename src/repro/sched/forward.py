@@ -18,9 +18,11 @@ padded columns in the column dimension never change a real row's
 arithmetic (each row's reductions run over its own axis), which is what
 makes cross-table batching exact. Forwards run under ``no_grad`` on
 whatever thread calls them; per-request results are sliced back out as
-contiguous copies so a request never pins its whole batch in memory —
-including the per-request :class:`~repro.core.latent_cache.CachedEncoding`
-slices that keep Phase-2 cross-attention semantics unchanged.
+contiguous copies so a request never pins its whole batch in memory.
+Phase-1 latents are copied into a
+:class:`~repro.core.latent_cache.CachedEncoding` only for the chunks
+Phase 2 will read: those with at least one column the request's
+``phase2_policy`` finds uncertain.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import numpy as np
 from .. import nn
 from ..core.adtd import ADTDModel
 from ..core.latent_cache import CachedEncoding
-from ..features.encoding import Batch, EncodedTable, collate
+from ..core.thresholds import ThresholdPolicy
+from ..features.encoding import EncodedTable, collate
 from ..nn import compile as nn_compile
 from ..nn.functional import stable_sigmoid
 
@@ -76,10 +79,17 @@ def bucket_width(length: int, quantum: int, cap: int | None = None) -> int:
 
 @dataclass
 class Phase1Request:
-    """One chunk's metadata-tower classification request."""
+    """One chunk's metadata-tower classification request.
+
+    ``phase2_policy`` decides whether the result keeps the chunk's
+    latents: they are copied out of the batch only when the policy finds
+    at least one uncertain column, i.e. when Phase 2 will read them.
+    ``None`` (caching off, or Phase 2 disabled) never copies them.
+    """
 
     encoded: EncodedTable
     meta_width: int
+    phase2_policy: ThresholdPolicy | None = None
 
     @property
     def num_columns(self) -> int:
@@ -92,18 +102,18 @@ class Phase1Request:
 
 @dataclass
 class Phase1Result:
-    """Per-chunk Phase-1 output: probabilities + a cache-ready encoding."""
+    """Per-chunk Phase-1 output: probabilities + latents Phase 2 will read."""
 
     probs: np.ndarray  # (C, num_labels)
-    encoding: CachedEncoding
+    encoding: CachedEncoding | None = None
 
 
 @dataclass
 class Phase2Request:
     """One chunk's content-tower verification request.
 
-    ``cached`` carries the chunk's Phase-1 latents when the cache held
-    them; ``None`` (or a width-incompatible entry) makes the forward
+    ``cached`` carries the chunk's Phase-1 latents when its table job
+    kept them; ``None`` (or a width-incompatible entry) makes the forward
     recompute the metadata tower for the whole batch — bitwise equal to
     the cached latents, since the same tokens at the same width go
     through the same eval-mode arithmetic.
@@ -137,7 +147,6 @@ def request_cost(request: "Phase1Request | Phase2Request") -> int:
 
 def _phase1_results(
     requests: list[Phase1Request],
-    batch: Batch,
     logits_np: np.ndarray,
     layer_arrays: list[np.ndarray],
 ) -> list[Phase1Result]:
@@ -150,20 +159,19 @@ def _phase1_results(
     probs = stable_sigmoid(logits_np)
     results: list[Phase1Result] = []
     for row, request in enumerate(requests):
-        cols = request.num_columns
-        # Real copies, not np.ascontiguousarray: a single-row slice of a
-        # C-contiguous batch output is already contiguous, so that would
-        # return a *view* — pinning the whole batch in the eager case and,
-        # in the compiled case, aliasing arena buffers the next replay
-        # overwrites.
-        encoding = CachedEncoding(
-            layer_outputs=[array[row : row + 1].copy() for array in layer_arrays],
-            meta_mask=batch.meta_mask[row : row + 1].copy(),
-            col_positions=batch.col_positions[row : row + 1, :cols].copy(),
-            numeric=batch.numeric[row : row + 1, :cols].copy(),
-            meta_logits=logits_np[row : row + 1, :cols].copy(),
-        )
-        results.append(Phase1Result(probs=probs[row, :cols].copy(), encoding=encoding))
+        row_probs = probs[row, : request.num_columns].copy()
+        policy = request.phase2_policy
+        encoding = None
+        if policy is not None and policy.uncertain_columns(row_probs).size:
+            # Real copies, not np.ascontiguousarray: a single-row slice of
+            # a C-contiguous batch output is already contiguous, so that
+            # would return a *view* — pinning the whole batch in the eager
+            # case and, in the compiled case, aliasing arena buffers the
+            # next replay overwrites.
+            encoding = CachedEncoding(
+                [array[row : row + 1].copy() for array in layer_arrays]
+            )
+        results.append(Phase1Result(probs=row_probs, encoding=encoding))
     return results
 
 
@@ -186,13 +194,13 @@ def run_phase1(model: ADTDModel, requests: list[Phase1Request]) -> list[Phase1Re
         with plans.phase1(batch) as outputs:
             if outputs is not None:
                 logits_np, layer_arrays = outputs
-                return _phase1_results(requests, batch, logits_np, layer_arrays)
+                return _phase1_results(requests, logits_np, layer_arrays)
     with nn.no_grad():
         meta_layers = model.encode_metadata(batch)
         logits = model.meta_logits(batch, meta_layers)
     logits_np = logits.detach().numpy()
     layer_arrays = [layer.detach().numpy() for layer in meta_layers]
-    return _phase1_results(requests, batch, logits_np, layer_arrays)
+    return _phase1_results(requests, logits_np, layer_arrays)
 
 
 def run_phase2(model: ADTDModel, requests: list[Phase2Request]) -> list[Phase2Result]:

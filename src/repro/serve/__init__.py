@@ -1,7 +1,7 @@
 """``repro.serve`` — the multi-tenant detection service.
 
 The cloud-deployment layer of the reproduction (paper § deployment): one
-warm :class:`~repro.core.TasteDetector` — model, latent cache, inference
+warm :class:`~repro.core.TasteDetector` — model, compiled plans, inference
 batcher, connection pools — shared by many concurrent tenants through
 :class:`DetectionService`. Admission control (per-tenant token buckets +
 a bounded job queue) sheds load with typed

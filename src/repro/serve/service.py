@@ -1,7 +1,7 @@
 """The multi-tenant detection service (the paper's cloud deployment).
 
 :class:`DetectionService` owns one warm :class:`~repro.core.TasteDetector`
-— its model weights, latent cache, and shared
+— its model weights, compiled plans and shared
 :class:`~repro.sched.InferenceBatcher` — and serves concurrent
 ``submit()`` calls from many client threads, the way the paper's ECS
 service answers detection requests from many tenant databases without
@@ -503,13 +503,11 @@ class DetectionService:
             self.config.acquire_timeout,
         )
         job.connection = connection
-        scope = f"{tenant}@{id(server):x}/"
         job.table_jobs = [
             TableJob(
                 self.detector,
                 connection,
                 name,
-                cache_scope=scope,
                 span_attrs={"job": job.job_id, "tenant": tenant},
             )
             for name in job.table_names
@@ -547,6 +545,10 @@ class DetectionService:
     def _finalize_job(self, job: Job) -> None:
         """Close out a job whose stages have all finished (condition held)."""
         job.connection.finalize()
+        # A cancelled table skips its last stages without giving up; the
+        # handle outlives the job, so drop any latents it still holds.
+        for table_job in job.table_jobs:
+            table_job.latents.entries.clear()
         job.finished_perf = time.perf_counter()
         if job.cancel_requested:
             job.status = JobStatus.CANCELLED
@@ -567,17 +569,16 @@ class DetectionService:
         )
 
     def _build_report(self, job: Job) -> DetectionReport:
-        results = [table_job.result for table_job in job.table_jobs]
-        detector = self.detector
+        table_jobs = job.table_jobs
+        results = [table_job.result for table_job in table_jobs]
         return DetectionReport(
             tables=results,
             wall_seconds=(job.finished_perf or job.submitted_perf)
             - job.submitted_perf,
             cost=job.server.ledger.snapshot(),
-            cache_hits=detector.cache.hits,
-            cache_misses=detector.cache.misses,
-            cache_evictions=detector.cache.evictions,
-            cache_disabled_lookups=detector.cache.disabled_lookups,
+            cache_hits=sum(t.latents.hits for t in table_jobs),
+            cache_misses=sum(t.latents.misses for t in table_jobs),
+            cache_disabled_lookups=sum(t.latents.disabled_lookups for t in table_jobs),
             retries=sum(result.retries for result in results),
             giveups=sum(
                 1 for result in results if result.degraded or result.failed

@@ -217,19 +217,6 @@ def test_monitor_order_edges_reset():
 # ----------------------------------------------------------------------
 # Regression tests for the genuine findings this analysis surfaced
 # ----------------------------------------------------------------------
-def test_latent_cache_takes_no_metrics_locks_under_its_own():
-    """The LatentCache fix: metric handles are resolved and updated
-    outside ``_lock``, so the cache lock has no edge into the metrics
-    substrate (registry get-or-create or instrument locks)."""
-    report = analyze_flow(["src/repro"], registry_path=None)
-    offending = [
-        (e.src, e.dst)
-        for e in report.lock_edges
-        if e.src == "LatentCache._lock"
-    ]
-    assert offending == []
-
-
 def test_repo_flow_is_clean_and_acyclic():
     report = analyze_flow(["src"], registry_path="docs/metrics.md")
     assert [f.format() for f in report.findings] == []
@@ -239,40 +226,23 @@ def test_repo_flow_is_clean_and_acyclic():
 
 
 def test_latent_cache_metrics_still_emitted():
-    """Hoisting the metric updates must not change what is counted."""
+    """Every ``get`` emits exactly one of hits / misses / disabled lookups."""
     from repro.core.latent_cache import CachedEncoding, LatentCache
     from repro.obs.metrics import MetricsRegistry
 
     import numpy as np
 
-    def encoding() -> CachedEncoding:
-        return CachedEncoding(
-            layer_outputs=[np.zeros((1, 2, 4), dtype=np.float32)],
-            meta_mask=np.ones((1, 2), dtype=bool),
-            col_positions=np.zeros((1, 1), dtype=np.int64),
-            numeric=np.zeros((1, 1, 3), dtype=np.float32),
-            meta_logits=np.zeros((1, 1, 5), dtype=np.float32),
-        )
-
     registry = MetricsRegistry()
-    cache = LatentCache(capacity=1, metrics=registry)
-    cache.put("a", encoding())
-    cache.put("b", encoding())  # evicts "a"
-    assert cache.get("b") is not None
-    assert cache.get("a") is None
+    cache = LatentCache(metrics=registry)
+    cache.put(0, CachedEncoding([np.zeros((1, 2, 4), dtype=np.float32)]))
+    assert cache.get(0) is not None
+    assert cache.get(0) is None  # already handed over
+    disabled = LatentCache(enabled=False, metrics=registry)
+    assert disabled.get(0) is None
     snapshot = registry.snapshot()
-    assert snapshot["cache.evictions"]["value"] == 1
     assert snapshot["cache.hits"]["value"] == 1
     assert snapshot["cache.misses"]["value"] == 1
-    assert snapshot["cache.entries"]["value"] == 1
-    cache.clear()
-    snapshot = registry.snapshot()
-    assert snapshot["cache.entries"]["value"] == 0
-    assert snapshot["cache.bytes"]["value"] == 0
-
-    disabled = LatentCache(enabled=False, metrics=registry)
-    assert disabled.get("x") is None
-    assert registry.snapshot()["cache.disabled_lookups"]["value"] == 1
+    assert snapshot["cache.disabled_lookups"]["value"] == 1
 
 
 # ----------------------------------------------------------------------

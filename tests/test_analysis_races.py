@@ -1,18 +1,17 @@
 """Lockset race detector: flags a deliberately injected unlocked write,
 stays clean on guarded classes, and passes the real PipelinedExecutor +
-LatentCache combination under a two-pool stress run."""
+ConnectionPool combination under a two-pool stress run."""
 
 from __future__ import annotations
 
 import threading
 
-import numpy as np
 import pytest
 
 from repro.analysis import LocksetMonitor
 from repro.analysis.races import self_check
-from repro.core.latent_cache import CachedEncoding, LatentCache
 from repro.core.pipeline import PipelinedExecutor
+from repro.db import CloudDatabaseServer, ConnectionPool, CostModel
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -103,20 +102,10 @@ def test_self_check_is_healthy():
 
 
 # ----------------------------------------------------------------------
-# (b) the real executor + cache pass clean under stress
+# (b) the real executor + connection pool pass clean under stress
 # ----------------------------------------------------------------------
-def _tiny_encoding() -> CachedEncoding:
-    return CachedEncoding(
-        layer_outputs=[np.zeros((1, 4, 8), dtype=np.float32)],
-        meta_mask=np.ones((1, 4), dtype=bool),
-        col_positions=np.zeros((1, 2), dtype=np.int64),
-        numeric=np.zeros((1, 2, 3), dtype=np.float32),
-        meta_logits=np.zeros((1, 2, 5), dtype=np.float32),
-    )
-
-
-class CacheHammerJob:
-    """Four-stage job whose every stage hammers one shared LatentCache.
+class PoolHammerJob:
+    """Four-stage job whose every stage leases from one shared pool.
 
     Shaped like :class:`repro.core.phases.TableJob` (done /
     next_stage_kind / run_next_stage) so the *real* ``PipelinedExecutor``
@@ -125,9 +114,8 @@ class CacheHammerJob:
 
     STAGE_KINDS = ("prep", "infer", "prep", "infer")
 
-    def __init__(self, cache: LatentCache, index: int) -> None:
-        self.cache = cache
-        self.index = index
+    def __init__(self, pool: ConnectionPool) -> None:
+        self.pool = pool
         self.completed = 0
 
     @property
@@ -138,28 +126,29 @@ class CacheHammerJob:
         return None if self.done else self.STAGE_KINDS[self.completed]
 
     def run_next_stage(self) -> None:
-        # Few distinct keys + tiny capacity: contended puts, hits, misses
-        # and evictions all happen concurrently on both pools.
-        key = f"table_{self.index % 3}"
+        # Two connections for four workers: creation, reuse and blocking
+        # waits on the pool's condition all happen on both thread pools.
         for _ in range(5):
-            self.cache.put(key, _tiny_encoding())
-            self.cache.get(key)
-            self.cache.get("never_inserted")
-        if self.completed == len(self.STAGE_KINDS) - 1:
-            self.cache.invalidate(key)
+            with self.pool.lease(timeout=30.0):
+                pass
         self.completed += 1
 
 
-def test_executor_and_cache_stress_is_race_free():
+def test_executor_and_cache_stress_is_race_free(tiny_corpus):
+    """The pool's idle-connection cache under the real executor."""
+    server = CloudDatabaseServer.from_tables(
+        tiny_corpus.tables[:1], CostModel(time_scale=0.0)
+    )
     monitor = LocksetMonitor()
-    with monitor.instrument(LatentCache):
-        cache = LatentCache(capacity=2, metrics=MetricsRegistry())
-        jobs = [CacheHammerJob(cache, index) for index in range(8)]
+    with monitor.instrument(ConnectionPool):
+        pool = ConnectionPool(server, max_size=2, metrics=MetricsRegistry())
+        jobs = [PoolHammerJob(pool) for _ in range(8)]
         PipelinedExecutor(prep_workers=2, infer_workers=2).run(
             jobs, metrics=MetricsRegistry()
         )
     assert all(job.done for job in jobs)
-    # Multiple threads really did write the cache's counters...
-    assert cache.hits > 0 and cache.misses > 0 and cache.evictions > 0
-    # ...and every write was covered by the cache's lock.
+    # Multiple threads really did write the pool's counters...
+    stats = pool.stats
+    assert stats.acquired == 8 * 4 * 5 and stats.reused > 0
+    # ...and every write was covered by the pool's lock.
     monitor.assert_clean()

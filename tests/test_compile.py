@@ -36,6 +36,8 @@ from repro.sched import Phase1Request, Phase2Request, bucket_width, run_grouped
 from repro.serve import DetectionService
 
 FAST = CostModel(time_scale=0.0)
+# Every probability is uncertain, so every Phase-1 result keeps its latents.
+KEEP_LATENTS = ThresholdPolicy(0.0, 1.0)
 
 
 @pytest.fixture(autouse=True)
@@ -60,7 +62,9 @@ def _phase1_requests(featurizer, tables, meta_width=None):
     for table in tables:
         encoded = featurizer.encode_offline(table, with_content=False, with_labels=False)
         width = meta_width or bucket_width(len(encoded.meta.token_ids), 16, cap=512)
-        requests.append(Phase1Request(encoded=encoded, meta_width=width))
+        requests.append(
+            Phase1Request(encoded=encoded, meta_width=width, phase2_policy=KEEP_LATENTS)
+        )
     return requests
 
 
@@ -83,7 +87,6 @@ def _assert_phase1_bitwise(reference, compiled):
     assert len(reference) == len(compiled)
     for ref, got in zip(reference, compiled):
         assert ref.probs.tobytes() == got.probs.tobytes()
-        assert ref.encoding.meta_logits.tobytes() == got.encoding.meta_logits.tobytes()
         for ref_layer, got_layer in zip(
             ref.encoding.layer_outputs, got.encoding.layer_outputs
         ):
@@ -123,7 +126,10 @@ class TestBitwiseEquivalence:
         length = len(encoded.meta.token_ids)
         widths = [w for w in _ladder() if w >= length]
         assert len(widths) >= 4, "workload too long to sweep the ladder"
-        requests = [Phase1Request(encoded=encoded, meta_width=w) for w in widths]
+        requests = [
+            Phase1Request(encoded=encoded, meta_width=w, phase2_policy=KEEP_LATENTS)
+            for w in widths
+        ]
         reference = run_grouped(untrained_model, requests, coalesce=False)
         # width_cap makes the capped rung (512) a ladder member, exactly as
         # the detector passes its encoder max_seq_len.
@@ -210,7 +216,9 @@ class TestPlanCache:
             tiny_corpus.tables[0], with_content=False, with_labels=False
         )
         width = bucket_width(len(encoded.meta.token_ids), 16, cap=512) + 8
-        requests = [Phase1Request(encoded=encoded, meta_width=width)]
+        requests = [
+            Phase1Request(encoded=encoded, meta_width=width, phase2_policy=KEEP_LATENTS)
+        ]
         reference = run_grouped(untrained_model, requests, coalesce=False)
         cache = nn_compile.enable(untrained_model, metrics=metrics)
         compiled = run_grouped(untrained_model, requests, coalesce=False)

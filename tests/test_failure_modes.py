@@ -113,19 +113,3 @@ class TestDegenerateTables:
         assert [p.column_name for p in report.predictions] == [
             f"col_{i}" for i in range(30)
         ]
-
-
-class TestCacheEviction:
-    def test_detection_survives_cache_eviction(self, trained_model, featurizer, tiny_corpus):
-        """A capacity-1 cache forces recomputation in Phase 2 — results must
-        still be produced for every column (fallback path)."""
-        server = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
-        detector = TasteDetector(
-            trained_model,
-            featurizer,
-            ThresholdPolicy(0.0, 1.0),  # force Phase 2 everywhere
-            config=DetectorConfig(pipelined=False, cache_capacity=1),
-        )
-        report = detector.detect(server)
-        assert report.num_columns == sum(t.num_columns for t in tiny_corpus.test)
-        assert all(p.phase == 2 for p in report.predictions)

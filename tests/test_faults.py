@@ -311,7 +311,6 @@ class TestDetectorConfig:
             {"scan_method": "random"},
             {"prep_workers": 0},
             {"infer_workers": 0},
-            {"cache_capacity": 0},
         ],
     )
     def test_validation(self, kwargs):

@@ -1,111 +1,141 @@
-"""Tests for the latent cache (LRU + counters)."""
+"""Tests for the per-table latent hand-off: put / get-once, its counters,
+and the latents it is handed (only for chunks Phase 2 reads)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import CachedEncoding, LatentCache
+from repro.core import CachedEncoding, DetectorConfig, LatentCache, RuntimeConfig, TableJob
+from repro.core import TasteDetector, ThresholdPolicy
+from repro.core import detector as detector_module
+from repro.db import CloudDatabaseServer, CostModel
+from repro.features import FeatureConfig, Featurizer
+from repro.obs import MetricsRegistry
+from repro.sched import forward as sched_forward
+from repro.serve import DetectionService
+from repro.serve import service as service_module
+
+SPLIT = 3  # columns per chunk: several chunks per table
+POLICY = ThresholdPolicy(0.6, 0.7)  # on the test tables, 4 of 7 chunks need Phase 2
 
 
 def encoding(value: float = 0.0) -> CachedEncoding:
-    return CachedEncoding(
-        layer_outputs=[np.full((1, 2, 4), value)],
-        meta_mask=np.ones((1, 2), dtype=bool),
-        col_positions=np.zeros((1, 1), dtype=np.int64),
-        numeric=np.zeros((1, 1, 3), dtype=np.float32),
-        meta_logits=np.zeros((1, 1, 5), dtype=np.float32),
-    )
+    return CachedEncoding(layer_outputs=[np.full((1, 2, 4), value)])
 
 
 class TestBasics:
     def test_put_get(self):
-        cache = LatentCache()
-        cache.put("a", encoding(1.0))
-        hit = cache.get("a")
+        latents = LatentCache()
+        latents.put(0, encoding(1.0))
+        hit = latents.get(0)
         assert hit is not None
         assert hit.layer_outputs[0][0, 0, 0] == 1.0
-        assert cache.hits == 1 and cache.misses == 0
+        assert latents.hits == 1 and latents.misses == 0
+
+    def test_get_hands_over_once(self):
+        latents = LatentCache()
+        latents.put(0, encoding())
+        assert latents.get(0) is not None and latents.entries == {}
+        assert latents.get(0) is None
+        assert latents.hits == 1 and latents.misses == 1
 
     def test_miss_counted(self):
-        cache = LatentCache()
-        assert cache.get("ghost") is None
-        assert cache.misses == 1
-
-    def test_contains_and_len(self):
-        cache = LatentCache()
-        cache.put("a", encoding())
-        assert "a" in cache and len(cache) == 1
-
-    def test_invalidate(self):
-        cache = LatentCache()
-        cache.put("a", encoding())
-        cache.invalidate("a")
-        assert "a" not in cache
-        cache.invalidate("a")  # idempotent
-
-    def test_clear_resets_counters(self):
-        cache = LatentCache()
-        cache.put("a", encoding())
-        cache.get("a")
-        cache.get("b")
-        cache.clear()
-        assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
-
-
-class TestLRU:
-    def test_eviction_order(self):
-        cache = LatentCache(capacity=2)
-        cache.put("a", encoding())
-        cache.put("b", encoding())
-        cache.put("c", encoding())
-        assert "a" not in cache
-        assert "b" in cache and "c" in cache
-        assert cache.evictions == 1
-
-    def test_bytes_tracked_through_eviction(self):
-        cache = LatentCache(capacity=2)
-        cache.put("a", encoding())
-        one_entry = cache.bytes
-        assert one_entry > 0
-        cache.put("b", encoding())
-        cache.put("c", encoding())  # evicts "a"
-        assert cache.bytes == 2 * one_entry
-        cache.invalidate("b")
-        assert cache.bytes == one_entry
-        cache.clear()
-        assert cache.bytes == 0 and cache.evictions == 0
-
-    def test_get_refreshes_recency(self):
-        cache = LatentCache(capacity=2)
-        cache.put("a", encoding())
-        cache.put("b", encoding())
-        cache.get("a")  # refresh a
-        cache.put("c", encoding())
-        assert "a" in cache and "b" not in cache
-
-    def test_put_refreshes_existing_key(self):
-        cache = LatentCache(capacity=2)
-        cache.put("a", encoding(1.0))
-        cache.put("b", encoding())
-        cache.put("a", encoding(2.0))
-        cache.put("c", encoding())
-        assert "a" in cache and "b" not in cache
-        assert cache.get("a").layer_outputs[0][0, 0, 0] == 2.0
+        latents = LatentCache()
+        assert latents.get(7) is None
+        assert latents.misses == 1
 
 
 class TestDisabled:
     def test_disabled_cache_never_stores(self):
-        cache = LatentCache(enabled=False)
-        cache.put("a", encoding())
-        assert cache.get("a") is None
-        assert len(cache) == 0
+        latents = LatentCache(enabled=False)
+        latents.put(0, encoding())
+        assert latents.get(0) is None
+        assert latents.entries == {}
 
     def test_disabled_lookups_are_not_misses(self):
         """The "without caching" ablation never attempts a lookup, so its
         lookups must not inflate the miss counter."""
-        cache = LatentCache(enabled=False)
-        cache.get("a")
-        cache.get("b")
-        assert cache.misses == 0
-        assert cache.disabled_lookups == 2
+        latents = LatentCache(enabled=False)
+        latents.get(0)
+        latents.get(1)
+        assert latents.misses == 0
+        assert latents.disabled_lookups == 2
+
+
+# ----------------------------------------------------------------------
+# Counted work on a fixed-seed corpus, across every execution mode
+# ----------------------------------------------------------------------
+def _detector(model, featurizer, **config):
+    return TasteDetector(
+        model, featurizer, POLICY,
+        config=DetectorConfig(**config),
+        runtime=RuntimeConfig(metrics=MetricsRegistry()),
+    )
+
+
+def _run(detector, tables, mode):
+    server = CloudDatabaseServer.from_tables(tables, CostModel(time_scale=0.0))
+    names = [table.name for table in tables]
+    if mode != "service":
+        return detector.detect(server, names)
+    with DetectionService(detector) as service:
+        return service.submit("tenant-a", server, names).result(timeout=60.0)
+
+
+def _counts(report):
+    return (report.cache_hits, report.cache_misses, report.cache_disabled_lookups)
+
+
+@pytest.mark.parametrize("caching", [True, False])
+def test_latents_built_only_for_chunks_phase2_reads(
+    trained_model, tokenizer, tiny_corpus, monkeypatch, caching
+):
+    built, jobs = [], []
+    build = sched_forward.CachedEncoding
+
+    def counting(*args):
+        built.append(1)
+        return build(*args)
+
+    class RecordedJob(TableJob):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            jobs.append(self)
+
+    monkeypatch.setattr(sched_forward, "CachedEncoding", counting)
+    monkeypatch.setattr(detector_module, "TableJob", RecordedJob)
+    monkeypatch.setattr(service_module, "TableJob", RecordedJob)
+    featurizer = Featurizer(
+        tokenizer, tiny_corpus.registry, FeatureConfig(column_split_threshold=SPLIT)
+    )
+    seen = set()
+    for mode in ("sequential", "pipelined", "service"):
+        built.clear()
+        jobs.clear()
+        detector = _detector(
+            trained_model, featurizer, caching=caching, pipelined=mode != "sequential"
+        )
+        report = _run(detector, tiny_corpus.test, mode)
+        chunks = [
+            [p.phase for p in table.predictions][start : start + SPLIT]
+            for table in report.tables
+            for start in range(0, len(table.predictions), SPLIT)
+        ]
+        needing = sum(1 for phases in chunks if 2 in phases)
+        assert 0 < needing < len(chunks)  # the filter has work to do
+        assert len(built) == (needing if caching else 0)
+        assert _counts(report) == ((needing, 0, 0) if caching else (0, 0, needing))
+        assert jobs and not any(job.latents.entries for job in jobs)
+        seen.add((len(built), _counts(report)))
+    assert len(seen) == 1
+
+
+def test_report_counts_are_per_run(trained_model, featurizer, tiny_corpus):
+    """A warm detector's reports count their own run, not its lifetime."""
+    detector = _detector(trained_model, featurizer)
+    reports = [
+        _run(detector, tiny_corpus.test, mode) for mode in ("pipelined", "pipelined", "service")
+    ]
+    assert reports[0].cache_hits > 0
+    assert len({_counts(report) for report in reports}) == 1

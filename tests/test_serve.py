@@ -103,8 +103,8 @@ class TestEquivalence:
     def test_two_tenants_same_tables_are_cache_isolated(
         self, detector, tiny_corpus
     ):
-        """Different tenants (and servers) never share latent-cache keys,
-        but their predictions still agree bitwise."""
+        """Each table job keeps its own latents, so tenants (and servers)
+        never share them, and their predictions still agree bitwise."""
         names = [t.name for t in tiny_corpus.test[:3]]
         server_a = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
         server_b = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
