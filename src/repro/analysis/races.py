@@ -116,12 +116,18 @@ class _TrackedLock:
         return getattr(self._inner, name)
 
 
+# Real threading primitives only: duck-typing on acquire/release would
+# also wrap a connection pool, whose release takes an argument.
+_LOCK_TYPES = (
+    type(threading.Lock()),
+    type(threading.RLock()),
+    threading.Condition,
+    threading.Semaphore,
+)
+
+
 def _is_lock_like(value: Any) -> bool:
-    return (
-        not isinstance(value, _TrackedLock)
-        and callable(getattr(value, "acquire", None))
-        and callable(getattr(value, "release", None))
-    )
+    return isinstance(value, _LOCK_TYPES)
 
 
 def _caller_frame() -> tuple[str, int, str]:

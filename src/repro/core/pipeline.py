@@ -7,6 +7,17 @@ in flight. Two thread pools (``TP1`` for preparation, ``TP2`` for
 inference) drain a queue of stages; a stage is *eligible* once all previous
 stages of the same table have finished (Definition 5.1).
 
+A prep stage spends most of its wall blocked on the database, not on the
+CPU. ``prep_workers`` therefore counts prep stages *on the CPU*: while a
+stage sits in a real wait (:func:`repro.db.cost.wait` — a charged round
+trip, an injected fault delay, a retry backoff) it gives its slot back so
+another prep stage can start, and on waking it takes the slot back
+without blocking (briefly over the limit). ``TP1`` has
+:data:`PREP_THREADS` threads, which caps CPU slots plus overlapped waits;
+the dispatcher never submits more prep stages than it has threads. With
+``time_scale=0`` nothing ever waits and TP1 runs at most ``prep_workers``
+stages, exactly as a fixed-size pool would.
+
 The dispatch loop is event-driven: workers ``notify_all()`` the condition
 on completion and the loop blocks in ``condition.wait()`` until then (a
 long ``wait_timeout`` remains as a safety net only; timeouts are counted
@@ -28,12 +39,14 @@ one, stages strictly in order, no overlap.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Iterator, Protocol
 
+from ..db.cost import WAIT_SCOPE
 from ..obs import NULL_METRICS
 from ..obs.metrics import MetricsRegistry, NullMetricsRegistry, global_registry
 from .phases import TableJob
@@ -41,7 +54,14 @@ from .phases import TableJob
 if TYPE_CHECKING:
     from ..sched.batcher import InferenceBatcher
 
-__all__ = ["JobSource", "PipelinedExecutor", "SequentialExecutor"]
+__all__ = ["JobSource", "PipelinedExecutor", "SequentialExecutor", "PREP_THREADS"]
+
+# TP1's thread count (or ``prep_workers``, if larger): the ceiling on prep
+# stages in flight, on the CPU or in a database wait. On the ``wiki_netio``
+# benchmark workload (5 ms round trips, 2 vCPUs) throughput is flat from 8
+# to 32 threads and about half that at 4; 16 leaves headroom for slower
+# round trips, which need more waits in flight for the same rate.
+PREP_THREADS = 16
 
 
 class SequentialExecutor:
@@ -128,10 +148,15 @@ class _StaticSource:
 class PipelinedExecutor:
     """Algorithm 1: stage queue drained by two thread pools.
 
+    TP1 is CPU slots plus overlapped waits: ``prep_workers`` prep stages
+    may run on the CPU at once, and a stage blocked in a real database
+    wait does not count against them (see the module docstring). TP1's
+    threads, ``max(prep_workers, PREP_THREADS)``, bound both together.
+
     Parameters
     ----------
     prep_workers:
-        Size of TP1 (data-preparation pool).
+        Prep stages on the CPU at once (TP1's slots).
     infer_workers:
         Size of TP2 (inference pool).
     wait_timeout:
@@ -199,6 +224,8 @@ class PipelinedExecutor:
         is ``source.condition``.
         """
         metrics = metrics if metrics is not None else global_registry()
+        waiting_gauge = metrics.gauge("pipeline.waiting")
+        db_waits = metrics.counter("pipeline.db_waits", pool="prep")
         in_flight_gauges = {
             kind: metrics.gauge("pipeline.in_flight", pool=kind)
             for kind in ("prep", "infer")
@@ -216,14 +243,42 @@ class PipelinedExecutor:
         dispatch_seconds = metrics.histogram("pipeline.dispatch_seconds")
 
         condition = source.condition
+        # ``in_flight["prep"]`` counts prep stages on the CPU; ``waiting``
+        # those blocked in a real wait, which hold a thread but no slot.
         in_flight = {"prep": 0, "infer": 0}
+        waiting = 0
         # A job is dispatchable when it is not done and not currently running.
         running: set[int] = set()
         # id(job) -> clock reading when its next stage became eligible.
         eligible_since: dict[int, float] = {}
 
+        @contextlib.contextmanager
+        def slot_released() -> Iterator[None]:
+            # Entered by every real wait of a prep stage. Re-entry never
+            # blocks: a stage that waited for a free slot here would park a
+            # TP1 thread that a dispatched stage may be queued behind.
+            nonlocal waiting
+            with condition:
+                in_flight["prep"] -= 1
+                waiting += 1
+                in_flight_gauges["prep"].set(in_flight["prep"])
+                waiting_gauge.set(waiting)
+                db_waits.inc()
+                condition.notify_all()
+            try:
+                yield
+            finally:
+                with condition:
+                    waiting -= 1
+                    in_flight["prep"] += 1
+                    in_flight_gauges["prep"].set(in_flight["prep"])
+                    waiting_gauge.set(waiting)
+
         def worker(job: TableJob, kind: str) -> None:
             error: BaseException | None = None
+            if kind == "prep":
+                # Scoped to this dispatch's context copy; gone when it ends.
+                WAIT_SCOPE.set(slot_released)
             try:
                 job.run_next_stage()
             except BaseException as stage_error:  # routed to the source
@@ -244,7 +299,8 @@ class PipelinedExecutor:
                     condition.notify_all()
 
         limits = {"prep": self.prep_workers, "infer": self.infer_workers}
-        with ThreadPoolExecutor(self.prep_workers, thread_name_prefix="taste-prep") as tp1, \
+        prep_threads = max(self.prep_workers, PREP_THREADS)
+        with ThreadPoolExecutor(prep_threads, thread_name_prefix="taste-prep") as tp1, \
                 ThreadPoolExecutor(self.infer_workers, thread_name_prefix="taste-infer") as tp2:
             pools = {"prep": tp1, "infer": tp2}
             with condition:
@@ -261,6 +317,8 @@ class PipelinedExecutor:
                     for kind in ("prep", "infer"):
                         if in_flight[kind] >= limits[kind]:
                             continue
+                        if kind == "prep" and in_flight["prep"] + waiting >= prep_threads:
+                            continue  # every TP1 thread is taken
                         # First eligible stage of the right kind (Algorithm 1
                         # lines 8-19): the job's *next* stage must match and
                         # the job must not already be running a stage.
@@ -285,8 +343,8 @@ class PipelinedExecutor:
                             break
                     dispatch_seconds.observe(time.perf_counter() - pass_started)
                     if self.batcher is not None:
-                        # prep backlog: stages in flight or dispatchable (how
-                        # much future infer work exists). infer backlog: stages
+                        # prep backlog: stages in flight, waiting or dispatchable
+                        # (how much future infer work exists). infer backlog: stages
                         # that can still submit before the next flush — running
                         # stages plus dispatchable ones with a free TP2 slot.
                         # Dispatchable stages *without* a slot are excluded:
@@ -304,7 +362,7 @@ class PipelinedExecutor:
                                 dispatchable_infer += 1
                         free_slots = limits["infer"] - in_flight["infer"]
                         self.batcher.note_state(
-                            in_flight["prep"] + prep_backlog,
+                            in_flight["prep"] + waiting + prep_backlog,
                             in_flight["infer"] + min(free_slots, dispatchable_infer),
                         )
                     if not dispatched:

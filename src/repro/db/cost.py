@@ -11,17 +11,44 @@ Two clocks are kept: *wall time* (real ``time.sleep`` is issued so that
 pipelining genuinely overlaps I/O with compute) and *simulated time* (the
 deterministic sum of the charged latencies, independent of scheduling),
 which tests assert on without flakiness.
+
+Every real wait of the database layer — a charged latency, an injected
+fault delay, a retry backoff — goes through :func:`wait`, so a scheduler
+can learn when the calling thread is blocked rather than computing: it
+sets :data:`WAIT_SCOPE` for the work it runs, and each wait runs inside
+that scope (see :class:`~repro.core.pipeline.PipelinedExecutor`).
 """
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..obs.metrics import MetricsRegistry, NullMetricsRegistry, global_registry
 
-__all__ = ["CostModel", "CostLedger"]
+__all__ = ["CostModel", "CostLedger", "WAIT_SCOPE", "wait"]
+
+# A factory of the context every real wait of the current task runs in;
+# ``None`` (the default) waits with nothing around it.
+WAIT_SCOPE: contextvars.ContextVar[
+    Callable[[], AbstractContextManager[None]] | None
+] = contextvars.ContextVar("repro_wait_scope", default=None)
+
+
+def wait(seconds: float) -> None:
+    """Block for ``seconds`` of real time inside the current :data:`WAIT_SCOPE`."""
+    if seconds <= 0:
+        return
+    scope = WAIT_SCOPE.get()
+    if scope is None:
+        time.sleep(seconds)
+        return
+    with scope():
+        time.sleep(seconds)
 
 
 @dataclass(frozen=True)
@@ -46,7 +73,7 @@ class CostModel:
     def sleep(self, seconds: float) -> None:
         """Issue the real wait corresponding to a simulated latency."""
         if seconds > 0 and self.time_scale > 0:
-            time.sleep(seconds * self.time_scale)
+            wait(seconds * self.time_scale)
 
 
 @dataclass

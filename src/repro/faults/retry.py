@@ -8,10 +8,11 @@ Jitter is drawn from a policy-seeded :class:`random.Random` created per
 time — retries stay deterministic end to end, matching the rest of the
 simulation.
 
-The policy is deliberately synchronous and dependency-free: the detector
-applies it around data-preparation stages (which block on simulated
-network I/O anyway), and the connection pool applies it around connection
-creation.
+The policy is deliberately synchronous: the detector applies it around
+data-preparation stages (which block on simulated network I/O anyway),
+and the connection pool applies it around connection creation. Backoff
+sleeps are real waits like any database latency (:func:`repro.db.cost.wait`),
+so a pipelined prep stage that backs off holds no prep slot meanwhile.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
+from ..db.cost import wait
 from ..errors import (
     ConnectionDroppedError,
     RetryDeadlineError,
@@ -104,7 +106,7 @@ class RetryPolicy:
         label: str = "operation",
         on_retry: RetryCallback | None = None,
         on_giveup: GiveUpCallback | None = None,
-        sleep: Callable[[float], None] = time.sleep,
+        sleep: Callable[[float], None] = wait,
         clock: Callable[[], float] = time.monotonic,
     ) -> Any:
         """Call ``fn`` until it succeeds, retries run out, or the deadline hits.

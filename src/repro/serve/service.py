@@ -27,7 +27,9 @@ detection report.
 Everything mutable synchronizes on **one** condition —
 ``_ServiceSource.condition`` — shared by the dispatch loop, the worker
 completion callbacks, submitters, cancellers and result waiters. The
-connection pools' internal locks nest strictly inside it.
+connection pools' internal locks nest strictly inside it. No lock is held
+across a real database wait: a prep stage's wait takes the condition to
+give its pipeline slot back (see :mod:`repro.core.pipeline`).
 """
 
 from __future__ import annotations
@@ -100,11 +102,24 @@ class _JobConnection:
 
     def _ensure(self) -> Connection:
         with self._lock:
+            if self._connection is not None:
+                return self._connection
+        # Connect outside the lock: connecting is a real wait, and a wait
+        # of a prep stage takes the dispatch condition, which finalize()
+        # callers hold while they take this lock.
+        connection = self._acquire()
+        with self._lock:
             if self._connection is None:
-                connection = self._acquire()
                 self._connection = connection
                 self._pooled = self._injector is None
-            return self._connection
+                return connection
+            winner = self._connection
+        # Lost a race with another stage of this job: hand ours back.
+        if self._injector is None:
+            self._pool.release(connection)
+        else:
+            connection.close()
+        return winner
 
     # ------------------------------------------------------------------
     # The Connection surface the stage machines use.
