@@ -15,8 +15,10 @@ another prep stage can start, and on waking it takes the slot back
 without blocking (briefly over the limit). ``TP1`` has
 :data:`PREP_THREADS` threads, which caps CPU slots plus overlapped waits;
 the dispatcher never submits more prep stages than it has threads. With
-``time_scale=0`` nothing ever waits and TP1 runs at most ``prep_workers``
-stages, exactly as a fixed-size pool would.
+``time_scale=0`` round trips and injected delays do not wait, but retry
+backoffs (which ``time_scale`` does not scale) still do; a run without
+retries then runs at most ``prep_workers`` prep stages, exactly as a
+fixed-size pool would.
 
 The dispatch loop is event-driven: workers ``notify_all()`` the condition
 on completion and the loop blocks in ``condition.wait()`` until then (a

@@ -85,6 +85,7 @@ class _JobConnection:
         self._connection: Connection | None = None
         self._pooled = False
         self._lock = threading.Lock()
+        self._connect_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _acquire(self) -> Connection:
@@ -101,25 +102,20 @@ class _JobConnection:
         )
 
     def _ensure(self) -> Connection:
-        with self._lock:
-            if self._connection is not None:
-                return self._connection
-        # Connect outside the lock: connecting is a real wait, and a wait
-        # of a prep stage takes the dispatch condition, which finalize()
-        # callers hold while they take this lock.
-        connection = self._acquire()
-        with self._lock:
-            if self._connection is None:
+        # ``_connect_lock`` makes a job connect once, however many of its
+        # tables are dispatched meanwhile. It is held across the connect, a
+        # real wait that takes the dispatch condition; ``_lock`` is not,
+        # because finalize() callers hold that condition while taking it.
+        # Nothing takes ``_connect_lock`` with the condition held.
+        with self._connect_lock:
+            with self._lock:
+                if self._connection is not None:
+                    return self._connection
+            connection = self._acquire()
+            with self._lock:
                 self._connection = connection
                 self._pooled = self._injector is None
-                return connection
-            winner = self._connection
-        # Lost a race with another stage of this job: hand ours back.
-        if self._injector is None:
-            self._pool.release(connection)
-        else:
-            connection.close()
-        return winner
+            return connection
 
     # ------------------------------------------------------------------
     # The Connection surface the stage machines use.

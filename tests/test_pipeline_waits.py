@@ -23,7 +23,7 @@ from repro.core import (
     TasteDetector,
     ThresholdPolicy,
 )
-from repro.core.pipeline import PREP_THREADS
+from repro.core.pipeline import PREP_THREADS, _StaticSource
 from repro.db import CloudDatabaseServer, CostModel
 from repro.db.cost import wait
 from repro.faults import FaultPlan, FaultRule, RetryPolicy
@@ -154,6 +154,23 @@ class TestNeverSleepingRun:
         assert metrics.gauge("pipeline.waiting").peak == 0
         assert metrics.gauge("pipeline.in_flight", pool="prep").peak <= 2
 
+    def test_only_retry_backoffs_wait(self, untrained_model, featurizer, tables):
+        # time_scale scales charged and injected latencies, not backoffs.
+        plan = FaultPlan(seed=5, rules=(FaultRule("fetch_values", "transient", probability=0.5),))
+        policy = RetryPolicy(max_attempts=3, base_delay=2**-7)
+        reference, _ = run(
+            untrained_model, featurizer, tables, FAST, plan, policy, pipelined=False
+        )
+        report, metrics = run(
+            untrained_model, featurizer, tables, FAST, plan, policy,
+            pipelined=True, prep_workers=2,
+        )
+        assert report.retries > 0
+        assert outcomes(report) == outcomes(reference)
+        assert fingerprint(report) == fingerprint(reference)
+        # Each backoff gave its slot back once, and nothing else waited.
+        assert metrics.counter("pipeline.db_waits", pool="prep").value == report.retries
+
 
 class SleepyJob:
     """One prep stage: a real wait, then a little bookkeeping."""
@@ -172,34 +189,52 @@ class SleepyJob:
         return None if self.done else "prep"
 
     def run_next_stage(self) -> None:
-        with self.lock:
-            self.tally["running"] += 1
-            self.tally["peak"] = max(self.tally["peak"], self.tally["running"])
         wait(self.seconds)
         with self.lock:
-            self.tally["running"] -= 1
+            self.tally["outstanding"] -= 1
         self.completed_stages = 1
+
+
+class CountingSource(_StaticSource):
+    """Counts stages handed to TP1 and not yet finished, at each dispatch."""
+
+    def __init__(self, jobs, tally: dict, lock: threading.Lock) -> None:
+        super().__init__(jobs)
+        self.tally = tally
+        self.lock = lock
+
+    def note_dispatch(self, job, kind) -> None:
+        with self.lock:
+            self.tally["outstanding"] += 1
+            self.tally["peak"] = max(self.tally["peak"], self.tally["outstanding"])
 
 
 def test_dispatch_never_exceeds_tp1_threads():
     """Three TP1-fulls of sleepers on one slot, with rapid thread switches:
-    the ceiling holds, and every slot given back is taken back."""
-    tally = {"running": 0, "peak": 0}
+    no stage is handed to TP1 while every thread holds an unfinished one
+    (it would sit in the executor's queue counted as running), and every
+    slot given back is taken back."""
+    tally = {"outstanding": 0, "peak": 0}
     lock = threading.Lock()
     jobs = [SleepyJob(0.05, tally, lock) for _ in range(3 * PREP_THREADS)]
+    source = CountingSource(jobs, tally, lock)
     metrics = MetricsRegistry()
     executor = PipelinedExecutor(prep_workers=1, infer_workers=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        runner = threading.Thread(target=executor.run, args=(jobs,), kwargs={"metrics": metrics})
+        runner = threading.Thread(
+            target=executor.run_source, args=(source,), kwargs={"metrics": metrics}
+        )
         runner.start()
         runner.join(timeout=30.0)
     finally:
         sys.setswitchinterval(interval)
     assert not runner.is_alive()
+    assert not source.failures
     assert all(job.done for job in jobs)
-    assert tally["peak"] <= PREP_THREADS
+    # Every thread held a sleeper at once, and never one more.
+    assert tally["peak"] == PREP_THREADS
     assert 1 < metrics.gauge("pipeline.waiting").peak <= PREP_THREADS
     assert metrics.gauge("pipeline.waiting").value == 0
     assert metrics.gauge("pipeline.in_flight", pool="prep").value == 0

@@ -10,10 +10,21 @@ sleeping service under the lockset monitor and checks the observed order.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import pytest
+
 from repro.analysis import LocksetMonitor
-from repro.core import DetectorConfig, RuntimeConfig, TasteDetector, ThresholdPolicy
+from repro.core import (
+    DetectOptions,
+    DetectorConfig,
+    RuntimeConfig,
+    TasteDetector,
+    ThresholdPolicy,
+)
 from repro.db import CloudDatabaseServer, ConnectionPool
 from repro.experiments.common import paper_cost_model
+from repro.faults import FaultPlan, FaultRule
 from repro.obs import MetricsRegistry, Tracer
 from repro.serve import DetectionService
 from repro.serve.service import _JobConnection, _ServiceSource
@@ -58,7 +69,25 @@ def fingerprint(report):
     )
 
 
-def test_sleeping_service_lock_order_is_acyclic(untrained_model, featurizer, tiny_corpus):
+# A connect that is slow next to the fetches, so a job's other tables are
+# dispatched while its first one is still connecting.
+COST_MODEL = replace(paper_cost_model(0.05), connect_latency=0.4)
+
+# The first connect of every job fails once and is retried; each connect
+# also sleeps an injected delay.
+CONNECT_FAULTS = FaultPlan(
+    seed=5,
+    rules=(
+        FaultRule("connect", "transient", max_faults=1),
+        FaultRule("connect", "latency", delay=0.2),
+    ),
+)
+
+
+@pytest.mark.parametrize("plan", [None, CONNECT_FAULTS], ids=["pooled", "connect-faults"])
+def test_sleeping_service_lock_order_is_acyclic(
+    untrained_model, featurizer, tiny_corpus, plan
+):
     detector = TasteDetector(
         untrained_model,
         featurizer,
@@ -66,7 +95,6 @@ def test_sleeping_service_lock_order_is_acyclic(untrained_model, featurizer, tin
         config=DetectorConfig(pipelined=True),
         runtime=RuntimeConfig(metrics=MetricsRegistry(), tracer=Tracer(enabled=False)),
     )
-    cost_model = paper_cost_model(0.05)
     names = [table.name for table in tiny_corpus.tables[:4]]
     monitor = LocksetMonitor()
     with monitor.instrument(_ServiceSource, _JobConnection, ConnectionPool):
@@ -74,20 +102,33 @@ def test_sleeping_service_lock_order_is_acyclic(untrained_model, featurizer, tin
             handles = [
                 service.submit(
                     tenant,
-                    CloudDatabaseServer.from_tables(tiny_corpus.tables, cost_model),
+                    CloudDatabaseServer.from_tables(tiny_corpus.tables, COST_MODEL),
                     names,
+                    fault_plan=plan,
                 )
                 for tenant in TENANTS
             ]
             reports = [handle.result(timeout=60.0) for handle in handles]
+            created = [pool.stats.created for pool in service._pools.values()]
         waits = detector.metrics.counter("pipeline.db_waits", pool="prep").value
 
     edges = monitor.order_edges()
     assert find_cycle(edges) is None, edges
     assert waits > 0  # the stages really did wait with the hook set
+    if plan is None:
+        # One pooled connection per tenant's server, however many of the
+        # job's tables were dispatched while it connected.
+        assert created == [1] * len(TENANTS)
     direct = detector.detect(
-        CloudDatabaseServer.from_tables(tiny_corpus.tables, cost_model), names
+        CloudDatabaseServer.from_tables(tiny_corpus.tables, COST_MODEL),
+        names,
+        options=DetectOptions(fault_plan=plan),
     )
     for report in reports:
         assert report.ok
         assert fingerprint(report) == fingerprint(direct)
+        # The job connected exactly as often as detect() does, and drew on
+        # the connect fault rules exactly as often.
+        assert report.cost == pytest.approx(direct.cost)
+        assert report.faults_injected == direct.faults_injected
+        assert (report.retries, report.giveups) == (direct.retries, direct.giveups)
