@@ -7,24 +7,27 @@ Three engines behind one CLI (``python -m repro.analysis``):
   hygiene, inference throughput) and flake8-style ``# noqa: RPR###``
   suppression;
 * :mod:`repro.analysis.races` — an Eraser-style lockset monitor that
-  instruments classes under test and flags shared writes with no common
-  lock, exporting observed lock-order edges;
-* :mod:`repro.analysis.flow` (+ :mod:`repro.analysis.cfg`,
-  :mod:`repro.analysis.contracts`) — per-function CFGs and
-  interprocedural call-graph summaries powering the lock-order cycle
-  check (RPR601), resource-balance checks (RPR602/603) and the metric
-  naming/registry contract (RPR604).
+  instruments classes under test, flags shared writes with no common
+  lock, and records the lock-acquisition order it observes so a test can
+  assert it acyclic (:meth:`LocksetMonitor.order_cycle`);
+* :mod:`repro.analysis.contracts` — the metric/span naming and registry
+  contract (RPR604).
+
+Lock order and resource leaks are checked at run time, where they can be
+seen: ``tests/test_stack_lock_order.py`` drives detection and the service
+under the monitor over every lock-owning class and then checks that no
+connection, batcher request or latent is left held.
 
 All engines report through :class:`repro.analysis.findings.Finding`, with
 text, JSONL and SARIF emitters, and the tier-1 test suite gates the tree
-on ``lint`` and ``flow`` staying clean.
+on ``lint`` and ``contracts`` staying clean.
 """
 
-from .cfg import CFG, Block, build_cfg, iter_functions
 from .contracts import (
     MetricUse,
     RegistryEntry,
     check_contracts,
+    check_tree,
     collect_metric_uses,
     parse_registry,
     registry_markdown,
@@ -37,9 +40,8 @@ from .findings import (
     write_findings_jsonl,
     write_findings_sarif,
 )
-from .flow import FlowReport, LockOrderEdge, ProgramIndex, analyze_flow, build_index
 from .lint import Rule, lint_paths, register, registered_rules
-from .races import LocksetMonitor, RaceReport, write_order_edges_jsonl
+from .races import LocksetMonitor, RaceReport
 
 from . import rules as _rules  # noqa: F401 - populate the rule registry
 
@@ -56,20 +58,11 @@ __all__ = [
     "lint_paths",
     "LocksetMonitor",
     "RaceReport",
-    "write_order_edges_jsonl",
-    "CFG",
-    "Block",
-    "build_cfg",
-    "iter_functions",
-    "FlowReport",
-    "LockOrderEdge",
-    "ProgramIndex",
-    "analyze_flow",
-    "build_index",
     "MetricUse",
     "RegistryEntry",
     "collect_metric_uses",
     "parse_registry",
     "check_contracts",
+    "check_tree",
     "registry_markdown",
 ]

@@ -4,9 +4,9 @@
 
     python -m repro.analysis lint src/            # AST lint (RPR rules)
     python -m repro.analysis races                # race-detector self-check
-    python -m repro.analysis flow src/            # CFG/call-graph analyses
+    python -m repro.analysis contracts src/       # metric/span contract (RPR604)
     python -m repro.analysis lint src/ --format jsonl --out findings.jsonl
-    python -m repro.analysis flow src/ --format sarif --out flow.sarif
+    python -m repro.analysis contracts src/ --format sarif --out contracts.sarif
 
 Every subcommand shares the reporting surface: ``--format
 text|jsonl|sarif`` for stdout and ``--out`` to also archive the findings
@@ -75,8 +75,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Repo-aware static analysis: lint, race detection, "
-            "flow (lock-order / resource-leak / metric-contract) analysis."
+            "Repo-aware analysis: lint, race-detector self-check and "
+            "the metric/span contract."
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -91,37 +91,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     races_parser = subparsers.add_parser(
         "races", help="self-check the lockset race detector"
     )
-    races_parser.add_argument(
-        "paths", nargs="*", default=[], help="ignored; races is a runtime tool"
-    )
     _add_common(races_parser)
 
-    flow_parser = subparsers.add_parser(
-        "flow",
-        help="CFG/call-graph analyses: lock order, resource balance, metric contracts",
+    contracts_parser = subparsers.add_parser(
+        "contracts",
+        help="metric/span contract: naming, kind consistency, registry diff",
     )
-    flow_parser.add_argument("paths", nargs="*", default=["src"])
-    _add_common(flow_parser)
-    flow_parser.add_argument(
+    contracts_parser.add_argument("paths", nargs="*", default=["src"])
+    _add_common(contracts_parser)
+    contracts_parser.add_argument(
         "--registry",
         default="docs/metrics.md",
-        help="committed metric inventory to diff against (RPR604)",
+        help="committed metric inventory to diff against",
     )
-    flow_parser.add_argument(
-        "--no-registry",
-        action="store_true",
-        help="skip the registry diff (naming/consistency checks still run)",
-    )
-    flow_parser.add_argument(
+    contracts_parser.add_argument(
         "--update-registry",
         action="store_true",
         help="regenerate the registry from the emitted-name scan and exit",
-    )
-    flow_parser.add_argument(
-        "--emit-edges",
-        default=None,
-        metavar="PATH",
-        help="also write the static lock-order edges as JSONL (RPR601 schema)",
     )
 
     args = parser.parse_args(argv)
@@ -138,12 +124,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "races":
         from .races import self_check
 
-        if args.paths:
-            print(
-                "note: the race detector is dynamic; instrument classes in "
-                "tests via repro.analysis.LocksetMonitor. Running self-check.",
-                file=sys.stderr,
-            )
         findings = list(self_check())
         code = _report(findings, args)
         if not findings:
@@ -154,45 +134,28 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         return code
 
-    if args.command == "flow":
+    if args.command == "contracts":
         from pathlib import Path
 
-        from .contracts import parse_registry, registry_markdown
-        from .flow import analyze_flow
+        from .contracts import (
+            check_tree,
+            collect_metric_uses,
+            parse_registry,
+            registry_markdown,
+        )
 
-        registry_path = None if args.no_registry else args.registry
         if args.update_registry:
-            report = analyze_flow(args.paths, registry_path=None)
+            uses = collect_metric_uses(args.paths)
             target = Path(args.registry)
             existing = parse_registry(target) if target.exists() else {}
             target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(
-                registry_markdown(report.metric_uses, existing), encoding="utf-8"
-            )
+            target.write_text(registry_markdown(uses, existing), encoding="utf-8")
             print(
-                f"wrote {target} ({len({u.name for u in report.metric_uses})} names)",
+                f"wrote {target} ({len({u.name for u in uses})} names)",
                 file=sys.stderr,
             )
             return 0
-        report = analyze_flow(args.paths, registry_path=registry_path)
-        if args.emit_edges is not None:
-            edges_path = Path(args.emit_edges)
-            edges_path.parent.mkdir(parents=True, exist_ok=True)
-            with edges_path.open("w", encoding="utf-8") as handle:
-                for edge in report.edge_dicts():
-                    handle.write(json.dumps(edge, default=str) + "\n")
-            print(
-                f"wrote {len(report.lock_edges)} lock-order edges to {edges_path}",
-                file=sys.stderr,
-            )
-        code = _report(report.findings, args)
-        print(
-            f"analyzed {report.functions_analyzed} functions, "
-            f"{len(report.lock_edges)} lock-order edges, "
-            f"{len(report.metric_uses)} metric/span sites",
-            file=sys.stderr,
-        )
-        return code
+        return _report(check_tree(args.paths, args.registry), args)
 
     parser.error(f"unknown command {args.command!r}")
     return 2  # pragma: no cover - parser.error raises

@@ -18,9 +18,10 @@ surface statically enumerable, so it can be *contracted*:
   the committed inventory ``docs/metrics.md``, so a new metric cannot
   ship undocumented and a renamed one cannot leave a stale doc behind.
 
-:func:`registry_markdown` regenerates the inventory tables from the
-emitted-name scan (preserving hand-written descriptions), which is what
-``python -m repro.analysis flow --update-registry`` runs.
+:func:`check_tree` runs all three over a source tree, which is what
+``python -m repro.analysis contracts`` runs; :func:`registry_markdown`
+regenerates the inventory tables from the emitted-name scan (preserving
+hand-written descriptions), which is what ``--update-registry`` runs.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "collect_metric_uses",
     "parse_registry",
     "check_contracts",
+    "check_tree",
     "registry_markdown",
 ]
 
@@ -189,7 +191,7 @@ def parse_registry(path: str | Path) -> dict[str, RegistryEntry]:
 # ----------------------------------------------------------------------
 def _finding(rule_message: str, use: MetricUse, severity: str = "error", **context) -> Finding:
     return Finding(
-        tool="flow",
+        tool="contracts",
         rule="RPR604",
         message=rule_message,
         path=use.path,
@@ -263,7 +265,7 @@ def check_contracts(
                     _finding(
                         f"{use.kind} {use.name!r} is not documented in "
                         f"{registry_name}; add a row (or run "
-                        "`repro-analyze flow --update-registry`)",
+                        "`repro-analyze contracts --update-registry`)",
                         use,
                     )
                 )
@@ -292,7 +294,7 @@ def check_contracts(
         if name not in seen_names:
             findings.append(
                 Finding(
-                    tool="flow",
+                    tool="contracts",
                     rule="RPR604",
                     message=(
                         f"{entry.kind or 'metric'} {name!r} is documented in "
@@ -306,6 +308,40 @@ def check_contracts(
     return findings
 
 
+def check_tree(
+    paths: Iterable[str | Path],
+    registry_path: str | Path,
+    root: Path | None = None,
+) -> list[Finding]:
+    """Check every metric/span emitted under ``paths`` against the registry.
+
+    A ``registry_path`` that does not exist yields one finding telling the
+    caller to create it (naming and consistency checks still run).
+    """
+    uses = collect_metric_uses(paths, root=root)
+    registry_name = str(registry_path)
+    registry = None
+    findings: list[Finding] = []
+    if Path(registry_path).exists():
+        registry = parse_registry(registry_path)
+    else:
+        findings.append(
+            Finding(
+                tool="contracts",
+                rule="RPR604",
+                message=(
+                    f"metric registry {registry_name} does not exist; create "
+                    "it with `repro-analyze contracts --update-registry`"
+                ),
+                path=registry_name,
+                context={"anchor": "registry-missing"},
+            )
+        )
+    findings.extend(check_contracts(uses, registry, registry_name))
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    return findings
+
+
 # ----------------------------------------------------------------------
 # Registry generation
 # ----------------------------------------------------------------------
@@ -313,9 +349,9 @@ _HEADER = """# Metrics & span registry
 
 The contracted observability surface of the tree: every metric series and
 tracer span emitted under ``src/``, as enforced by rule **RPR604**
-(``python -m repro.analysis flow``). Dynamic name segments (f-string
+(``python -m repro.analysis contracts``). Dynamic name segments (f-string
 holes) appear as ``*``. To add a metric: emit it, then document it here —
-``repro-analyze flow --update-registry`` regenerates the tables in place,
+``repro-analyze contracts --update-registry`` regenerates the tables in place,
 preserving descriptions.
 """
 

@@ -1,7 +1,7 @@
 """Findings: the one record type every analysis engine emits.
 
 A :class:`Finding` is a located, rule-tagged diagnostic. The lint engine,
-the flow analyses and the race detector all report through it, so the CLI
+the metric contract and the race detector all report through it, so the CLI
 renders and exports them uniformly. The JSONL emitter follows the same
 conventions as :mod:`repro.obs.export` (one JSON object per line, parents
 created, a reader that round-trips), so findings artifacts can be diffed
@@ -32,7 +32,7 @@ class Finding:
     Attributes
     ----------
     tool:
-        Which engine produced it (``lint`` / ``flow`` / ``races``).
+        Which engine produced it (``lint`` / ``contracts`` / ``races``).
     rule:
         Stable rule identifier (``RPR101`` ...); the suppression comment
         ``# noqa: RPR101`` refers to it.

@@ -28,20 +28,24 @@ Usage::
     with monitor.instrument(ConnectionPool):
         run_stress()
     monitor.assert_clean()          # raises with a formatted report
+    assert monitor.order_cycle() is None
+
+Besides writes, the monitor records the order in which each thread
+acquires tracked locks (an edge ``A -> B`` per first acquisition of ``B``
+while ``A`` is held); a cycle among those edges is a potential deadlock
+even if the run that observed it did not hang.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Iterator
 
 from .findings import Finding
 
-__all__ = ["LocksetMonitor", "RaceReport", "self_check", "write_order_edges_jsonl"]
+__all__ = ["LocksetMonitor", "RaceReport", "self_check"]
 
 _MAX_SAMPLES = 6
 
@@ -84,10 +88,9 @@ class _VarState:
 class _TrackedLock:
     """Proxy around a real lock; registers acquire/release with the monitor.
 
-    ``label`` is the lock's stable identity (``ClassName.attr``) — the
-    same abstraction the static lock-order analysis (RPR601) uses, so
-    observed acquisition-order edges and statically derived ones are
-    directly comparable.
+    ``label`` is the lock's stable identity (``ClassName.attr``), so the
+    acquisition-order edges of all instances of a class merge into one
+    graph and a cycle between two instances' locks is still found.
     """
 
     def __init__(self, inner: Any, monitor: "LocksetMonitor", label: str = "") -> None:
@@ -128,6 +131,21 @@ _LOCK_TYPES = (
 
 def _is_lock_like(value: Any) -> bool:
     return isinstance(value, _LOCK_TYPES)
+
+
+def _instance_attrs(obj: Any) -> list[tuple[str, Any]]:
+    """Every instance attribute, whether it lives in ``__dict__`` or a slot."""
+    names = list(getattr(obj, "__dict__", ()))
+    for klass in type(obj).__mro__:
+        slots = klass.__dict__.get("__slots__", ())
+        names.extend([slots] if isinstance(slots, str) else slots)
+    missing = object()
+    attrs = []
+    for name in dict.fromkeys(names):
+        value = getattr(obj, name, missing)
+        if value is not missing:
+            attrs.append((name, value))
+    return attrs
 
 
 def _caller_frame() -> tuple[str, int, str]:
@@ -177,7 +195,7 @@ class _Instrumentation:
             monitor._begin_construction(obj)
             try:
                 original_init(obj, *args, **kwargs)
-                for name, value in list(vars(obj).items()):
+                for name, value in _instance_attrs(obj):
                     if _is_lock_like(value):
                         label = f"{type(obj).__name__}.{name}"
                         original_setattr(
@@ -266,7 +284,6 @@ class LocksetMonitor:
                         "path": filename,
                         "line": line,
                         "via": function,
-                        "source": "dynamic",
                     },
                 )
             )
@@ -351,11 +368,9 @@ class LocksetMonitor:
     def order_edges(self) -> list[dict[str, Any]]:
         """Observed lock-acquisition-order edges, deduplicated by pair.
 
-        Each edge is ``{"from", "to", "path", "line", "via", "source":
-        "dynamic"}`` — the same schema the static lock-order analysis
-        (RPR601) exports with ``source: "static"``, so the two sets diff
-        mechanically: a dynamic edge whose reverse appears statically is
-        a latent deadlock the test happened not to trigger.
+        Each edge is ``{"from", "to", "path", "line", "via"}``: lock
+        ``from`` was held when lock ``to`` was first acquired at
+        ``path:line`` in function ``via``.
         """
         with self._state_lock:
             return sorted(
@@ -363,22 +378,44 @@ class LocksetMonitor:
                 key=lambda edge: (edge["from"], edge["to"]),
             )
 
+    def order_cycle(self) -> list[str] | None:
+        """A cycle in the observed lock order, as labels, or ``None``.
+
+        The cycle is returned closed (``[A, B, A]``); any cycle is a
+        potential deadlock, whether or not the run that observed it hung.
+        """
+        graph: dict[str, set[str]] = {}
+        for edge in self.order_edges():
+            graph.setdefault(edge["from"], set()).add(edge["to"])
+        visiting: list[str] = []
+        done: set[str] = set()
+
+        def visit(node: str) -> list[str] | None:
+            if node in visiting:
+                return visiting[visiting.index(node):] + [node]
+            if node in done:
+                return None
+            visiting.append(node)
+            for successor in sorted(graph.get(node, ())):
+                cycle = visit(successor)
+                if cycle:
+                    return cycle
+            visiting.pop()
+            done.add(node)
+            return None
+
+        for node in sorted(graph):
+            cycle = visit(node)
+            if cycle:
+                return cycle
+        return None
+
     def reset(self) -> None:
         with self._state_lock:
             self._state.clear()
             self._names.clear()
             self._reports.clear()
             self._order_edges.clear()
-
-
-def write_order_edges_jsonl(edges: list[dict[str, Any]], path: str | Path) -> Path:
-    """Write lock-order edges (static or dynamic) one JSON object per line."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        for edge in edges:
-            handle.write(json.dumps(edge, default=str) + "\n")
-    return path
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,9 @@ not only on its own fixtures.
   Loops over tables should collect encodings and collate once, or route
   through :class:`repro.sched.InferenceBatcher`.
 
-Lock discipline, span/resource balance and the metric contract are the
-flow engine's job (RPR6xx, :mod:`repro.analysis.flow`); shared writes with
-no common lock are the dynamic :class:`~repro.analysis.races.LocksetMonitor`'s
-(RPR7xx).
+The metric contract is :mod:`repro.analysis.contracts`' job (RPR604);
+shared writes with no common lock and the lock-acquisition order are the
+dynamic :class:`~repro.analysis.races.LocksetMonitor`'s (RPR7xx).
 
 Every rule can be silenced on a line with ``# noqa: RPR###`` — visible,
 greppable exceptions instead of silent drift.

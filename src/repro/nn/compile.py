@@ -575,8 +575,11 @@ class PlanCache:
     """LRU cache of :class:`CompiledPlan` for one model.
 
     Lock discipline: ``self._lock`` guards only the plan dict; each plan's
-    own lock guards its arena; metric emission happens strictly outside
-    both (rule RPR601 — metric registries have locks of their own).
+    own lock guards its arena; the cache emits its own metrics strictly
+    outside both (metric registries have locks of their own). A replay
+    still takes leaf locks (memo, counter, tracer) under its plan's lock;
+    ``tests/test_stack_lock_order.py`` checks the observed order stays
+    acyclic.
     """
 
     def __init__(

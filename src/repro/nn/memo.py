@@ -17,7 +17,8 @@ which all current consumers do (they only ever *read* masks and pooling
 matrices). Hit/miss/eviction totals are exported per cache as
 ``nn.memo.{hits,misses,evictions}{cache=<name>}``; like the latent
 cache, every metric is emitted strictly *outside* ``self._lock`` so the
-memo's lock never nests around a metric lock (rule RPR601).
+memo's lock never nests around a metric lock (the observed lock order is
+checked by ``tests/test_stack_lock_order.py``).
 """
 
 from __future__ import annotations

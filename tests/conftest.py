@@ -1,5 +1,6 @@
 """Shared fixtures: tiny corpora, tokenizers and models kept session-scoped
-so the suite stays fast while still exercising real trained behaviour."""
+so the suite stays fast while still exercising real trained behaviour.
+Also the end-of-run check that a run left nothing held."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import pytest
 
 from repro import nn
 from repro.core import ADTDConfig, ADTDModel, TrainConfig, fine_tune
+from repro.core.phases import TableJob
 from repro.datagen import TableGenConfig, default_registry, generate_table, make_wikitable_corpus
 from repro.features import FeatureConfig, Featurizer, corpus_texts
 from repro.text import Tokenizer
@@ -77,3 +79,44 @@ def rng():
 def sample_table(registry, rng):
     config = TableGenConfig(min_columns=4, max_columns=6, min_rows=30, max_rows=40)
     return generate_table(registry, config, rng, table_id=0)
+
+
+@pytest.fixture()
+def table_jobs(monkeypatch):
+    """Every :class:`TableJob` constructed during the test, in order."""
+    jobs: list[TableJob] = []
+    original_init = TableJob.__init__
+
+    def recording_init(job, *args, **kwargs):
+        original_init(job, *args, **kwargs)
+        jobs.append(job)
+
+    monkeypatch.setattr(TableJob, "__init__", recording_init)
+    return jobs
+
+
+def assert_no_leaked_connections(
+    service=None, server=None, *, detector=None, table_jobs=()
+):
+    """Nothing a finished run took is still held.
+
+    * every connection the service's pool for ``server`` created is back
+      on the idle list;
+    * once the batcher (``detector``'s, else the service's) stops serving,
+      its queue is empty and its compute thread is gone;
+    * no job in ``table_jobs`` still holds latents.
+    """
+    pool = service._pools.get(id(server)) if service is not None else None
+    if pool is not None:  # None: the job never touched the pool
+        with pool._lock:
+            assert len(pool._idle) == pool._created
+    if detector is None and service is not None:
+        detector = service.detector
+    batcher = detector.batcher if detector is not None else None
+    if batcher is not None:
+        with batcher._cond:
+            if batcher._serving == 0:
+                assert not batcher._queue, f"{len(batcher._queue)} requests left queued"
+                assert batcher._thread is None
+    holding = [job.table_name for job in table_jobs if job.latents.entries]
+    assert not holding, f"table jobs still hold latents: {holding}"

@@ -128,9 +128,8 @@ def test_registry_has_all_documented_rules():
 
 
 def test_rule_ids_unique_across_engines():
-    """One id, one meaning: lint, races and flow never share an RPR number."""
+    """One id, one meaning: lint, races and contracts never share an RPR number."""
     import repro.analysis.contracts
-    import repro.analysis.flow
     import repro.analysis.races
 
     def emitted(*modules) -> set[str]:
@@ -145,10 +144,10 @@ def test_rule_ids_unique_across_engines():
     by_engine = {
         "lint": {rule_id for rule_id, _, _ in rule_catalogue()},
         "races": emitted(repro.analysis.races),
-        "flow": emitted(repro.analysis.flow, repro.analysis.contracts),
+        "contracts": emitted(repro.analysis.contracts),
     }
     assert by_engine["races"] == {"RPR700", "RPR701"}
-    assert by_engine["flow"] == {"RPR601", "RPR602", "RPR603", "RPR604"}
+    assert by_engine["contracts"] == {"RPR604"}
     engines = sorted(by_engine)
     for i, first in enumerate(engines):
         for second in engines[i + 1:]:

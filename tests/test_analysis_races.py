@@ -1,6 +1,7 @@
 """Lockset race detector: flags a deliberately injected unlocked write,
-stays clean on guarded classes, and passes the real PipelinedExecutor +
-ConnectionPool combination under a two-pool stress run."""
+stays clean on guarded classes, finds a cycle in the observed lock order,
+and passes the real PipelinedExecutor + ConnectionPool combination under
+a two-pool stress run."""
 
 from __future__ import annotations
 
@@ -99,6 +100,48 @@ def test_instrumentation_restores_class():
 
 def test_self_check_is_healthy():
     assert list(self_check()) == []
+
+
+# ----------------------------------------------------------------------
+# Observed lock order
+# ----------------------------------------------------------------------
+class Pair:
+    def __init__(self) -> None:
+        self._first = threading.Lock()
+        self._second = threading.Lock()
+
+    def both(self) -> None:
+        with self._first:
+            with self._second:
+                pass
+
+    def both_reversed(self) -> None:
+        with self._second:
+            with self._first:
+                pass
+
+
+def test_monitor_order_edges_reset():
+    monitor = LocksetMonitor()
+    with monitor.instrument(Pair):
+        Pair().both()
+    assert monitor.order_edges()
+    monitor.reset()
+    assert monitor.order_edges() == []
+
+
+def test_order_cycle_spans_instances_and_runs():
+    """AB on one instance and BA on another, never concurrently: no run
+    hangs, but the label-level order has a cycle."""
+    monitor = LocksetMonitor()
+    with monitor.instrument(Pair):
+        Pair().both()
+        assert monitor.order_cycle() is None
+        assert [(e["from"], e["to"]) for e in monitor.order_edges()] == [
+            ("Pair._first", "Pair._second")
+        ]
+        Pair().both_reversed()
+    assert monitor.order_cycle() == ["Pair._first", "Pair._second", "Pair._first"]
 
 
 # ----------------------------------------------------------------------

@@ -266,6 +266,26 @@ class TestInferenceBatcher:
             results = batcher.run(good)
         assert len(results) == 1 and isinstance(results[0], Phase1Result)
 
+    def test_raising_forward_resolves_every_future(
+        self, untrained_model, featurizer, tiny_corpus, monkeypatch
+    ):
+        """Every request of a group whose forward raises gets the error; a
+        future left unresolved would block its submitter forever."""
+
+        def raising_forward(model, requests):
+            raise RuntimeError("forward failed")
+
+        monkeypatch.setattr("repro.sched.batcher.run_group", raising_forward)
+        batcher = InferenceBatcher(
+            untrained_model, BatchingConfig(max_wait_ms=1.0), metrics=MetricsRegistry()
+        )
+        requests = _phase1_requests(featurizer, tiny_corpus.tables[:4])
+        with batcher.serving():
+            futures = batcher.submit_many(requests)
+            for future in futures:
+                with pytest.raises(RuntimeError, match="forward failed"):
+                    future.result(timeout=5.0)
+
     def test_abandoned_future_does_not_wedge_others(
         self, untrained_model, featurizer, tiny_corpus
     ):

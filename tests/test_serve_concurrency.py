@@ -21,6 +21,7 @@ from repro.db import CloudDatabaseServer, CostModel
 from repro.errors import Cancelled, Overloaded
 from repro.obs import MetricsRegistry
 from repro.serve import DetectionService, ServiceConfig, TenantQuota
+from tests.conftest import assert_no_leaked_connections
 
 FAST = CostModel(time_scale=0.0)
 
@@ -39,15 +40,6 @@ def detector(trained_model, featurizer):
         config=DetectorConfig(pipelined=True),
         runtime=RuntimeConfig(metrics=MetricsRegistry()),
     )
-
-
-def assert_no_leaked_connections(service, server):
-    """Every connection the job pool created is back on the idle list."""
-    pool = service._pools.get(id(server))
-    if pool is None:
-        return  # the job never touched the pool
-    with pool._lock:
-        assert len(pool._idle) == pool._created
 
 
 class TestFairness:
@@ -149,8 +141,9 @@ class TestCancellation:
             handle.cancel()
             with pytest.raises(Cancelled):
                 handle.result(timeout=60.0)
-            # RPR602 invariant, dynamically: the job's pooled connection
-            # went back to the pool even though the job died mid-phase.
+            # The job's pooled connection went back to the pool even though
+            # the job died mid-phase (test_stack_lock_order.py checks the
+            # same after every run of the whole stack).
             assert_no_leaked_connections(service, server)
             # The service is still healthy: a fresh job completes.
             follow_up = service.submit("tenant-b", server, names[:2])

@@ -3,9 +3,10 @@
 A prep stage's wait takes the service's dispatch condition to give its
 pipeline slot back, and job finalization takes a job connection's lock
 (and the pool's) while holding that condition. So a lock held across a
-connect or a fetch closes a cycle. The static lock-order analysis cannot
-see through the wait hook (a context variable), so this drives a real
-sleeping service under the lockset monitor and checks the observed order.
+connect or a fetch closes a cycle. The wait reaches the condition through
+a context variable, which no reading of the source follows, so this drives
+a real sleeping service under the lockset monitor and checks the observed
+order; ``test_stack_lock_order.py`` does the same for the whole stack.
 """
 
 from __future__ import annotations
@@ -30,35 +31,6 @@ from repro.serve import DetectionService
 from repro.serve.service import _JobConnection, _ServiceSource
 
 TENANTS = ("tenant-a", "tenant-b", "tenant-c")
-
-
-def find_cycle(edges):
-    """A lock-order cycle as a list of labels, or ``None``."""
-    graph: dict[str, set[str]] = {}
-    for edge in edges:
-        graph.setdefault(edge["from"], set()).add(edge["to"])
-    visiting: list[str] = []
-    done: set[str] = set()
-
-    def visit(node):
-        if node in visiting:
-            return visiting[visiting.index(node):] + [node]
-        if node in done:
-            return None
-        visiting.append(node)
-        for successor in sorted(graph.get(node, ())):
-            cycle = visit(successor)
-            if cycle:
-                return cycle
-        visiting.pop()
-        done.add(node)
-        return None
-
-    for node in sorted(graph):
-        cycle = visit(node)
-        if cycle:
-            return cycle
-    return None
 
 
 def fingerprint(report):
@@ -112,8 +84,7 @@ def test_sleeping_service_lock_order_is_acyclic(
             created = [pool.stats.created for pool in service._pools.values()]
         waits = detector.metrics.counter("pipeline.db_waits", pool="prep").value
 
-    edges = monitor.order_edges()
-    assert find_cycle(edges) is None, edges
+    assert monitor.order_cycle() is None, monitor.order_edges()
     assert waits > 0  # the stages really did wait with the hook set
     if plan is None:
         # One pooled connection per tenant's server, however many of the
