@@ -4,7 +4,7 @@ The :class:`~repro.core.detector.TasteDetector` surface is three small
 frozen dataclasses:
 
 * :class:`DetectorConfig` — *what* the detector does: caching, pipelining,
-  pool sizes, scan method. Validated at construction time (e.g. a negative
+  prep slots, scan method. Validated at construction time (e.g. a negative
   ``sample_seed`` is rejected here, not deep inside the engine's
   ``default_rng`` call).
 * :class:`RuntimeConfig` — *how* it runs: tracer, metrics sink, the
@@ -44,28 +44,21 @@ class BatchingConfig:
     """Policy knobs of the cross-table inference batcher (``repro.sched``).
 
     ``max_batch_cols`` caps how many columns one collated forward may
-    carry; ``max_wait_ms`` bounds how long the oldest queued request may
-    age before a flush ("timeout"); ``adaptive=True`` additionally
-    flushes as soon as no further submitters can arrive (the prep pool
-    is idle and no infer stage is runnable — "idle" flush) instead of
-    letting the tail of a run wait out the timeout. ``pad_quantum``
-    quantizes padded sequence widths so requests from different tables
-    land in shared width buckets; both the sequential and the batched
-    path pad to the same quantum, which is what makes their float32
-    results bitwise identical (summation order never changes).
+    carry, and how many columns of ready tables one inference round of
+    the pipelined executor takes (always at least one table).
+    ``pad_quantum`` quantizes padded sequence widths so requests from
+    different tables land in shared width buckets; both the sequential and
+    the batched path pad to the same quantum, which is what makes their
+    float32 results bitwise identical (summation order never changes).
     """
 
     enabled: bool = True
     max_batch_cols: int = 64
-    max_wait_ms: float = 2.0
     pad_quantum: int = 16
-    adaptive: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch_cols < 1:
             raise ValueError("max_batch_cols must be at least 1")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
         if self.pad_quantum < 1:
             raise ValueError("pad_quantum must be at least 1")
 
@@ -87,7 +80,6 @@ class DetectorConfig:
     caching: bool = True
     pipelined: bool = True
     prep_workers: int = 2
-    infer_workers: int = 2
     scan_method: str = "first"
     sample_seed: int = 0
     batching: BatchingConfig = field(default_factory=BatchingConfig)
@@ -103,8 +95,8 @@ class DetectorConfig:
                 f"sample_seed must be non-negative, got {self.sample_seed} "
                 "(ORDER BY RAND(seed) and numpy's default_rng reject negative seeds)"
             )
-        if self.prep_workers < 1 or self.infer_workers < 1:
-            raise ValueError("both thread pools need at least one worker")
+        if self.prep_workers < 1:
+            raise ValueError("prep_workers must be at least 1")
 
     def replace(self, **changes: Any) -> "DetectorConfig":
         """A modified copy (re-validated)."""

@@ -62,8 +62,8 @@ class TasteDetector:
         The (α, β) certainty policy. ``ThresholdPolicy.privacy_mode()``
         yields the metadata-only variant ("TASTE without P2").
     config:
-        A :class:`DetectorConfig` (caching, pipelining, workers, scan
-        method). Defaults to ``DetectorConfig()``.
+        A :class:`DetectorConfig` (caching, pipelining, prep slots, scan
+        method, batching, compilation). Defaults to ``DetectorConfig()``.
     runtime:
         A :class:`RuntimeConfig` (tracer, metrics, retry policy,
         degradation switch). Defaults to ``RuntimeConfig()`` — a fresh
@@ -92,19 +92,16 @@ class TasteDetector:
         self.retry_policy = self.runtime.retry_policy
         self.degrade = self.runtime.degrade
         # The cross-table batcher only helps when several tables are in
-        # flight at once, i.e. under the pipelined executor; sequential
-        # runs go through the same width-bucketed forwards locally.
+        # flight at once, i.e. under the pipelined executor, whose dispatch
+        # loop runs each inference round through it; sequential runs go
+        # through the same width-bucketed forwards locally.
         self.batcher = (
             InferenceBatcher(model, self.config.batching, metrics=self.metrics)
             if (self.config.batching.enabled and self.config.pipelined)
             else None
         )
         self._executor = (
-            PipelinedExecutor(
-                self.config.prep_workers,
-                self.config.infer_workers,
-                batcher=self.batcher,
-            )
+            PipelinedExecutor(self.config.prep_workers, detector=self)
             if self.config.pipelined
             else SequentialExecutor()
         )
@@ -143,19 +140,19 @@ class TasteDetector:
     def run_inference(
         self, requests: "list[Phase1Request | Phase2Request]"
     ) -> "list[Phase1Result | Phase2Result]":
-        """Run a stage's chunk requests, returning results in order.
+        """Run chunk requests, returning results in order.
 
-        Pipelined runs route through the shared :class:`InferenceBatcher`
-        (coalescing with other tables' in-flight chunks); otherwise the
-        requests run locally — still width-grouped, or one forward per
-        request when ``batching.enabled`` is false (the unbatched
-        reference path).
+        Pipelined runs pass each inference round's requests — many
+        tables' — through the shared :class:`InferenceBatcher`, which
+        coalesces them into width-grouped forwards on the calling thread;
+        otherwise the requests run locally — still width-grouped, or one
+        forward per request when ``batching.enabled`` is false (the
+        unbatched reference path).
         """
         if not requests:
             return []
-        batcher = self.batcher
-        if batcher is not None and batcher.is_serving():
-            return batcher.run(requests)
+        if self.batcher is not None:
+            return self.batcher.run(requests)
         return run_grouped(self.model, requests, coalesce=self.config.batching.enabled)
 
     # ------------------------------------------------------------------
@@ -182,7 +179,8 @@ class TasteDetector:
         JSONL artifact after the run.
 
         The whole run executes under a root ``detect`` span; every stage
-        span of every table (from either thread pool) descends from it.
+        span of every table (prep stages from TP1, inference rounds from
+        the calling thread) descends from it.
         """
         options = options if options is not None else DetectOptions()
         if trace_out is not None:

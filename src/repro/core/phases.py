@@ -26,7 +26,7 @@ from ..db.schema import TableMetadata
 from ..errors import RetryDeadlineError, RetryGiveUpError
 from ..features.encoding import EncodedTable, split_metadata
 from ..nn.functional import stable_sigmoid
-from ..obs import NULL_METRICS, NULL_TRACER
+from ..obs import NULL_METRICS, NULL_TRACER, current_span
 from ..sched.forward import Phase1Request, Phase2Request
 from .latent_cache import LatentCache
 from .results import ColumnPrediction, TableResult
@@ -36,8 +36,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ChunkState", "TableJob", "STAGE_KINDS", "STAGE_NAMES"]
 
-# Stage index -> resource class. "prep" stages go to thread pool TP1,
-# "infer" stages to TP2 (Algorithm 1).
+# Stage index -> resource class. "prep" stages go to thread pool TP1;
+# "infer" stages run in rounds on the dispatch loop's thread (Algorithm 1's
+# TP2, see repro.core.pipeline).
 STAGE_KINDS = ("prep", "infer", "prep", "infer")
 # Stage index -> span/metric name.
 STAGE_NAMES = ("p1.prep", "p1.infer", "p2.prep", "p2.infer")
@@ -97,6 +98,7 @@ class TableJob:
         self.content_by_column: dict[int, list[str]] = {}
         self.result = TableResult(table_name, predictions=[])
         self.completed_stages = 0
+        self._infer_started = 0.0  # clock at infer_requests(), for apply_inference()
 
     # ------------------------------------------------------------------
     @property
@@ -133,10 +135,8 @@ class TableJob:
             self.prepare_phase2,
             self.infer_phase2,
         )[stage]
-        tracer = getattr(self.detector, "tracer", None)
-        tracer = NULL_TRACER if tracer is None else tracer
-        metrics = getattr(self.detector, "metrics", None)
-        metrics = NULL_METRICS if metrics is None else metrics
+        tracer = self._tracer()
+        metrics = self._metrics()
         name, kind = STAGE_NAMES[stage], STAGE_KINDS[stage]
         if kind == "prep":
             call = lambda: self._run_prep_stage(runner, name, stage, metrics)
@@ -152,18 +152,77 @@ class TableJob:
                 **self.span_attrs,
             ) as span:
                 call()
-                if self.result.retries:
-                    span.set(retries=self.result.retries)
-                if self.result.degraded:
-                    span.set(degraded=True)
-                if self.result.failed:
-                    span.set(failed=True)
+                span.set(**self._outcome_attrs())
             elapsed = span.duration
         else:
             started = time.perf_counter()
             call()
             elapsed = time.perf_counter() - started
-        metrics.histogram("pipeline.stage_seconds", stage=name).observe(elapsed)
+        self._finish_stage(stage, elapsed, metrics)
+
+    def infer_columns(self) -> int:
+        """Columns the next (infer) stage sends to the model: its round cost."""
+        if self.completed_stages == 1:
+            chunks = self.chunks
+        else:
+            chunks = [chunk for _, chunk in self._phase2_chunks()]
+        return sum(max(len(chunk.metadata.columns), 1) for chunk in chunks)
+
+    def infer_requests(self) -> "list[Phase1Request | Phase2Request]":
+        """Start the next (infer) stage: the chunk requests it runs."""
+        self._infer_started = time.perf_counter()
+        if self.completed_stages == 1:
+            return self._phase1_requests()
+        return self._phase2_requests(self._phase2_chunks())
+
+    def apply_inference(self, results: list) -> None:
+        """Finish the stage :meth:`infer_requests` started, from its results.
+
+        Records the stage exactly as :meth:`run_next_stage` does; the span
+        runs from the request build to the end of the readout and parents
+        to the caller's current span.
+        """
+        stage = self.completed_stages
+        if stage == 1:
+            self._read_phase1(results)
+        else:
+            self._read_phase2(self._phase2_chunks(), results)
+        ended = time.perf_counter()
+        name = STAGE_NAMES[stage]
+        self._tracer().interval(
+            f"stage.{name}",
+            self._infer_started,
+            ended,
+            parent=current_span(),
+            table=self.table_name,
+            stage=name,
+            kind=STAGE_KINDS[stage],
+            index=stage,
+            **self.span_attrs,
+            **self._outcome_attrs(),
+        )
+        self._finish_stage(stage, ended - self._infer_started, self._metrics())
+
+    def _tracer(self):
+        tracer = getattr(self.detector, "tracer", None)
+        return NULL_TRACER if tracer is None else tracer
+
+    def _metrics(self):
+        metrics = getattr(self.detector, "metrics", None)
+        return NULL_METRICS if metrics is None else metrics
+
+    def _outcome_attrs(self) -> dict[str, object]:
+        attrs: dict[str, object] = {}
+        if self.result.retries:
+            attrs["retries"] = self.result.retries
+        if self.result.degraded:
+            attrs["degraded"] = True
+        if self.result.failed:
+            attrs["failed"] = True
+        return attrs
+
+    def _finish_stage(self, stage: int, elapsed: float, metrics) -> None:
+        metrics.histogram("pipeline.stage_seconds", stage=STAGE_NAMES[stage]).observe(elapsed)
         attr = ("prepare1_seconds", "infer1_seconds", "prepare2_seconds", "infer2_seconds")[stage]
         setattr(self.result, attr, elapsed)
         self.completed_stages = max(self.completed_stages, stage + 1)
@@ -249,14 +308,15 @@ class TableJob:
     # Stage 2: P1 inference (compute)
     # ------------------------------------------------------------------
     def infer_phase1(self) -> None:
+        self._read_phase1(self.detector.run_inference(self._phase1_requests()))
+
+    def _phase1_requests(self) -> list[Phase1Request]:
         detector = self.detector
         policy = detector.thresholds
-        registry = detector.featurizer.registry
         # The batcher keeps a chunk's latents only when this policy sends
         # one of its columns to Phase 2, i.e. only when stage 4 reads them.
         keep_latents = policy if self.latents.enabled and policy.phase2_enabled else None
-
-        requests = [
+        return [
             Phase1Request(
                 encoded=chunk.encoded_p1,
                 meta_width=detector.bucketed_width(len(chunk.encoded_p1.meta.token_ids)),
@@ -264,8 +324,10 @@ class TableJob:
             )
             for chunk in self.chunks
         ]
-        results = detector.run_inference(requests)
 
+    def _read_phase1(self, results: list) -> None:
+        policy = self.detector.thresholds
+        registry = self.detector.featurizer.registry
         for chunk_index, (chunk, outcome) in enumerate(zip(self.chunks, results)):
             probs = outcome.probs  # (C, num_labels)
             chunk.meta_probs = probs
@@ -336,35 +398,39 @@ class TableJob:
     # Stage 4: P2 inference (compute)
     # ------------------------------------------------------------------
     def infer_phase2(self) -> None:
-        detector = self.detector
-        policy = detector.thresholds
-        registry = detector.featurizer.registry
+        chunks = self._phase2_chunks()
+        if chunks:
+            requests = self._phase2_requests(chunks)
+            self._read_phase2(chunks, self.detector.run_inference(requests))
+
+    def _phase2_chunks(self) -> list[tuple[int, ChunkState]]:
+        """``(index, chunk)`` of every chunk with content to verify."""
         if not self.content_by_column:
-            return
+            return []
+        return [
+            (index, chunk)
+            for index, chunk in enumerate(self.chunks)
+            if chunk.encoded_p2 is not None
+        ]
 
-        # Index predictions by global column position for in-place update.
-        predictions = self.result.predictions
-
-        requests: list[Phase2Request] = []
-        request_chunks: list[ChunkState] = []
-        for chunk_index, chunk in enumerate(self.chunks):
-            if chunk.encoded_p2 is None:
-                continue
-            encoded = chunk.encoded_p2
-            requests.append(
-                Phase2Request(
-                    encoded=encoded,
-                    meta_width=detector.bucketed_width(len(encoded.meta.token_ids)),
-                    content_width=detector.bucketed_width(len(encoded.content.token_ids)),
-                    cached=self.latents.get(chunk_index),
-                )
+    def _phase2_requests(self, chunks: list[tuple[int, ChunkState]]) -> list[Phase2Request]:
+        bucketed_width = self.detector.bucketed_width
+        return [
+            Phase2Request(
+                encoded=chunk.encoded_p2,
+                meta_width=bucketed_width(len(chunk.encoded_p2.meta.token_ids)),
+                content_width=bucketed_width(len(chunk.encoded_p2.content.token_ids)),
+                cached=self.latents.get(index),
             )
-            request_chunks.append(chunk)
-        if not requests:
-            return
-        results = detector.run_inference(requests)
+            for index, chunk in chunks
+        ]
 
-        for chunk, outcome in zip(request_chunks, results):
+    def _read_phase2(self, chunks: list[tuple[int, ChunkState]], results: list) -> None:
+        policy = self.detector.thresholds
+        registry = self.detector.featurizer.registry
+        # Predictions are indexed by global column position.
+        predictions = self.result.predictions
+        for (_, chunk), outcome in zip(chunks, results):
             probs = outcome.probs
             for local in chunk.local_content:
                 global_index = chunk.column_offset + local

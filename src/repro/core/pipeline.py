@@ -3,9 +3,23 @@
 Data-preparation stages (I/O + CPU) and inference stages (model compute)
 use different resources, so interleaving them across tables raises
 utilization: while table A is in inference, table B's content fetch can be
-in flight. Two thread pools (``TP1`` for preparation, ``TP2`` for
-inference) drain a queue of stages; a stage is *eligible* once all previous
-stages of the same table have finished (Definition 5.1).
+in flight. A stage is *eligible* once all previous stages of the same
+table have finished (Definition 5.1). Prep stages run on thread pool
+``TP1``; Algorithm 1's inference pool ``TP2`` is the dispatch loop's own
+thread.
+
+Why no inference pool: inference is numpy under one GIL. Forwards on
+threads of their own do not overlap each other or the loop; they compete
+with them for that lock, and a forward replayed on a contended thread
+takes about twice as long as the same forward alone. So the loop runs
+inference itself, in *rounds*: it takes the tables whose next stage is
+inference, in ``pending()`` order, up to ``max_batch_cols`` columns
+(always at least one table), releases the source's condition, builds
+their requests, runs them all through one width-grouped forward call
+(:meth:`~repro.sched.InferenceBatcher.run`), applies each table's
+readout, and reports each table back under the condition. Prep stages
+are dispatched before every round, so their database waits overlap the
+round's forwards; nothing waits for a batch to fill.
 
 A prep stage spends most of its wall blocked on the database, not on the
 CPU. ``prep_workers`` therefore counts prep stages *on the CPU*: while a
@@ -20,13 +34,14 @@ backoffs (which ``time_scale`` does not scale) still do; a run without
 retries then runs at most ``prep_workers`` prep stages, exactly as a
 fixed-size pool would.
 
-The dispatch loop is event-driven: workers ``notify_all()`` the condition
-on completion and the loop blocks in ``condition.wait()`` until then (a
-long ``wait_timeout`` remains as a safety net only; timeouts are counted
-in the ``pipeline.wait_timeouts`` metric and a healthy run records zero).
-Stage callables run inside a copy of the dispatcher's :mod:`contextvars`
-context, so tracer spans opened on worker threads parent to the run's
-root span.
+The dispatch loop is event-driven: prep workers ``notify_all()`` the
+condition on completion and the loop blocks in ``condition.wait()`` when
+it has nothing to dispatch and no round to run (a long ``wait_timeout``
+remains as a safety net only; timeouts are counted in the
+``pipeline.wait_timeouts`` metric and a healthy run records zero). Prep
+stages run inside a copy of the dispatcher's :mod:`contextvars` context
+and rounds run in the dispatcher's own, so tracer spans of either kind
+parent to the run's root span.
 
 Where jobs come from is abstracted behind :class:`JobSource` so the same
 loop serves two callers: the one-shot :meth:`PipelinedExecutor.run` (a
@@ -49,12 +64,11 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Iterator, Protocol
 
 from ..db.cost import WAIT_SCOPE
-from ..obs import NULL_METRICS
 from ..obs.metrics import MetricsRegistry, NullMetricsRegistry, global_registry
 from .phases import TableJob
 
-if TYPE_CHECKING:
-    from ..sched.batcher import InferenceBatcher
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .detector import TasteDetector
 
 __all__ = ["JobSource", "PipelinedExecutor", "SequentialExecutor", "PREP_THREADS"]
 
@@ -103,7 +117,7 @@ class JobSource(Protocol):
         ...
 
     def note_dispatch(self, job: TableJob, kind: str) -> None:
-        """A stage of ``job`` was just handed to the ``kind`` pool."""
+        """A ``kind`` stage of ``job`` was just dispatched (to TP1, or to a round)."""
         ...
 
     def note_stage_complete(self, job: TableJob) -> None:
@@ -148,19 +162,25 @@ class _StaticSource:
 
 
 class PipelinedExecutor:
-    """Algorithm 1: stage queue drained by two thread pools.
+    """Algorithm 1: prep stages on TP1, inference in rounds on the loop.
 
     TP1 is CPU slots plus overlapped waits: ``prep_workers`` prep stages
     may run on the CPU at once, and a stage blocked in a real database
     wait does not count against them (see the module docstring). TP1's
     threads, ``max(prep_workers, PREP_THREADS)``, bound both together.
+    Inference stages run on the thread that calls :meth:`run_source`.
 
     Parameters
     ----------
     prep_workers:
         Prep stages on the CPU at once (TP1's slots).
-    infer_workers:
-        Size of TP2 (inference pool).
+    detector:
+        The :class:`~repro.core.TasteDetector` whose tables run: a round
+        takes up to its ``batching.max_batch_cols`` columns (always at
+        least one table) and runs through its
+        :meth:`~repro.core.TasteDetector.run_inference`. ``None`` puts no
+        budget on a round and hands each request back as its own result,
+        for stage machines whose infer stages need no model.
     wait_timeout:
         Safety-net timeout for the dispatch loop's ``condition.wait``.
         Workers always notify on completion, so with work outstanding
@@ -168,28 +188,25 @@ class PipelinedExecutor:
         increments ``pipeline.wait_timeouts``. (An idle long-lived source
         waiting for new jobs times out routinely; that is not a stall and
         is not counted.)
-    batcher:
-        Optional :class:`~repro.sched.InferenceBatcher`. When set, the
-        executor serves it for the duration of each run and feeds it
-        backlog hints (how many prep/infer stages are in flight or
-        dispatchable) so the batcher can flush adaptively: grow batches
-        while more submitters are coming, flush immediately once the
-        pipeline's tail leaves no prep work anywhere.
+
+    A stage machine the loop drives has ``done``, ``next_stage_kind()``
+    and ``run_next_stage()`` (prep stages), and for its infer stages
+    ``infer_columns()``, ``infer_requests()`` and
+    ``apply_inference(results)``, as :class:`~repro.core.phases.TableJob`.
     """
 
     def __init__(
         self,
         prep_workers: int = 2,
-        infer_workers: int = 2,
+        *,
+        detector: "TasteDetector | None" = None,
         wait_timeout: float = 5.0,
-        batcher: "InferenceBatcher | None" = None,
     ) -> None:
-        if prep_workers < 1 or infer_workers < 1:
-            raise ValueError("both thread pools need at least one worker")
+        if prep_workers < 1:
+            raise ValueError("prep_workers must be at least 1")
         self.prep_workers = prep_workers
-        self.infer_workers = infer_workers
+        self.detector = detector
         self.wait_timeout = wait_timeout
-        self.batcher = batcher
 
     def run(
         self,
@@ -199,25 +216,46 @@ class PipelinedExecutor:
         if not jobs:
             return
         source = _StaticSource(jobs)
-        if self.batcher is not None:
-            # Serve the batcher for exactly this run; the context exits
-            # (draining the queue and joining the compute thread) only
-            # after both worker pools have finished, so no submitter can
-            # ever block on a stopped batcher.
-            with self.batcher.serving():
-                self.batcher.note_state(len(jobs), 0)
-                self.run_source(source, metrics)
-        else:
-            self.run_source(source, metrics)
+        self.run_source(source, metrics)
         if source.failures:
             raise source.failures[0]
+
+    def _run_round(self, jobs: list[TableJob]) -> list[Exception | None]:
+        """Run one inference round (condition released); each job's error.
+
+        A failing request build or readout fails its own table; a failing
+        forward fails every table of the round.
+        """
+        errors: list[Exception | None] = [None] * len(jobs)
+        built: list[list] = []
+        for index, job in enumerate(jobs):
+            try:
+                built.append(job.infer_requests())
+            except Exception as error:  # routed to the source
+                errors[index] = error
+                built.append([])
+        requests = [request for job_requests in built for request in job_requests]
+        try:
+            results = requests if self.detector is None else self.detector.run_inference(requests)
+        except Exception as error:  # routed to the source
+            return [failure or error for failure in errors]
+        offset = 0
+        for index, job in enumerate(jobs):
+            count = len(built[index])
+            if errors[index] is None:
+                try:
+                    job.apply_inference(results[offset : offset + count])
+                except Exception as error:  # routed to the source
+                    errors[index] = error
+            offset += count
+        return errors
 
     def run_source(
         self,
         source: JobSource,
         metrics: MetricsRegistry | NullMetricsRegistry | None = None,
     ) -> None:
-        """Drain ``source`` through the two thread pools until it finishes.
+        """Drain ``source`` until it finishes: prep on TP1, rounds here.
 
         The long-lived entry point: the loop keeps waiting on the
         source's condition while ``finished()`` is false, so a service
@@ -245,9 +283,9 @@ class PipelinedExecutor:
         dispatch_seconds = metrics.histogram("pipeline.dispatch_seconds")
 
         condition = source.condition
-        # ``in_flight["prep"]`` counts prep stages on the CPU; ``waiting``
+        # ``prep_in_flight`` counts prep stages on the CPU; ``waiting``
         # those blocked in a real wait, which hold a thread but no slot.
-        in_flight = {"prep": 0, "infer": 0}
+        prep_in_flight = 0
         waiting = 0
         # A job is dispatchable when it is not done and not currently running.
         running: set[int] = set()
@@ -259,11 +297,11 @@ class PipelinedExecutor:
             # Entered by every real wait of a prep stage. Re-entry never
             # blocks: a stage that waited for a free slot here would park a
             # TP1 thread that a dispatched stage may be queued behind.
-            nonlocal waiting
+            nonlocal prep_in_flight, waiting
             with condition:
-                in_flight["prep"] -= 1
+                prep_in_flight -= 1
                 waiting += 1
-                in_flight_gauges["prep"].set(in_flight["prep"])
+                in_flight_gauges["prep"].set(prep_in_flight)
                 waiting_gauge.set(waiting)
                 db_waits.inc()
                 condition.notify_all()
@@ -272,101 +310,110 @@ class PipelinedExecutor:
             finally:
                 with condition:
                     waiting -= 1
-                    in_flight["prep"] += 1
-                    in_flight_gauges["prep"].set(in_flight["prep"])
+                    prep_in_flight += 1
+                    in_flight_gauges["prep"].set(prep_in_flight)
                     waiting_gauge.set(waiting)
 
-        def worker(job: TableJob, kind: str) -> None:
+        def report(job: TableJob, error: BaseException | None) -> None:
+            # Condition held: the job's stage is over, report it.
+            running.discard(id(job))
+            if job.done:
+                eligible_since.pop(id(job), None)
+            else:
+                eligible_since[id(job)] = time.perf_counter()
+            if error is None:
+                source.note_stage_complete(job)
+            else:
+                source.note_stage_error(job, error)
+
+        def prep_worker(job: TableJob) -> None:
+            nonlocal prep_in_flight
             error: BaseException | None = None
-            if kind == "prep":
-                # Scoped to this dispatch's context copy; gone when it ends.
-                WAIT_SCOPE.set(slot_released)
+            # Scoped to this dispatch's context copy; gone when it ends.
+            WAIT_SCOPE.set(slot_released)
             try:
                 job.run_next_stage()
             except BaseException as stage_error:  # routed to the source
                 error = stage_error
             finally:
                 with condition:
-                    in_flight[kind] -= 1
-                    in_flight_gauges[kind].set(in_flight[kind])
-                    running.discard(id(job))
-                    if job.done:
-                        eligible_since.pop(id(job), None)
-                    else:
-                        eligible_since[id(job)] = time.perf_counter()
-                    if error is None:
-                        source.note_stage_complete(job)
-                    else:
-                        source.note_stage_error(job, error)
+                    prep_in_flight -= 1
+                    in_flight_gauges["prep"].set(prep_in_flight)
+                    report(job, error)
                     condition.notify_all()
 
-        limits = {"prep": self.prep_workers, "infer": self.infer_workers}
+        def dispatch(job: TableJob, kind: str, now: float) -> None:
+            queue_wait[kind].observe(now - eligible_since[id(job)])
+            running.add(id(job))
+            dispatch_counters[kind].inc()
+            source.note_dispatch(job, kind)
+
         prep_threads = max(self.prep_workers, PREP_THREADS)
-        with ThreadPoolExecutor(prep_threads, thread_name_prefix="taste-prep") as tp1, \
-                ThreadPoolExecutor(self.infer_workers, thread_name_prefix="taste-infer") as tp2:
-            pools = {"prep": tp1, "infer": tp2}
+        round_budget = (
+            self.detector.config.batching.max_batch_cols
+            if self.detector is not None
+            else float("inf")
+        )
+        with ThreadPoolExecutor(prep_threads, thread_name_prefix="taste-prep") as tp1:
             with condition:
                 while True:
                     if source.aborted():
                         break
+                    pass_started = time.perf_counter()
                     pending = [job for job in source.pending() if not job.done]
                     if not pending and not running and source.finished():
                         break
-                    pass_started = time.perf_counter()
                     for job in pending:
                         eligible_since.setdefault(id(job), pass_started)
+                    # One scan in pending() order (Algorithm 1 lines 8-19: a
+                    # job's *next* stage must match and the job must not be
+                    # running a stage): every prep stage a TP1 slot and
+                    # thread can take, and this pass's inference round.
                     dispatched = False
-                    for kind in ("prep", "infer"):
-                        if in_flight[kind] >= limits[kind]:
+                    round_jobs: list[TableJob] = []
+                    round_cols = 0
+                    round_full = False
+                    for job in pending:
+                        if id(job) in running:
                             continue
-                        if kind == "prep" and in_flight["prep"] + waiting >= prep_threads:
-                            continue  # every TP1 thread is taken
-                        # First eligible stage of the right kind (Algorithm 1
-                        # lines 8-19): the job's *next* stage must match and
-                        # the job must not already be running a stage.
-                        for job in pending:
-                            if id(job) in running:
+                        kind = job.next_stage_kind()
+                        if kind == "prep":
+                            if (
+                                prep_in_flight >= self.prep_workers
+                                or prep_in_flight + waiting >= prep_threads
+                            ):
                                 continue
-                            if job.next_stage_kind() != kind:
-                                continue
-                            now = time.perf_counter()
-                            queue_wait[kind].observe(now - eligible_since[id(job)])
-                            running.add(id(job))
-                            in_flight[kind] += 1
-                            in_flight_gauges[kind].set(in_flight[kind])
-                            dispatch_counters[kind].inc()
-                            source.note_dispatch(job, kind)
+                            dispatch(job, "prep", time.perf_counter())
+                            prep_in_flight += 1
+                            in_flight_gauges["prep"].set(prep_in_flight)
                             # Run the stage inside the dispatcher's context so
                             # spans opened on the worker thread keep the run's
                             # root span as an ancestor.
                             context = contextvars.copy_context()
-                            pools[kind].submit(context.run, worker, job, kind)
+                            tp1.submit(context.run, prep_worker, job)
                             dispatched = True
-                            break
-                    dispatch_seconds.observe(time.perf_counter() - pass_started)
-                    if self.batcher is not None:
-                        # prep backlog: stages in flight, waiting or dispatchable
-                        # (how much future infer work exists). infer backlog: stages
-                        # that can still submit before the next flush — running
-                        # stages plus dispatchable ones with a free TP2 slot.
-                        # Dispatchable stages *without* a slot are excluded:
-                        # they only start after a flush frees a worker, so
-                        # counting them would make the batcher wait on itself.
-                        prep_backlog = 0
-                        dispatchable_infer = 0
-                        for job in pending:
-                            if id(job) in running:
+                        elif kind == "infer" and not round_full:
+                            cost = job.infer_columns()
+                            if round_jobs and round_cols + cost > round_budget:
+                                round_full = True
                                 continue
-                            kind = job.next_stage_kind()
-                            if kind == "prep":
-                                prep_backlog += 1
-                            elif kind == "infer":
-                                dispatchable_infer += 1
-                        free_slots = limits["infer"] - in_flight["infer"]
-                        self.batcher.note_state(
-                            in_flight["prep"] + waiting + prep_backlog,
-                            in_flight["infer"] + min(free_slots, dispatchable_infer),
-                        )
+                            round_jobs.append(job)
+                            round_cols += cost
+                    now = time.perf_counter()
+                    for job in round_jobs:
+                        dispatch(job, "infer", now)
+                    dispatch_seconds.observe(time.perf_counter() - pass_started)
+                    if round_jobs:
+                        in_flight_gauges["infer"].set(len(round_jobs))
+                        condition.release()
+                        try:
+                            errors = self._run_round(round_jobs)
+                        finally:
+                            condition.acquire()
+                        in_flight_gauges["infer"].set(0)
+                        for job, error in zip(round_jobs, errors):
+                            report(job, error)
+                        continue
                     if not dispatched:
                         # Event-driven wait: workers notify on completion, so
                         # a timeout with work outstanding is a stall. An idle

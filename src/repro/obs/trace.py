@@ -4,11 +4,15 @@ A :class:`Span` is a named interval on the monotonic clock with key-value
 attributes and a link to its parent; a :class:`Tracer` collects finished
 spans for one run. The *current* span is carried in a
 :mod:`contextvars` context variable, so nesting works naturally with
-``with`` blocks — and, crucially, survives the hand-off across the two
-``ThreadPoolExecutor`` pools of the pipelined executor: the dispatch loop
-captures its context with :func:`contextvars.copy_context` and runs each
-stage inside that copy, so a stage span started on a ``taste-prep`` or
-``taste-infer`` worker thread still parents to the run's root span.
+``with`` blocks — and, crucially, survives the hand-off to the pipelined
+executor's prep pool: the dispatch loop captures its context with
+:func:`contextvars.copy_context` and runs each prep stage inside that
+copy, so a stage span started on a ``taste-prep`` worker thread still
+parents to the run's root span. Inference stages run in rounds on the
+dispatch loop's own thread (Algorithm 1's TP2; inference there would only
+compete with the loop for the GIL), where many tables' stages are in
+progress at once, so each is recorded with :meth:`Tracer.interval` under
+the loop's current span.
 
 Tracing is default-on and cheap; ``Tracer(enabled=False)`` short-circuits
 ``span()`` into returning a shared no-op span, so instrumented code pays a

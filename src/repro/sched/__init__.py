@@ -1,14 +1,14 @@
-"""Adaptive cross-table inference batching (the paper's S2 GPU batching).
+"""Cross-table inference batching (the paper's S2 GPU batching).
 
-The pipelined executor's infer stages hand their per-chunk requests to a
-shared :class:`InferenceBatcher`, which coalesces chunks from different
-tables into one collated ADTD forward on a dedicated compute thread and
-slices results back per chunk. Width bucketing (:func:`bucket_width`)
-keeps batched and unbatched runs bitwise identical; see
-:mod:`repro.sched.forward` for why.
+The pipelined executor's dispatch loop gathers the chunk requests of
+every table ready for inference into one round and hands them to
+:class:`InferenceBatcher`, which coalesces chunks from different tables
+into collated ADTD forwards on the loop's own thread and slices results
+back per chunk. Width bucketing (:func:`bucket_width`) keeps batched and
+unbatched runs bitwise identical; see :mod:`repro.sched.forward` for why.
 """
 
-from .batcher import BatchFuture, InferenceBatcher
+from .batcher import InferenceBatcher
 from .forward import (
     Phase1Request,
     Phase1Result,
@@ -23,7 +23,6 @@ from .forward import (
 
 __all__ = [
     "InferenceBatcher",
-    "BatchFuture",
     "Phase1Request",
     "Phase1Result",
     "Phase2Request",

@@ -1,7 +1,7 @@
 """The multi-tenant detection service (the paper's cloud deployment).
 
 :class:`DetectionService` owns one warm :class:`~repro.core.TasteDetector`
-— its model weights, compiled plans and shared
+— its model weights, compiled plans and
 :class:`~repro.sched.InferenceBatcher` — and serves concurrent
 ``submit()`` calls from many client threads, the way the paper's ECS
 service answers detection requests from many tenant databases without
@@ -14,7 +14,9 @@ Architecture, in one paragraph: ``submit()`` runs admission control
 dispatch thread runs :meth:`PipelinedExecutor.run_source` over
 :class:`_ServiceSource`, which interleaves the table jobs of *all*
 live jobs in fairness order (priority first, then least-served tenant),
-so one tenant's 500-table job cannot starve another's 2-table job.
+so one tenant's 500-table job cannot starve another's 2-table job; that
+thread also runs every inference round, so forwards of different jobs'
+tables coalesce.
 Database connections come from per-server bounded
 :class:`~repro.db.pool.ConnectionPool`\\ s, acquired lazily on the prep
 worker thread with the job's deadline and cancellation wired into the
@@ -391,14 +393,13 @@ class DetectionService:
         self.tracer = detector.tracer
         self._admission = AdmissionController(self.config, self.metrics)
         self._source = _ServiceSource(self)
-        # The service's own instance of the same executor machinery; the
-        # batcher is shared with the detector (nested serving counts), so
-        # direct detect() calls and service jobs coalesce identically.
+        # The service's own instance of the same executor machinery,
+        # running rounds through the detector's batcher, so direct
+        # detect() calls and service jobs coalesce identically.
         self._executor = PipelinedExecutor(
             detector.config.prep_workers,
-            detector.config.infer_workers,
+            detector=detector,
             wait_timeout=self.config.dispatch_wait_timeout,
-            batcher=detector.batcher,
         )
         self._pools: dict[int, ConnectionPool] = {}
         self._pools_lock = threading.Lock()
@@ -415,8 +416,6 @@ class DetectionService:
             raise ServiceError("service already started")
         if self._stopped:
             raise ServiceError("service was stopped; build a new one")
-        if self.detector.batcher is not None:
-            self.detector.batcher.start()
         self._thread = threading.Thread(
             target=self._dispatch, name="taste-serve", daemon=True
         )
@@ -432,8 +431,6 @@ class DetectionService:
             self._source.cancel(job)
         self._thread.join()
         self._stopped = True
-        if self.detector.batcher is not None:
-            self.detector.batcher.stop()
         with self._pools_lock:
             pools = list(self._pools.values())
         for pool in pools:

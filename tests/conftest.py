@@ -95,28 +95,16 @@ def table_jobs(monkeypatch):
     return jobs
 
 
-def assert_no_leaked_connections(
-    service=None, server=None, *, detector=None, table_jobs=()
-):
+def assert_no_leaked_connections(service=None, server=None, *, table_jobs=()):
     """Nothing a finished run took is still held.
 
     * every connection the service's pool for ``server`` created is back
       on the idle list;
-    * once the batcher (``detector``'s, else the service's) stops serving,
-      its queue is empty and its compute thread is gone;
     * no job in ``table_jobs`` still holds latents.
     """
     pool = service._pools.get(id(server)) if service is not None else None
     if pool is not None:  # None: the job never touched the pool
         with pool._lock:
             assert len(pool._idle) == pool._created
-    if detector is None and service is not None:
-        detector = service.detector
-    batcher = detector.batcher if detector is not None else None
-    if batcher is not None:
-        with batcher._cond:
-            if batcher._serving == 0:
-                assert not batcher._queue, f"{len(batcher._queue)} requests left queued"
-                assert batcher._thread is None
     holding = [job.table_name for job in table_jobs if job.latents.entries]
     assert not holding, f"table jobs still hold latents: {holding}"

@@ -151,8 +151,9 @@ class PoolHammerJob:
     """Four-stage job whose every stage leases from one shared pool.
 
     Shaped like :class:`repro.core.phases.TableJob` (done /
-    next_stage_kind / run_next_stage) so the *real* ``PipelinedExecutor``
-    schedules it across both thread pools.
+    next_stage_kind / run_next_stage, and the infer-round protocol) so the
+    *real* ``PipelinedExecutor`` runs its prep stages on TP1 threads and
+    its infer stages on the dispatch thread.
     """
 
     STAGE_KINDS = ("prep", "infer", "prep", "infer")
@@ -169,12 +170,22 @@ class PoolHammerJob:
         return None if self.done else self.STAGE_KINDS[self.completed]
 
     def run_next_stage(self) -> None:
-        # Two connections for four workers: creation, reuse and blocking
-        # waits on the pool's condition all happen on both thread pools.
+        # Two connections for three threads: creation, reuse and blocking
+        # waits on the pool's condition all happen on TP1 and on the
+        # dispatch thread.
         for _ in range(5):
             with self.pool.lease(timeout=30.0):
                 pass
         self.completed += 1
+
+    def infer_columns(self) -> int:
+        return 1
+
+    def infer_requests(self) -> list:
+        return []
+
+    def apply_inference(self, results: list) -> None:
+        self.run_next_stage()
 
 
 def test_executor_and_cache_stress_is_race_free(tiny_corpus):
@@ -186,7 +197,7 @@ def test_executor_and_cache_stress_is_race_free(tiny_corpus):
     with monitor.instrument(ConnectionPool):
         pool = ConnectionPool(server, max_size=2, metrics=MetricsRegistry())
         jobs = [PoolHammerJob(pool) for _ in range(8)]
-        PipelinedExecutor(prep_workers=2, infer_workers=2).run(
+        PipelinedExecutor(prep_workers=2).run(
             jobs, metrics=MetricsRegistry()
         )
     assert all(job.done for job in jobs)

@@ -310,7 +310,6 @@ class TestDetectorConfig:
         [
             {"scan_method": "random"},
             {"prep_workers": 0},
-            {"infer_workers": 0},
         ],
     )
     def test_validation(self, kwargs):

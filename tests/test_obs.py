@@ -257,14 +257,18 @@ def traced_run(request):
 
 class TestTracePropagation:
     def test_spans_from_both_pools_share_root(self, traced_run):
+        """Prep stages run on ``taste-prep`` threads, inference rounds on
+        the dispatch thread (the one that called ``detect()``); both kinds
+        of stage span descend from the run's root span."""
         detector, _, _, _ = traced_run
         tracer = detector.tracer
         (root,) = tracer.find("detect")
         stage_spans = [s for s in tracer.spans() if "stage" in s.attributes]
         assert stage_spans, "no stage spans recorded"
-        threads = {span.thread for span in stage_spans}
-        assert any(t.startswith("taste-prep") for t in threads)
-        assert any(t.startswith("taste-infer") for t in threads)
+        prep_threads = {s.thread for s in stage_spans if s.attributes["kind"] == "prep"}
+        infer_threads = {s.thread for s in stage_spans if s.attributes["kind"] == "infer"}
+        assert prep_threads and all(t.startswith("taste-prep") for t in prep_threads)
+        assert infer_threads == {root.thread}
         for span in stage_spans:
             assert tracer.root_of(span) is root
 

@@ -8,11 +8,16 @@ import time
 import pytest
 
 from repro.core import PipelinedExecutor, SequentialExecutor
+from repro.core.pipeline import _StaticSource
 from repro.obs import MetricsRegistry
 
 
 class FakeJob:
-    """Duck-typed stand-in for TableJob: four stages, recorded ordering."""
+    """Duck-typed stand-in for TableJob: four stages, recorded ordering.
+
+    Prep stages run through ``run_next_stage``; infer stages through the
+    round protocol (``infer_columns`` / ``infer_requests`` /
+    ``apply_inference``), with the job's name as its one request."""
 
     STAGE_KINDS = ("prep", "infer", "prep", "infer")
 
@@ -46,6 +51,19 @@ class FakeJob:
             self.log.append((self.name, stage))
         self.completed_stages = stage + 1
 
+    def infer_columns(self) -> int:
+        return 1
+
+    def infer_requests(self) -> list:
+        stage = self.completed_stages
+        if self.fail_at == stage:
+            raise RuntimeError(f"{self.name} fails at stage {stage}")
+        return [self.name]
+
+    def apply_inference(self, results: list) -> None:
+        assert results == [self.name]
+        self.run_next_stage()
+
 
 @pytest.fixture()
 def make_jobs():
@@ -73,13 +91,13 @@ class TestSequentialExecutor:
 class TestPipelinedExecutor:
     def test_all_jobs_complete(self, make_jobs):
         jobs, log = make_jobs(5)
-        PipelinedExecutor(2, 2).run(jobs)
+        PipelinedExecutor(2).run(jobs)
         assert all(job.done for job in jobs)
         assert len(log) == 20
 
     def test_per_job_stage_order_preserved(self, make_jobs):
         jobs, log = make_jobs(4, delay=0.002)
-        PipelinedExecutor(2, 2).run(jobs)
+        PipelinedExecutor(2).run(jobs)
         per_job: dict[str, list[int]] = {}
         for name, stage in log:
             per_job.setdefault(name, []).append(stage)
@@ -92,19 +110,19 @@ class TestPipelinedExecutor:
     def test_exception_propagates(self, make_jobs):
         jobs, _ = make_jobs(3, fail=1)
         with pytest.raises(RuntimeError, match="t0 fails"):
-            PipelinedExecutor(1, 1).run(jobs)
+            PipelinedExecutor(1).run(jobs)
 
     def test_invalid_worker_counts(self):
         with pytest.raises(ValueError):
-            PipelinedExecutor(0, 1)
+            PipelinedExecutor(0)
         with pytest.raises(ValueError):
-            PipelinedExecutor(1, 0)
+            PipelinedExecutor(-1)
 
     def test_pipelining_overlaps_stage_kinds(self, make_jobs):
         """With delays, prep of a later table runs before infer of an
         earlier one finishes — i.e. stages of different tables interleave."""
         jobs, log = make_jobs(4, delay=0.01)
-        PipelinedExecutor(2, 2).run(jobs)
+        PipelinedExecutor(2).run(jobs)
         names_in_order = [name for name, _ in log]
         # interleaved: not all of t0's stages happen before t1 starts
         first_t1 = names_in_order.index("t1")
@@ -117,7 +135,7 @@ class TestPipelinedExecutor:
         most once per stage completion (16 completions here)."""
         jobs, _ = make_jobs(4, delay=0.005)
         registry = MetricsRegistry()
-        PipelinedExecutor(2, 2).run(jobs, metrics=registry)
+        PipelinedExecutor(2).run(jobs, metrics=registry)
         assert all(job.done for job in jobs)
         snapshot = registry.snapshot()
         assert snapshot["pipeline.wait_timeouts"]["value"] == 0
@@ -131,10 +149,29 @@ class TestPipelinedExecutor:
     def test_queue_wait_histogram_recorded(self, make_jobs):
         jobs, _ = make_jobs(3, delay=0.002)
         registry = MetricsRegistry()
-        PipelinedExecutor(2, 2).run(jobs, metrics=registry)
+        PipelinedExecutor(2).run(jobs, metrics=registry)
         for pool in ("prep", "infer"):
             hist = registry.histogram("pipeline.queue_wait_seconds", pool=pool)
             assert hist.count == 6  # two stages of each kind per table
+
+    def test_dispatch_seconds_times_the_scan_not_the_round(self, make_jobs):
+        """``pipeline.dispatch_seconds`` covers each pass's ``pending()``
+        scan and its dispatches, and leaves out the inference round."""
+        scan, stage = 0.005, 0.05
+
+        class SlowScan(_StaticSource):
+            def pending(self):
+                time.sleep(scan)
+                return super().pending()
+
+        jobs, _ = make_jobs(3, delay=stage)
+        registry = MetricsRegistry()
+        PipelinedExecutor(2).run_source(SlowScan(jobs), metrics=registry)
+        assert all(job.done for job in jobs)
+        passes = registry.histogram("pipeline.dispatch_seconds")
+        assert passes.count > 0
+        assert passes.min >= scan
+        assert passes.max < stage
 
     def test_faster_than_sequential_with_io_delays(self, make_jobs):
         delay = 0.01
@@ -146,7 +183,7 @@ class TestPipelinedExecutor:
         sequential_time = time.perf_counter() - started
 
         started = time.perf_counter()
-        PipelinedExecutor(2, 2).run(jobs_pipe)
+        PipelinedExecutor(2).run(jobs_pipe)
         pipelined_time = time.perf_counter() - started
 
         assert pipelined_time < sequential_time

@@ -219,7 +219,7 @@ def test_dispatch_never_exceeds_tp1_threads():
     jobs = [SleepyJob(0.05, tally, lock) for _ in range(3 * PREP_THREADS)]
     source = CountingSource(jobs, tally, lock)
     metrics = MetricsRegistry()
-    executor = PipelinedExecutor(prep_workers=1, infer_workers=1)
+    executor = PipelinedExecutor(prep_workers=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:

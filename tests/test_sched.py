@@ -4,8 +4,6 @@ bitwise equivalence of sequential, pipelined-unbatched and batched runs."""
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -65,14 +63,14 @@ class TestBucketWidth:
 class TestBatchingConfig:
     def test_defaults_valid(self):
         config = BatchingConfig()
-        assert config.enabled and config.adaptive
+        assert config.enabled
         assert config.max_batch_cols >= 1 and config.pad_quantum >= 1
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"max_batch_cols": 0},
-            {"max_wait_ms": -1.0},
+            {"max_batch_cols": -1},
             {"pad_quantum": 0},
         ],
     )
@@ -177,14 +175,6 @@ def _phase1_requests(featurizer, tables, quantum=16):
 
 
 class TestInferenceBatcher:
-    def test_submit_outside_serving_raises(self, untrained_model, featurizer, tiny_corpus):
-        batcher = InferenceBatcher(
-            untrained_model, BatchingConfig(), metrics=MetricsRegistry()
-        )
-        request = _phase1_requests(featurizer, tiny_corpus.tables[:1])[0]
-        with pytest.raises(RuntimeError, match="not serving"):
-            batcher.submit(request)
-
     def test_results_match_local_forwards_bitwise(
         self, untrained_model, featurizer, tiny_corpus
     ):
@@ -193,8 +183,7 @@ class TestInferenceBatcher:
         batcher = InferenceBatcher(
             untrained_model, BatchingConfig(), metrics=MetricsRegistry()
         )
-        with batcher.serving():
-            batched = batcher.run(requests)
+        batched = batcher.run(requests)
         assert all(isinstance(result, Phase1Result) for result in batched)
         for ref, got in zip(reference, batched):
             assert ref.probs.tobytes() == got.probs.tobytes()
@@ -206,162 +195,36 @@ class TestInferenceBatcher:
     def test_full_flush_when_cols_exceed_budget(
         self, untrained_model, featurizer, tiny_corpus
     ):
+        """A width group wider than ``max_batch_cols`` is cut, in order,
+        into several forwards: with a 2-column budget and tables of at
+        least 2 columns, every request rides alone."""
         metrics = MetricsRegistry()
-        config = BatchingConfig(max_batch_cols=2, max_wait_ms=500.0, adaptive=False)
+        config = BatchingConfig(max_batch_cols=2)
         batcher = InferenceBatcher(untrained_model, config, metrics=metrics)
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:3])
-        with batcher.serving():
-            batcher.run(requests)
-        assert metrics.counter("sched.flush_reason", reason="full").value >= 1
-
-    def test_timeout_flush_when_not_adaptive(
-        self, untrained_model, featurizer, tiny_corpus
-    ):
-        metrics = MetricsRegistry()
-        config = BatchingConfig(max_batch_cols=10_000, max_wait_ms=5.0, adaptive=False)
-        batcher = InferenceBatcher(untrained_model, config, metrics=metrics)
-        requests = _phase1_requests(featurizer, tiny_corpus.tables[:2])
-        with batcher.serving():
-            batcher.run(requests)
-        assert metrics.counter("sched.flush_reason", reason="timeout").value >= 1
-
-    def test_idle_flush_beats_long_timeout(
-        self, untrained_model, featurizer, tiny_corpus
-    ):
-        metrics = MetricsRegistry()
-        # Timeout alone would stall each flush for 10s; the adaptive idle
-        # rule (no prep backlog, all infer stages already waiting) must
-        # flush immediately instead. The 60s join timeout is the failure
-        # detector: a hang here means the idle rule regressed.
-        config = BatchingConfig(max_batch_cols=10_000, max_wait_ms=10_000.0)
-        batcher = InferenceBatcher(untrained_model, config, metrics=metrics)
-        requests = _phase1_requests(featurizer, tiny_corpus.tables[:2])
-        results = []
-        with batcher.serving():
-            batcher.note_state(0, 1)
-            thread = threading.Thread(
-                target=lambda: results.extend(batcher.run(requests))
-            )
-            thread.start()
-            thread.join(timeout=60.0)
-            assert not thread.is_alive(), "idle flush never fired"
-        assert len(results) == len(requests)
-        assert metrics.counter("sched.flush_reason", reason="idle").value >= 1
+        assert all(request.num_columns >= 2 for request in requests)
+        results = batcher.run(requests)
+        reference = run_grouped(untrained_model, requests, coalesce=False)
+        assert [r.probs.tobytes() for r in results] == [
+            r.probs.tobytes() for r in reference
+        ]
+        assert metrics.counter("sched.requests").value == len(requests)
+        assert metrics.counter("sched.forwards").value == len(requests)
+        assert metrics.histogram("sched.batch_requests").max == 1
 
     def test_failed_forward_fails_only_its_batch(
         self, untrained_model, featurizer, tiny_corpus
     ):
         batcher = InferenceBatcher(
-            untrained_model,
-            BatchingConfig(max_wait_ms=1.0),
-            metrics=MetricsRegistry(),
+            untrained_model, BatchingConfig(), metrics=MetricsRegistry()
         )
         bad = Phase1Request(encoded=None, meta_width=16)  # forward will raise
         good = _phase1_requests(featurizer, tiny_corpus.tables[:1])
-        with batcher.serving():
-            with pytest.raises(Exception):
-                batcher.run([bad])
-            # The compute thread survived the failed batch and still
-            # serves later submitters.
-            results = batcher.run(good)
+        with pytest.raises(Exception):
+            batcher.run([bad])
+        # A failed run leaves nothing behind: later calls still run.
+        results = batcher.run(good)
         assert len(results) == 1 and isinstance(results[0], Phase1Result)
-
-    def test_raising_forward_resolves_every_future(
-        self, untrained_model, featurizer, tiny_corpus, monkeypatch
-    ):
-        """Every request of a group whose forward raises gets the error; a
-        future left unresolved would block its submitter forever."""
-
-        def raising_forward(model, requests):
-            raise RuntimeError("forward failed")
-
-        monkeypatch.setattr("repro.sched.batcher.run_group", raising_forward)
-        batcher = InferenceBatcher(
-            untrained_model, BatchingConfig(max_wait_ms=1.0), metrics=MetricsRegistry()
-        )
-        requests = _phase1_requests(featurizer, tiny_corpus.tables[:4])
-        with batcher.serving():
-            futures = batcher.submit_many(requests)
-            for future in futures:
-                with pytest.raises(RuntimeError, match="forward failed"):
-                    future.result(timeout=5.0)
-
-    def test_abandoned_future_does_not_wedge_others(
-        self, untrained_model, featurizer, tiny_corpus
-    ):
-        """A submitter killed after submit() (retry give-up) must not block
-        the batcher: other submitters keep getting results and shutdown
-        still drains."""
-        batcher = InferenceBatcher(
-            untrained_model,
-            BatchingConfig(max_wait_ms=2.0),
-            metrics=MetricsRegistry(),
-        )
-        requests = _phase1_requests(featurizer, tiny_corpus.tables[:6])
-        outcomes: dict[int, int] = {}
-        lock = threading.Lock()
-
-        def submitter(index: int, abandon: bool) -> None:
-            futures = batcher.submit_many([requests[index]])
-            if abandon:
-                return  # simulates a job killed by retry give-up
-            result = futures[0].result(timeout=30.0)
-            with lock:
-                outcomes[index] = len(result.probs)
-
-        with batcher.serving():
-            threads = [
-                threading.Thread(target=submitter, args=(i, i % 3 == 0))
-                for i in range(len(requests))
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-            assert not any(thread.is_alive() for thread in threads)
-        waited = [i for i in range(len(requests)) if i % 3 != 0]
-        assert sorted(outcomes) == waited
-        assert not batcher.is_serving()
-
-    def test_stress_many_threads_with_giveups_never_deadlocks(
-        self, untrained_model, featurizer, tiny_corpus
-    ):
-        batcher = InferenceBatcher(
-            untrained_model,
-            BatchingConfig(max_batch_cols=16, max_wait_ms=1.0),
-            metrics=MetricsRegistry(),
-        )
-        requests = _phase1_requests(featurizer, tiny_corpus.tables[:8])
-        errors: list[BaseException] = []
-        completed = []
-        lock = threading.Lock()
-
-        def hammer(worker: int) -> None:
-            try:
-                for round_index in range(5):
-                    request = requests[(worker + round_index) % len(requests)]
-                    futures = batcher.submit_many([request])
-                    if (worker + round_index) % 4 == 0:
-                        continue  # abandon: the give-up path
-                    futures[0].result(timeout=30.0)
-                    with lock:
-                        completed.append((worker, round_index))
-            except BaseException as error:  # pragma: no cover - failure path
-                with lock:
-                    errors.append(error)
-
-        with batcher.serving():
-            threads = [threading.Thread(target=hammer, args=(w,)) for w in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120.0)
-            stuck = [thread for thread in threads if thread.is_alive()]
-            assert not stuck, f"{len(stuck)} submitter threads deadlocked"
-        assert not errors
-        assert len(completed) == 8 * 5 - sum(
-            1 for w in range(8) for r in range(5) if (w + r) % 4 == 0
-        )
 
     def test_group_requests_partitions_by_width(self, featurizer, tiny_corpus):
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:6])
@@ -416,7 +279,7 @@ class TestBatchedEquivalence:
             trained_model,
             featurizer,
             tables,
-            DetectorConfig(pipelined=True, infer_workers=2),
+            DetectorConfig(pipelined=True),
         )
         assert bat_detector.batcher is not None
         _assert_reports_bitwise_equal(seq_report, bat_report)
@@ -429,18 +292,14 @@ class TestBatchedEquivalence:
             trained_model,
             featurizer,
             tables,
-            DetectorConfig(
-                pipelined=True,
-                infer_workers=2,
-                batching=BatchingConfig(enabled=False),
-            ),
+            DetectorConfig(pipelined=True, batching=BatchingConfig(enabled=False)),
         )
         assert off_detector.batcher is None
         _, on_report = _detect(
             trained_model,
             featurizer,
             tables,
-            DetectorConfig(pipelined=True, infer_workers=2),
+            DetectorConfig(pipelined=True),
         )
         _assert_reports_bitwise_equal(off_report, on_report)
 
@@ -487,7 +346,7 @@ class TestBatchedEquivalence:
             untrained_model,
             featurizer,
             tables,
-            DetectorConfig(pipelined=True, infer_workers=2),
+            DetectorConfig(pipelined=True),
             options=DetectOptions(fault_plan=plan),
         )
         assert seq_report.giveups == bat_report.giveups >= 1

@@ -41,7 +41,6 @@ from repro.nn.compile import CompiledPlan, PlanCache, _ArenaBudget
 from repro.nn.memo import ArrayKeyLRU
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.metrics import Counter, Gauge, Histogram
-from repro.sched.batcher import InferenceBatcher
 from repro.serve import DetectionService
 from repro.serve.admission import AdmissionController, TokenBucket
 from repro.serve.service import _JobConnection, _ServiceSource
@@ -59,7 +58,6 @@ LOCK_OWNERS = (
     DetectionService,
     TokenBucket,
     AdmissionController,
-    InferenceBatcher,
     PlanCache,
     CompiledPlan,
     _ArenaBudget,
@@ -214,13 +212,13 @@ def test_whole_stack_lock_order_is_acyclic(
         assert report.retries > 0
         assert [table.degraded for table in report.tables] == [False, True, False, False]
         assert metrics.counter("pipeline.db_waits", pool="prep").value > 0
-        assert_no_leaked_connections(detector=pipelined, table_jobs=table_jobs)
+        assert_no_leaked_connections(table_jobs=table_jobs)
 
         # 2. Sequential detect().
         sequential = _detector(model, featurizer, metrics, tracer, pipelined=False)
         report = sequential.detect(_server(tables, metrics), names)
         assert report.ok
-        assert_no_leaked_connections(detector=sequential, table_jobs=table_jobs)
+        assert_no_leaked_connections(table_jobs=table_jobs)
 
         # 3. Three tenants through one service, one of them under faults.
         servers = {tenant: _server(tables, metrics) for tenant in TENANT_PLANS}
