@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import nn
-from ..core.adtd import column_pooling_matrix
 from ..core.classifier import ClassifierHead
 from ..features.encoding import Batch
 from ..features.metadata_features import SEGMENT_TABLE
@@ -116,5 +115,5 @@ class SingleTowerModel(nn.Module):
         encoded = self.encoder(hidden, attention_mask=mask)
 
         num_columns = batch.col_positions.shape[1]
-        pooling = nn.Tensor(column_pooling_matrix(column_ids, padding, num_columns))
+        pooling = nn.Tensor(F.column_pooling_matrix(column_ids, padding, num_columns))
         return self.classifier(pooling @ encoded)

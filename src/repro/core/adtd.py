@@ -27,7 +27,7 @@ from ..features.metadata_features import NUMERIC_FEATURE_DIM
 from ..nn import functional as F
 from .classifier import ClassifierHead
 
-__all__ = ["ADTDConfig", "ADTDModel", "gather_positions", "column_pooling_matrix"]
+__all__ = ["ADTDConfig", "ADTDModel", "gather_positions"]
 
 _NUM_SEGMENTS = 3  # table metadata / column metadata / content
 
@@ -185,12 +185,7 @@ class ADTDModel(nn.Module):
         table context — the role split the baselines use as well.
         """
         num_columns = batch.col_positions.shape[1]
-        pooling = nn.Tensor(
-            _POOLING_MEMO.get(
-                (column_ids, padding_mask, np.asarray(num_columns)),
-                _build_pooling,
-            )
-        )
+        pooling = nn.Tensor(F.column_pooling_matrix(column_ids, padding_mask, num_columns))
         return pooling @ hidden
 
     def forward(self, batch: Batch) -> tuple[nn.Tensor, nn.Tensor]:
@@ -217,34 +212,6 @@ class ADTDModel(nn.Module):
         mask = F.additive_attention_mask(padding_mask)
         encoded = self.encoder(hidden, attention_mask=mask)
         return self.mlm_head(encoded)
-
-
-# Both heads pool with the same (column_ids, padding_mask) pair, and Phase 2
-# rebuilds Phase 1's matrices for the same table — an exact content-keyed LRU
-# turns those rebuilds into lookups (see repro.nn.memo).
-_POOLING_MEMO = nn.ArrayKeyLRU("column_pooling", capacity=256)
-
-
-def _build_pooling(
-    column_ids: np.ndarray, padding_mask: np.ndarray, num_columns: np.ndarray
-) -> np.ndarray:
-    return column_pooling_matrix(column_ids, padding_mask, int(num_columns))
-
-
-def column_pooling_matrix(
-    column_ids: np.ndarray, padding_mask: np.ndarray, num_columns: int
-) -> np.ndarray:
-    """Build the ``(B, C, T)`` mean-pooling matrix over column spans.
-
-    Row ``(b, c)`` holds ``1/k`` at the ``k`` token positions belonging to
-    column ``c`` (1-based ids in ``column_ids``), zero elsewhere. Columns
-    with no tokens (e.g. content never fetched) get an all-zero row.
-    """
-    targets = np.arange(1, num_columns + 1)[None, :, None]
-    member = (column_ids[:, None, :] == targets) & padding_mask[:, None, :]
-    member = member.astype(np.float32)
-    counts = member.sum(axis=-1, keepdims=True)
-    return member / np.maximum(counts, 1.0)
 
 
 def gather_positions(hidden: nn.Tensor, positions: np.ndarray) -> nn.Tensor:

@@ -22,6 +22,13 @@ resilience)::
         runtime=RuntimeConfig(retry_policy=RetryPolicy(max_attempts=5)),
     )
     report = detector.detect(server, options=DetectOptions(fault_plan=plan))
+
+Every execution mode reaches the model by one route:
+:meth:`TasteDetector.run_inference` hands the chunk requests to the
+detector's :class:`~repro.sched.InferenceBatcher`. ``pipelined`` picks
+the executor (the sequential one is the threadless reference),
+``batching.enabled`` whether a forward carries many requests or one, and
+``compile.enabled`` whether forwards replay compiled plans.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from ..nn import compile as nn_compile
 from ..obs import Tracer, write_spans_jsonl
 from ..obs.metrics import MetricsRegistry, NullMetricsRegistry, global_registry
 from ..sched.batcher import InferenceBatcher
-from ..sched.forward import Phase1Request, Phase1Result, Phase2Request, Phase2Result, bucket_width, run_grouped
+from ..sched.forward import Phase1Request, Phase1Result, Phase2Request, Phase2Result, bucket_width
 from .config import DetectOptions, DetectorConfig, RuntimeConfig
 from .phases import TableJob
 from .pipeline import PipelinedExecutor, SequentialExecutor
@@ -91,15 +98,7 @@ class TasteDetector:
         )
         self.retry_policy = self.runtime.retry_policy
         self.degrade = self.runtime.degrade
-        # The cross-table batcher only helps when several tables are in
-        # flight at once, i.e. under the pipelined executor, whose dispatch
-        # loop runs each inference round through it; sequential runs go
-        # through the same width-bucketed forwards locally.
-        self.batcher = (
-            InferenceBatcher(model, self.config.batching, metrics=self.metrics)
-            if (self.config.batching.enabled and self.config.pipelined)
-            else None
-        )
+        self.batcher = InferenceBatcher(model, self.config, metrics=self.metrics)
         self._executor = (
             PipelinedExecutor(self.config.prep_workers, detector=self)
             if self.config.pipelined
@@ -110,9 +109,10 @@ class TasteDetector:
         # Shape-specialized compiled inference (repro.nn.compile): plans
         # are keyed off the same bucket-width ladder bucketed_width()
         # routes requests through, so every execution mode (sequential,
-        # unbatched, batched, served) hits the same plan cache. A
-        # detector configured with compile.enabled=False detaches any
-        # cache so *its* runs are guaranteed eager.
+        # unbatched, batched, served) hits the same plan cache. A detector
+        # configured with compile.enabled=False leaves the model's cache
+        # alone: its batcher never looks the cache up, so *its* runs are
+        # eager while other detectors on the same model keep their plans.
         if self.config.compile.enabled:
             nn_compile.enable(
                 model,
@@ -122,8 +122,6 @@ class TasteDetector:
                 pad_quantum=self.config.batching.pad_quantum,
                 width_cap=self._width_cap,
             )
-        else:
-            nn_compile.disable(model)
 
     # ------------------------------------------------------------------
     # Inference dispatch (shared by the stage implementations)
@@ -140,20 +138,16 @@ class TasteDetector:
     def run_inference(
         self, requests: "list[Phase1Request | Phase2Request]"
     ) -> "list[Phase1Result | Phase2Result]":
-        """Run chunk requests, returning results in order.
+        """Run chunk requests through the detector's
+        :class:`InferenceBatcher`, returning results in order.
 
-        Pipelined runs pass each inference round's requests — many
-        tables' — through the shared :class:`InferenceBatcher`, which
-        coalesces them into width-grouped forwards on the calling thread;
-        otherwise the requests run locally — still width-grouped, or one
-        forward per request when ``batching.enabled`` is false (the
-        unbatched reference path).
+        Every mode takes this route: a pipelined round passes many
+        tables' requests at once, a sequential run one table's stage.
+        The batcher runs them as width-grouped forwards on the calling
+        thread, one request per forward when ``batching.enabled`` is
+        false (the unbatched reference).
         """
-        if not requests:
-            return []
-        if self.batcher is not None:
-            return self.batcher.run(requests)
-        return run_grouped(self.model, requests, coalesce=self.config.batching.enabled)
+        return self.batcher.run(requests)
 
     # ------------------------------------------------------------------
     def detect(

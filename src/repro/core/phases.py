@@ -117,16 +117,18 @@ class TableJob:
     def run_next_stage(self) -> None:
         """Run the next stage; stages must execute in order per table.
 
-        Each stage runs inside a tracer span carrying the table name, the
+        An inference stage runs as :meth:`infer_phase1` /
+        :meth:`infer_phase2`: the same request build, forward and readout
+        a pipelined round makes, recorded by :meth:`apply_inference`.
+
+        A data-preparation stage (the only kind that touches the
+        connection) runs inside a tracer span carrying the table name, the
         stage name and its resource kind; :class:`TableResult`'s per-stage
         seconds are populated from the span (or from a bare clock pair when
-        tracing is disabled).
-
-        Data-preparation stages (the only ones that touch the connection)
-        run under the detector's :class:`~repro.faults.RetryPolicy`: a
-        retryable fault is retried with backoff, and exhausted retries
-        either degrade the table (``runtime.degrade=True``, the default) or
-        re-raise. Inference stages never touch the network and run bare.
+        tracing is disabled). It runs under the detector's
+        :class:`~repro.faults.RetryPolicy`: a retryable fault is retried
+        with backoff, and exhausted retries either degrade the table
+        (``runtime.degrade=True``, the default) or re-raise.
         """
         stage = self.completed_stages
         runner = (
@@ -135,28 +137,27 @@ class TableJob:
             self.prepare_phase2,
             self.infer_phase2,
         )[stage]
+        if STAGE_KINDS[stage] == "infer":
+            runner()
+            return
         tracer = self._tracer()
         metrics = self._metrics()
-        name, kind = STAGE_NAMES[stage], STAGE_KINDS[stage]
-        if kind == "prep":
-            call = lambda: self._run_prep_stage(runner, name, stage, metrics)
-        else:
-            call = runner
+        name = STAGE_NAMES[stage]
         if tracer.enabled:
             with tracer.span(
                 f"stage.{name}",
                 table=self.table_name,
                 stage=name,
-                kind=kind,
+                kind="prep",
                 index=stage,
                 **self.span_attrs,
             ) as span:
-                call()
+                self._run_prep_stage(runner, name, stage, metrics)
                 span.set(**self._outcome_attrs())
             elapsed = span.duration
         else:
             started = time.perf_counter()
-            call()
+            self._run_prep_stage(runner, name, stage, metrics)
             elapsed = time.perf_counter() - started
         self._finish_stage(stage, elapsed, metrics)
 
@@ -178,9 +179,9 @@ class TableJob:
     def apply_inference(self, results: list) -> None:
         """Finish the stage :meth:`infer_requests` started, from its results.
 
-        Records the stage exactly as :meth:`run_next_stage` does; the span
-        runs from the request build to the end of the readout and parents
-        to the caller's current span.
+        The stage's span runs from the request build to the end of the
+        readout and parents to the caller's current span; its seconds go
+        to :class:`TableResult` as a prep stage's do.
         """
         stage = self.completed_stages
         if stage == 1:
@@ -299,7 +300,7 @@ class TableJob:
             chunk = ChunkState(chunk_md, column_offset=offset)
             # Featurize here, on TP1: encoding is CPU prep work, and doing
             # it now keeps the infer stage's critical path to pure model
-            # compute (which the batcher can coalesce across tables).
+            # compute (which the batcher can batch across tables).
             chunk.encoded_p1 = featurizer.encode(chunk_md)
             self.chunks.append(chunk)
             offset += len(chunk_md.columns)
@@ -308,7 +309,7 @@ class TableJob:
     # Stage 2: P1 inference (compute)
     # ------------------------------------------------------------------
     def infer_phase1(self) -> None:
-        self._read_phase1(self.detector.run_inference(self._phase1_requests()))
+        self.apply_inference(self.detector.run_inference(self.infer_requests()))
 
     def _phase1_requests(self) -> list[Phase1Request]:
         detector = self.detector
@@ -398,10 +399,7 @@ class TableJob:
     # Stage 4: P2 inference (compute)
     # ------------------------------------------------------------------
     def infer_phase2(self) -> None:
-        chunks = self._phase2_chunks()
-        if chunks:
-            requests = self._phase2_requests(chunks)
-            self._read_phase2(chunks, self.detector.run_inference(requests))
+        self.apply_inference(self.detector.run_inference(self.infer_requests()))
 
     def _phase2_chunks(self) -> list[tuple[int, ChunkState]]:
         """``(index, chunk)`` of every chunk with content to verify."""

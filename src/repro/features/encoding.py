@@ -314,7 +314,7 @@ def collate(
     # (pooling, classifier heads) never run a single-row BLAS call: the
     # M=1 GEMV kernel accumulates in a different order than the M>=2 GEMM
     # kernels, so a one-column chunk would produce last-bit-different
-    # logits depending on whether it rode alone or coalesced with wider
+    # logits depending on whether it rode alone or batched with wider
     # chunks. GEMM results are row-stable for every M >= 2, so a phantom
     # masked column (zero pooling row, zero numeric features) makes
     # batched, unbatched and compiled paths bitwise identical again.

@@ -8,7 +8,6 @@ and cross-attention, Adam, the paper's loss functions and checkpointing.
 from .attention import MultiHeadAttention
 from .layers import Dropout, Embedding, GELU, LayerNorm, Linear, ReLU, Sequential
 from .losses import AutomaticWeightedLoss, bce_with_logits, masked_cross_entropy
-from .memo import ArrayKeyLRU
 from .module import Module, ModuleList, Parameter
 from .optim import SGD, Adam, WarmupLinearSchedule, clip_grad_norm
 from .serialization import load_checkpoint, load_state, save_checkpoint
@@ -24,7 +23,6 @@ __all__ = [
     "Tensor",
     "no_grad",
     "is_grad_enabled",
-    "ArrayKeyLRU",
     "Module",
     "ModuleList",
     "Parameter",

@@ -44,6 +44,10 @@ model, so models stay picklable/deep-copyable) and are keyed off the same
 width ladder the batcher uses; off-ladder widths, busy plans (another
 thread mid-replay), arena-budget overruns and dead plans all fall back to
 the eager forward — safe, because eager and compiled agree bitwise.
+The detector's :class:`~repro.sched.InferenceBatcher` looks the cache up
+once per run, and only when its own ``compile.enabled`` is set: a
+detector with compilation off runs eager and leaves the plans of other
+detectors on the same model alone.
 
 Weights are prefetched by reference (and by *copy* for the fused
 layouts), so any weight mutation — fine-tuning, feedback, checkpoint
@@ -63,7 +67,14 @@ from typing import TYPE_CHECKING, Any, Iterator
 import numpy as np
 
 from ..obs.metrics import global_registry
-from .functional import additive_attention_mask, gelu_, layer_norm_, relu_, softmax_
+from .functional import (
+    additive_attention_mask,
+    column_pooling_matrix,
+    gelu_,
+    layer_norm_,
+    relu_,
+    softmax_,
+)
 from .tensor import Tensor, no_grad
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -414,22 +425,12 @@ class CompiledPlan:
         logits += b2
         return logits
 
-    def _pooling(self, column_ids: np.ndarray, padding_mask: np.ndarray, num_columns: int) -> np.ndarray:
-        # The exact memo the eager `_pool_columns` consults — shared keys,
-        # shared (read-only) matrices. Imported lazily: nn must not import
-        # core at module load.
-        from ..core.adtd import _POOLING_MEMO, _build_pooling
-
-        return _POOLING_MEMO.get(
-            (column_ids, padding_mask, np.asarray(num_columns)), _build_pooling
-        )
-
     def _replay_phase1(self, batch: "Batch") -> tuple[np.ndarray, list[np.ndarray]]:
         meta_layers = self._meta_tower(batch)
         batch_size = batch.meta_ids.shape[0]
         num_columns = batch.col_positions.shape[1]
         numeric_dim = batch.numeric.shape[-1]
-        pooling = self._pooling(batch.meta_column_ids, batch.meta_mask, num_columns)
+        pooling = column_pooling_matrix(batch.meta_column_ids, batch.meta_mask, num_columns)
         features = self.arena.buf("p1_features", (batch_size, num_columns, self.hidden + numeric_dim))
         np.matmul(pooling, meta_layers[-1], out=features[..., : self.hidden])
         features[..., self.hidden :] = batch.numeric
@@ -474,8 +475,8 @@ class CompiledPlan:
             hidden = self._attention_block(weights, hidden, kv_bufs[index], joint_mask, out, "x_")
         num_columns = batch.col_positions.shape[1]
         numeric_dim = batch.numeric.shape[-1]
-        pool_meta = self._pooling(batch.meta_column_ids, batch.meta_mask, num_columns)
-        pool_content = self._pooling(batch.content_column_ids, batch.content_mask, num_columns)
+        pool_meta = column_pooling_matrix(batch.meta_column_ids, batch.meta_mask, num_columns)
+        pool_content = column_pooling_matrix(batch.content_column_ids, batch.content_mask, num_columns)
         features = arena.buf("p2_features", (batch_size, num_columns, 2 * hidden_size + numeric_dim))
         np.matmul(pool_content, hidden, out=features[..., :hidden_size])
         np.matmul(pool_meta, meta_last, out=features[..., hidden_size : 2 * hidden_size])
@@ -577,7 +578,7 @@ class PlanCache:
     Lock discipline: ``self._lock`` guards only the plan dict; each plan's
     own lock guards its arena; the cache emits its own metrics strictly
     outside both (metric registries have locks of their own). A replay
-    still takes leaf locks (memo, counter, tracer) under its plan's lock;
+    still takes leaf locks (counter, tracer) under its plan's lock;
     ``tests/test_stack_lock_order.py`` checks the observed order stays
     acyclic.
     """

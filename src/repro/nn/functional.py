@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .memo import ArrayKeyLRU
 from .tensor import Tensor, is_grad_enabled
 
 __all__ = [
@@ -44,6 +43,7 @@ __all__ = [
     "embedding_lookup",
     "dropout",
     "additive_attention_mask",
+    "column_pooling_matrix",
     "stable_sigmoid",
 ]
 
@@ -246,14 +246,6 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
     return Tensor._make(out_data, (x,), backward)
 
 
-_ATTENTION_MASK_MEMO = ArrayKeyLRU("attention_mask", capacity=128)
-
-
-def _build_attention_mask(key_padding: np.ndarray) -> np.ndarray:
-    mask = np.where(key_padding, 0.0, -1e9).astype(np.float32)
-    return mask[:, None, None, :]
-
-
 def additive_attention_mask(key_padding: np.ndarray) -> np.ndarray:
     """Build an additive attention mask from a boolean padding matrix.
 
@@ -268,12 +260,27 @@ def additive_attention_mask(key_padding: np.ndarray) -> np.ndarray:
     numpy.ndarray
         Float array of shape ``(batch, 1, 1, seq)`` with ``0`` for real
         tokens and a large negative value for padding, ready to be added to
-        raw attention scores before softmax. The result is memoized per
-        padding pattern (and returned read-only): every encoder layer of a
-        forward pass — and Phase 2 revisiting a Phase-1 table — asks for
-        the same mask again.
+        raw attention scores before softmax. A forward builds it once per
+        tower and every encoder layer reads it.
     """
-    return _ATTENTION_MASK_MEMO.get(key_padding, _build_attention_mask)
+    mask = np.where(key_padding, 0.0, -1e9).astype(np.float32)
+    return mask[:, None, None, :]
+
+
+def column_pooling_matrix(
+    column_ids: np.ndarray, padding_mask: np.ndarray, num_columns: int
+) -> np.ndarray:
+    """Build the ``(B, C, T)`` mean-pooling matrix over column spans.
+
+    Row ``(b, c)`` holds ``1/k`` at the ``k`` token positions belonging to
+    column ``c`` (1-based ids in ``column_ids``), zero elsewhere. Columns
+    with no tokens (e.g. content never fetched) get an all-zero row.
+    """
+    targets = np.arange(1, num_columns + 1)[None, :, None]
+    member = (column_ids[:, None, :] == targets) & padding_mask[:, None, :]
+    member = member.astype(np.float32)
+    counts = member.sum(axis=-1, keepdims=True)
+    return member / np.maximum(counts, 1.0)
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Cross-table inference batching (the paper's S2 GPU batching).
 
+Every detector sends its inference through :class:`InferenceBatcher`.
 The pipelined executor's dispatch loop gathers the chunk requests of
-every table ready for inference into one round and hands them to
-:class:`InferenceBatcher`, which coalesces chunks from different tables
-into collated ADTD forwards on the loop's own thread and slices results
-back per chunk. Width bucketing (:func:`bucket_width`) keeps batched and
+every table ready for inference into one round and hands them over at
+once, so chunks from different tables share collated ADTD forwards on
+the loop's own thread; a sequential run hands over one table's stage at
+a time. Width bucketing (:func:`bucket_width`) keeps batched and
 unbatched runs bitwise identical; see :mod:`repro.sched.forward` for why.
 """
 
@@ -16,7 +17,6 @@ from .forward import (
     Phase2Result,
     bucket_width,
     group_requests,
-    run_grouped,
     run_phase1,
     run_phase2,
 )
@@ -29,7 +29,6 @@ __all__ = [
     "Phase2Result",
     "bucket_width",
     "group_requests",
-    "run_grouped",
     "run_phase1",
     "run_phase2",
 ]

@@ -1,32 +1,43 @@
-"""The cross-table inference batcher: one grouped run per round.
+"""The inference batcher: the one route from chunk requests to the model.
 
-The pipelined executor's dispatch loop is the compute thread (Algorithm
-1's TP2). Each round it takes the tables whose next stage is inference
-and hands all their chunk requests to :meth:`InferenceBatcher.run` at
-once; the batcher partitions them into width-compatible groups and runs
-each group as collated forwards of at most ``max_batch_cols`` columns, on
-the calling thread, returning per-request slices in order. Nothing waits
-for a batch to fill: a round takes what is ready, and while it runs the
-next round's tables finish their preparation.
+Every execution mode sends its inference through
+:meth:`InferenceBatcher.run`. The pipelined executor's dispatch loop is
+the compute thread (Algorithm 1's TP2): each round it takes the tables
+whose next stage is inference and hands all their chunk requests to the
+batcher at once. A sequential run hands it one table's infer stage at a
+time. Either way the batcher partitions the requests into
+width-compatible groups and runs each group, on the calling thread, as
+collated forwards of at most ``max_batch_cols`` columns — or of one
+request each when ``batching.enabled`` is false — returning per-request
+slices in order. "Unbatched" and "sequential" are therefore settings of
+this one route, not separate code. Nothing waits for a batch to fill: a
+round takes what is ready, and while it runs the next round's tables
+finish their preparation.
 
 There is no thread here because inference is numpy under one GIL: a
 forward on a thread of its own would only compete with the dispatch loop
 and the prep workers for that lock, slowing forwards down instead of
 overlapping them. The batcher holds no lock either; several loops (a
-direct ``detect()`` beside a service) may call :meth:`run` at once, as
-unbatched runs always could.
+direct ``detect()`` beside a service) may call :meth:`run` at once.
+
+With ``compile.enabled`` each :meth:`run` looks up the model's live plan
+cache (:func:`repro.nn.compile.plan_cache`) once and hands it to every
+forward; otherwise the forwards run eager. A detector with compilation
+off therefore never touches the plan cache another detector on the same
+model uses.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..nn import compile as nn_compile
 from ..obs.metrics import MetricsRegistry, NullMetricsRegistry, global_registry
 from .forward import Phase1Request, Phase2Request, group_requests, request_cost, run_group
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.adtd import ADTDModel
-    from ..core.config import BatchingConfig
+    from ..core.config import DetectorConfig
 
 __all__ = ["InferenceBatcher"]
 
@@ -39,7 +50,7 @@ class InferenceBatcher:
     def __init__(
         self,
         model: "ADTDModel",
-        config: "BatchingConfig",
+        config: "DetectorConfig",
         metrics: MetricsRegistry | NullMetricsRegistry | None = None,
     ) -> None:
         metrics = metrics if metrics is not None else global_registry()
@@ -60,10 +71,13 @@ class InferenceBatcher:
 
         Each width group is cut, in order, into forwards of at most
         ``max_batch_cols`` columns (a request wider than that rides
-        alone). A forward that raises propagates to the caller.
+        alone), or of one request each when batching is off. A forward
+        that raises propagates to the caller.
         """
         self._request_counter.inc(len(requests))
-        limit = self.config.max_batch_cols
+        batching = self.config.batching
+        limit = batching.max_batch_cols if batching.enabled else 0
+        plans = nn_compile.plan_cache(self.model) if self.config.compile.enabled else None
         results: list = [None] * len(requests)
         for indices, group in group_requests(requests):
             start = 0
@@ -75,7 +89,7 @@ class InferenceBatcher:
                 self._forward_counter.inc()
                 self._batch_requests_hist.observe(stop - start)
                 self._batch_cols_hist.observe(cols)
-                outputs = run_group(self.model, group[start:stop])
+                outputs = run_group(self.model, group[start:stop], plans)
                 for index, result in zip(indices[start:stop], outputs):
                     results[index] = result
                 start = stop

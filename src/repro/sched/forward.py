@@ -1,17 +1,20 @@
 """Width-bucketed batched forward passes for the ADTD model.
 
-The batcher coalesces chunks from different tables into one collated
-forward. For that to be *safe* — batched and unbatched runs must produce
+Every execution mode reaches the model the same way: the detector's
+:class:`~repro.sched.InferenceBatcher` groups requests by width and runs
+each group through :func:`run_phase1` / :func:`run_phase2`, several
+requests per forward when batching is on and one per forward when it is
+off. For that to be *safe* — batched and unbatched runs must produce
 bitwise-identical predictions — the padded sequence widths a chunk sees
 must not depend on which batch it rode in: float32 reductions regroup
 when the padded width changes, shifting results by ~1e-6, which is
 enough to flip a threshold decision. Two mechanisms guarantee identical
 widths:
 
-* every path (sequential, pipelined-unbatched, batched) quantizes padded
-  widths with :func:`bucket_width` before collating, and
-* the batcher only coalesces requests whose quantized widths already
-  match (:func:`group_requests`), so collation never re-pads a row.
+* every request's padded widths are quantized with :func:`bucket_width`
+  before collating, and
+* a forward only carries requests whose quantized widths already match
+  (:func:`group_requests`), so collation never re-pads a row.
 
 Adding *rows* is free: extra tables in the batch dimension and extra
 padded columns in the column dimension never change a real row's
@@ -36,7 +39,7 @@ from ..core.adtd import ADTDModel
 from ..core.latent_cache import CachedEncoding
 from ..core.thresholds import ThresholdPolicy
 from ..features.encoding import EncodedTable, collate
-from ..nn import compile as nn_compile
+from ..nn.compile import PlanCache
 from ..nn.functional import stable_sigmoid
 
 __all__ = [
@@ -48,7 +51,6 @@ __all__ = [
     "run_phase1",
     "run_phase2",
     "group_requests",
-    "run_grouped",
 ]
 
 
@@ -59,7 +61,7 @@ def bucket_width(length: int, quantum: int, cap: int | None = None) -> int:
     to a multiple of ``quantum`` (16 -> 16, 32, 48, 80, 128, 192, ...).
     A geometric ladder keeps the number of distinct widths small — so
     requests from different tables actually land in shared buckets and
-    coalesce — while bounding padding waste at ~33% of the sequence.
+    share forwards — while bounding padding waste at ~33% of the sequence.
     Linear quantization would waste less padding but shred medium-length
     content sequences across dozens of buckets, defeating batching.
 
@@ -175,13 +177,14 @@ def _phase1_results(
     return results
 
 
-def run_phase1(model: ADTDModel, requests: list[Phase1Request]) -> list[Phase1Result]:
+def run_phase1(
+    model: ADTDModel, requests: list[Phase1Request], plans: PlanCache | None
+) -> list[Phase1Result]:
     """One collated metadata-tower forward over same-width requests.
 
-    Routes through the model's compiled-plan cache when one is attached
-    (:func:`repro.nn.compile.enable`); any fallback — no plan cache,
-    off-ladder width, busy plan, arena overrun — runs the eager no-grad
-    forward, which is bitwise identical to the compiled replay.
+    Replays a compiled plan from ``plans`` when given one; ``None`` — or
+    any fallback: off-ladder width, busy plan, arena overrun — runs the
+    eager no-grad forward, which is bitwise identical to the replay.
     """
     if not requests:
         return []
@@ -189,7 +192,6 @@ def run_phase1(model: ADTDModel, requests: list[Phase1Request]) -> list[Phase1Re
     if any(r.meta_width != meta_width for r in requests):
         raise ValueError("phase-1 batch mixes meta widths; group_requests() first")
     batch = collate([r.encoded for r in requests], meta_width=meta_width)
-    plans = nn_compile.plan_cache(model)
     if plans is not None:
         with plans.phase1(batch) as outputs:
             if outputs is not None:
@@ -203,7 +205,9 @@ def run_phase1(model: ADTDModel, requests: list[Phase1Request]) -> list[Phase1Re
     return _phase1_results(requests, logits_np, layer_arrays)
 
 
-def run_phase2(model: ADTDModel, requests: list[Phase2Request]) -> list[Phase2Result]:
+def run_phase2(
+    model: ADTDModel, requests: list[Phase2Request], plans: PlanCache | None
+) -> list[Phase2Result]:
     """One collated content-tower forward over same-width requests."""
     if not requests:
         return []
@@ -222,7 +226,6 @@ def run_phase2(model: ADTDModel, requests: list[Phase2Request]) -> list[Phase2Re
         r.cached is not None and r.cached.usable_at(meta_width) for r in requests
     )
     cached = [r.cached for r in requests] if all_usable else None
-    plans = nn_compile.plan_cache(model)
     if plans is not None:
         with plans.phase2(batch, cached) as logits_np:
             if logits_np is not None:
@@ -274,32 +277,11 @@ def group_requests(
 
 
 def run_group(
-    model: ADTDModel, subset: list["Phase1Request | Phase2Request"]
+    model: ADTDModel,
+    subset: list["Phase1Request | Phase2Request"],
+    plans: PlanCache | None,
 ) -> list["Phase1Result | Phase2Result"]:
     """Run one width-compatible group through the right forward."""
     if isinstance(subset[0], Phase1Request):
-        return run_phase1(model, subset)
-    return run_phase2(model, subset)
-
-
-def run_grouped(
-    model: ADTDModel,
-    requests: list["Phase1Request | Phase2Request"],
-    coalesce: bool = True,
-) -> list["Phase1Result | Phase2Result"]:
-    """Run a mixed request list, returning results in submission order.
-
-    ``coalesce=False`` runs every request as its own batch-of-1 forward —
-    the unbatched reference path (and the ``batching.enabled=False``
-    configuration). Widths are bucketed either way, so both modes produce
-    bitwise-identical results.
-    """
-    results: list = [None] * len(requests)
-    if coalesce:
-        for indices, subset in group_requests(requests):
-            for index, result in zip(indices, run_group(model, subset)):
-                results[index] = result
-    else:
-        for index, request in enumerate(requests):
-            results[index] = run_group(model, [request])[0]
-    return results
+        return run_phase1(model, subset, plans)
+    return run_phase2(model, subset, plans)

@@ -15,8 +15,8 @@ dispatch thread runs :meth:`PipelinedExecutor.run_source` over
 :class:`_ServiceSource`, which interleaves the table jobs of *all*
 live jobs in fairness order (priority first, then least-served tenant),
 so one tenant's 500-table job cannot starve another's 2-table job; that
-thread also runs every inference round, so forwards of different jobs'
-tables coalesce.
+thread also runs every inference round, so different jobs' tables
+share forwards.
 Database connections come from per-server bounded
 :class:`~repro.db.pool.ConnectionPool`\\ s, acquired lazily on the prep
 worker thread with the job's deadline and cancellation wired into the
@@ -395,7 +395,7 @@ class DetectionService:
         self._source = _ServiceSource(self)
         # The service's own instance of the same executor machinery,
         # running rounds through the detector's batcher, so direct
-        # detect() calls and service jobs coalesce identically.
+        # detect() calls and service jobs are batched identically.
         self._executor = PipelinedExecutor(
             detector.config.prep_workers,
             detector=detector,

@@ -7,7 +7,8 @@ import pytest
 
 from repro import nn
 from repro.core import ADTDConfig, ADTDModel
-from repro.core.adtd import column_pooling_matrix, gather_positions
+from repro.core.adtd import gather_positions
+from repro.nn.functional import column_pooling_matrix
 from repro.features import collate
 
 

@@ -65,8 +65,22 @@ def test_stale_registry_row_is_warning_only(tmp_path):
     findings = check_tree([str(source)], registry, root=tmp_path)
     assert [f.severity for f in findings] == ["warning"]
     assert "gone.metric" in findings[0].message
-    # Warnings do not gate: exit code logic treats only errors as fatal.
-    assert _exit_code(findings) == 0
+    # Warnings gate too: the CLI fails on any finding.
+    assert _exit_code(findings) == 1
+
+
+def test_cli_exits_1_on_stale_registry_row(tmp_path, capsys):
+    source = tmp_path / "ok.py"
+    source.write_text("def f(m):\n    m.counter('a.b').inc()\n", encoding="utf-8")
+    registry = tmp_path / "metrics.md"
+    registry.write_text(
+        EMPTY_REGISTRY
+        + "| `a.b` | counter | — | fine |\n"
+        + "| `gone.metric` | counter | — | deleted code |\n",
+        encoding="utf-8",
+    )
+    assert main(["contracts", str(source), "--registry", str(registry)]) == 1
+    assert "gone.metric" in capsys.readouterr().out
 
 
 def test_missing_registry_is_an_error(tmp_path):

@@ -11,13 +11,12 @@ invalidation after weight mutation.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.core import (
+    BatchingConfig,
     CompileConfig,
     DetectOptions,
     DetectorConfig,
@@ -30,9 +29,8 @@ from repro.core import (
 from repro.db import CloudDatabaseServer, CostModel
 from repro.faults import FaultPlan, FaultRule
 from repro.nn import compile as nn_compile
-from repro.nn.memo import ArrayKeyLRU
 from repro.obs import MetricsRegistry, Tracer
-from repro.sched import Phase1Request, Phase2Request, bucket_width, run_grouped
+from repro.sched import InferenceBatcher, Phase1Request, Phase2Request, bucket_width
 from repro.serve import DetectionService
 
 FAST = CostModel(time_scale=0.0)
@@ -46,6 +44,14 @@ def _detach_plan_caches(untrained_model, trained_model):
     yield
     nn_compile.disable(untrained_model)
     nn_compile.disable(trained_model)
+
+
+def _run(model, requests, batched=False):
+    """Requests through a compile-on batcher: replays whenever the model
+    has a plan cache attached, eager otherwise; one request per forward
+    unless ``batched``."""
+    config = DetectorConfig(batching=BatchingConfig(enabled=batched))
+    return InferenceBatcher(model, config, metrics=MetricsRegistry()).run(requests)
 
 
 def _ladder(quantum=16, cap=512):
@@ -130,35 +136,33 @@ class TestBitwiseEquivalence:
             Phase1Request(encoded=encoded, meta_width=w, phase2_policy=KEEP_LATENTS)
             for w in widths
         ]
-        reference = run_grouped(untrained_model, requests, coalesce=False)
+        reference = _run(untrained_model, requests)
         # width_cap makes the capped rung (512) a ladder member, exactly as
         # the detector passes its encoder max_seq_len.
         nn_compile.enable(untrained_model, metrics=MetricsRegistry(), width_cap=512)
         # Twice: the first pass builds+verifies, the second replays hot.
         for _ in range(2):
-            compiled = run_grouped(untrained_model, requests, coalesce=False)
+            compiled = _run(untrained_model, requests)
             _assert_phase1_bitwise(reference, compiled)
         cache = nn_compile.plan_cache(untrained_model)
         assert sorted(cache.plan_keys()) == sorted((1, w) for w in widths)
 
     def test_phase1_batched(self, untrained_model, featurizer, tiny_corpus):
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:6])
-        reference = run_grouped(untrained_model, requests, coalesce=False)
+        reference = _run(untrained_model, requests)
         nn_compile.enable(untrained_model, metrics=MetricsRegistry())
-        compiled = run_grouped(untrained_model, requests, coalesce=True)
+        compiled = _run(untrained_model, requests, batched=True)
         _assert_phase1_bitwise(reference, compiled)
 
     def test_phase2_cached_and_recompute(self, untrained_model, featurizer, tiny_corpus):
         tables = tiny_corpus.tables[:4]
-        phase1 = run_grouped(
-            untrained_model, _phase1_requests(featurizer, tables), coalesce=False
-        )
+        phase1 = _run(untrained_model, _phase1_requests(featurizer, tables))
         for cached in (None, phase1):
             requests = _phase2_requests(featurizer, tables, cached_results=cached)
-            reference = run_grouped(untrained_model, requests, coalesce=False)
+            reference = _run(untrained_model, requests)
             nn_compile.enable(untrained_model, metrics=MetricsRegistry())
             for _ in range(2):
-                compiled = run_grouped(untrained_model, requests, coalesce=False)
+                compiled = _run(untrained_model, requests)
                 for ref, got in zip(reference, compiled):
                     assert ref.probs.tobytes() == got.probs.tobytes()
             nn_compile.disable(untrained_model)
@@ -168,7 +172,7 @@ class TestBitwiseEquivalence:
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:2])
         nn_compile.enable(untrained_model, metrics=metrics)
         for _ in range(3):
-            run_grouped(untrained_model, requests, coalesce=False)
+            _run(untrained_model, requests)
         assert metrics.counter("nn.compile.builds", phase="1").value >= 1
         assert metrics.counter("nn.compile.replays", phase="1").value >= 3
 
@@ -180,13 +184,13 @@ class TestPlanCache:
     def test_arena_reused_across_replays(self, untrained_model, featurizer, tiny_corpus):
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:1])
         cache = nn_compile.enable(untrained_model, metrics=MetricsRegistry())
-        run_grouped(untrained_model, requests, coalesce=False)
+        _run(untrained_model, requests)
         (key,) = cache.plan_keys()
         plan = cache._plans[key]
         backings = {name: id(buf) for name, buf in plan.arena._slots.items()}
         bytes_before = plan.arena.bytes
         for _ in range(3):
-            run_grouped(untrained_model, requests, coalesce=False)
+            _run(untrained_model, requests)
         assert plan.replays >= 4
         assert plan.arena.bytes == bytes_before
         assert {name: id(buf) for name, buf in plan.arena._slots.items()} == backings
@@ -202,7 +206,7 @@ class TestPlanCache:
         )
         for width in widths:
             requests = [Phase1Request(encoded=encoded, meta_width=width)]
-            run_grouped(untrained_model, requests, coalesce=False)
+            _run(untrained_model, requests)
         assert len(cache) == 2
         assert cache.plan_keys() == [(1, w) for w in widths[-2:]]
         assert metrics.counter("nn.compile.evictions").value == 2
@@ -219,9 +223,9 @@ class TestPlanCache:
         requests = [
             Phase1Request(encoded=encoded, meta_width=width, phase2_policy=KEEP_LATENTS)
         ]
-        reference = run_grouped(untrained_model, requests, coalesce=False)
+        reference = _run(untrained_model, requests)
         cache = nn_compile.enable(untrained_model, metrics=metrics)
-        compiled = run_grouped(untrained_model, requests, coalesce=False)
+        compiled = _run(untrained_model, requests)
         _assert_phase1_bitwise(reference, compiled)
         assert len(cache) == 0
         assert metrics.counter("nn.compile.fallbacks", reason="off_ladder").value == 1
@@ -229,12 +233,12 @@ class TestPlanCache:
     def test_busy_plan_falls_back_bitwise(self, untrained_model, featurizer, tiny_corpus):
         metrics = MetricsRegistry()
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:1])
-        reference = run_grouped(untrained_model, requests, coalesce=False)
+        reference = _run(untrained_model, requests)
         cache = nn_compile.enable(untrained_model, metrics=metrics)
-        run_grouped(untrained_model, requests, coalesce=False)
+        _run(untrained_model, requests)
         (key,) = cache.plan_keys()
         with cache._plans[key].lock:  # simulate another thread mid-replay
-            compiled = run_grouped(untrained_model, requests, coalesce=False)
+            compiled = _run(untrained_model, requests)
         _assert_phase1_bitwise(reference, compiled)
         assert metrics.counter("nn.compile.fallbacks", reason="busy").value == 1
 
@@ -242,7 +246,7 @@ class TestPlanCache:
         tracer = Tracer()
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:1])
         nn_compile.enable(untrained_model, metrics=MetricsRegistry(), tracer=tracer)
-        run_grouped(untrained_model, requests, coalesce=False)
+        _run(untrained_model, requests)
         (span,) = tracer.find("nn.compile.build")
         assert span.attributes["phase"] == 1
         assert span.attributes["meta_width"] == requests[0].meta_width
@@ -250,7 +254,7 @@ class TestPlanCache:
     def test_disable_detaches_and_releases(self, untrained_model, featurizer, tiny_corpus):
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:1])
         cache = nn_compile.enable(untrained_model, metrics=MetricsRegistry())
-        run_grouped(untrained_model, requests, coalesce=False)
+        _run(untrained_model, requests)
         assert cache._budget.used > 0
         nn_compile.disable(untrained_model)
         assert nn_compile.plan_cache(untrained_model) is None
@@ -295,11 +299,11 @@ class TestGradIsolation:
     def test_invalidate_drops_plans(self, untrained_model, featurizer, tiny_corpus):
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:1])
         cache = nn_compile.enable(untrained_model, metrics=MetricsRegistry())
-        run_grouped(untrained_model, requests, coalesce=False)
+        _run(untrained_model, requests)
         assert len(cache) == 1
         nn_compile.invalidate(untrained_model)
         assert len(cache) == 0
-        compiled = run_grouped(untrained_model, requests, coalesce=False)
+        compiled = _run(untrained_model, requests)
         assert len(cache) == 1 and compiled[0].probs.size > 0
 
     def test_grad_mode_unaffected_by_enabled_plans(
@@ -315,64 +319,6 @@ class TestGradIsolation:
         (meta_loss + content_loss).backward()
         grads = [p.grad for p in untrained_model.parameters()]
         assert any(g is not None and np.abs(g).sum() > 0 for g in grads)
-
-
-# ----------------------------------------------------------------------
-# ArrayKeyLRU (nn.memo) — capacity under concurrency, eviction metrics
-# ----------------------------------------------------------------------
-class TestArrayKeyLRU:
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError, match="capacity"):
-            ArrayKeyLRU("bad", capacity=0)
-
-    def test_eviction_counted(self):
-        memo = ArrayKeyLRU("evict-test", capacity=2)
-        for value in range(4):
-            memo.get(np.full(2, value), lambda a: a.copy())
-        assert len(memo) == 2
-        assert memo.evictions == 2
-
-    def test_capacity_enforced_under_concurrent_inserts(self):
-        memo = ArrayKeyLRU("race-test", capacity=8)
-        errors = []
-
-        def hammer(worker):
-            try:
-                for i in range(50):
-                    memo.get(np.full(3, worker * 1000 + i), lambda a: a.copy())
-                    assert len(memo) <= 8
-            except Exception as error:  # pragma: no cover - failure path
-                errors.append(error)
-
-        threads = [threading.Thread(target=hammer, args=(w,)) for w in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert len(memo) <= 8
-        assert memo.evictions >= 6 * 50 - 8
-
-    def test_racing_same_key_returns_one_entry(self):
-        memo = ArrayKeyLRU("same-key", capacity=4)
-        barrier = threading.Barrier(4)
-        results = []
-
-        def build(a):
-            return a * 2.0
-
-        def worker():
-            barrier.wait()
-            results.append(memo.get(np.arange(5.0), build))
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(memo) == 1
-        assert all(r is results[0] for r in results)
-        assert memo.hits + memo.misses == 4
 
 
 # ----------------------------------------------------------------------
@@ -438,3 +384,27 @@ class TestEndToEnd:
                 handle = service.submit("tenant-a", server, names)
                 reports[compiled] = handle.result(timeout=60.0)
         assert _report_bytes(reports[True]) == _report_bytes(reports[False])
+
+    def test_compile_off_detector_leaves_other_detectors_plans(
+        self, trained_model, featurizer, tiny_corpus
+    ):
+        """A compile-off detector runs eager without detaching the plan
+        cache a default detector on the same model replays from."""
+        metrics = MetricsRegistry()
+
+        def replays():
+            return sum(
+                metrics.counter("nn.compile.replays", phase=phase).value
+                for phase in ("1", "2")
+            )
+
+        def detect(detector):
+            before = replays()
+            detector.detect(CloudDatabaseServer.from_tables(tiny_corpus.test, FAST))
+            return replays() - before
+
+        compiled = _make_detector(trained_model, featurizer, True, metrics=metrics)
+        eager = _make_detector(trained_model, featurizer, False, metrics=metrics)
+        assert detect(compiled) > 0
+        assert detect(eager) == 0
+        assert detect(compiled) > 0

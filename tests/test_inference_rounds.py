@@ -52,10 +52,10 @@ def forward_calls(monkeypatch):
     calls: list[tuple[threading.Thread, list[str]]] = []
 
     def spy(original):
-        def forward(model, requests):
+        def forward(*args):
             names = [thread.name for thread in threading.enumerate()]
             calls.append((threading.current_thread(), names))
-            return original(model, requests)
+            return original(*args)
 
         return forward
 
@@ -110,11 +110,11 @@ def failing_round(monkeypatch):
         state["round"] = [job.table_name for job in jobs]
         return run_round(executor, jobs)
 
-    def raising_phase2(model, requests):
+    def raising_phase2(*args):
         if state["failed"] is None:
             state["failed"] = list(state["round"])
             raise RuntimeError("forward failed")
-        return run_phase2(model, requests)
+        return run_phase2(*args)
 
     monkeypatch.setattr(PipelinedExecutor, "_run_round", recording_round)
     monkeypatch.setattr(sched_forward, "run_phase2", raising_phase2)

@@ -1,23 +1,24 @@
 """Tests for repro.sched: width bucketing, the cross-table inference
-batcher, the no-grad memo caches, and — the load-bearing property —
-bitwise equivalence of sequential, pipelined-unbatched and batched runs."""
+batcher, the featurizer's token-id memo, and — the load-bearing property —
+that every execution mode forwards through the batcher and produces
+bitwise-identical reports."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core import (
     BatchingConfig,
+    CompileConfig,
     DetectOptions,
     DetectorConfig,
+    RuntimeConfig,
     TasteDetector,
     ThresholdPolicy,
 )
 from repro.db import CloudDatabaseServer, CostModel
 from repro.faults import FaultPlan, FaultRule
 from repro.features.encoding import TokenEncodeCache
-from repro.nn import ArrayKeyLRU
 from repro.obs.metrics import MetricsRegistry
 from repro.sched import (
     InferenceBatcher,
@@ -25,8 +26,9 @@ from repro.sched import (
     Phase1Result,
     bucket_width,
     group_requests,
-    run_grouped,
+    run_phase1,
 )
+from repro.serve import DetectionService
 
 FAST = CostModel(time_scale=0.0)
 # Every probability is uncertain, so every Phase-1 result keeps its latents.
@@ -120,47 +122,6 @@ class TestTokenEncodeCache:
 
 
 # ----------------------------------------------------------------------
-# Array-keyed kernel memo
-# ----------------------------------------------------------------------
-class TestArrayKeyLRU:
-    def test_builds_once_per_key(self):
-        memo = ArrayKeyLRU("test", capacity=4)
-        calls = []
-
-        def build(array):
-            calls.append(1)
-            return array * 2.0
-
-        key = np.arange(4, dtype=np.float32)
-        first = memo.get(key, build)
-        second = memo.get(key.copy(), build)  # equal content, new object
-        assert len(calls) == 1
-        assert first is second
-        np.testing.assert_array_equal(first, key * 2.0)
-        assert memo.hits == 1 and memo.misses == 1
-
-    def test_cached_arrays_are_read_only(self):
-        memo = ArrayKeyLRU("test", capacity=4)
-        built = memo.get(np.ones(3), lambda a: a + 1.0)
-        assert not built.flags.writeable
-
-    def test_capacity_evicts(self):
-        memo = ArrayKeyLRU("test", capacity=2)
-        for value in (1.0, 2.0, 3.0):
-            memo.get(np.full(2, value), lambda a: a.copy())
-        memo.get(np.full(2, 1.0), lambda a: a.copy())  # was evicted
-        assert memo.misses == 4 and len(memo) == 2
-
-    def test_tuple_keys(self):
-        memo = ArrayKeyLRU("test", capacity=4)
-        a, b = np.arange(3), np.arange(3, 6)
-        memo.get((a, b), lambda x, y: x + y)
-        memo.get((a, b), lambda x, y: x + y)
-        memo.get((b, a), lambda x, y: x + y)  # order matters
-        assert memo.hits == 1 and memo.misses == 2
-
-
-# ----------------------------------------------------------------------
 # Batcher mechanics (driven directly, no executor)
 # ----------------------------------------------------------------------
 def _phase1_requests(featurizer, tables, quantum=16):
@@ -174,14 +135,19 @@ def _phase1_requests(featurizer, tables, quantum=16):
     return requests
 
 
+def _one_per_forward(model, requests):
+    """The unbatched eager reference: every request its own forward."""
+    return [run_phase1(model, [request], None)[0] for request in requests]
+
+
 class TestInferenceBatcher:
     def test_results_match_local_forwards_bitwise(
         self, untrained_model, featurizer, tiny_corpus
     ):
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:4])
-        reference = run_grouped(untrained_model, requests, coalesce=False)
+        reference = _one_per_forward(untrained_model, requests)
         batcher = InferenceBatcher(
-            untrained_model, BatchingConfig(), metrics=MetricsRegistry()
+            untrained_model, DetectorConfig(), metrics=MetricsRegistry()
         )
         batched = batcher.run(requests)
         assert all(isinstance(result, Phase1Result) for result in batched)
@@ -199,12 +165,12 @@ class TestInferenceBatcher:
         into several forwards: with a 2-column budget and tables of at
         least 2 columns, every request rides alone."""
         metrics = MetricsRegistry()
-        config = BatchingConfig(max_batch_cols=2)
+        config = DetectorConfig(batching=BatchingConfig(max_batch_cols=2))
         batcher = InferenceBatcher(untrained_model, config, metrics=metrics)
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:3])
         assert all(request.num_columns >= 2 for request in requests)
         results = batcher.run(requests)
-        reference = run_grouped(untrained_model, requests, coalesce=False)
+        reference = _one_per_forward(untrained_model, requests)
         assert [r.probs.tobytes() for r in results] == [
             r.probs.tobytes() for r in reference
         ]
@@ -216,7 +182,7 @@ class TestInferenceBatcher:
         self, untrained_model, featurizer, tiny_corpus
     ):
         batcher = InferenceBatcher(
-            untrained_model, BatchingConfig(), metrics=MetricsRegistry()
+            untrained_model, DetectorConfig(), metrics=MetricsRegistry()
         )
         bad = Phase1Request(encoded=None, meta_width=16)  # forward will raise
         good = _phase1_requests(featurizer, tiny_corpus.tables[:1])
@@ -244,10 +210,25 @@ class TestInferenceBatcher:
 def _detect(model, featurizer, tables, config, options=None):
     server = CloudDatabaseServer.from_tables(tables, FAST)
     detector = TasteDetector(
-        model, featurizer, ThresholdPolicy(0.3, 0.7), config=config
+        model,
+        featurizer,
+        ThresholdPolicy(0.3, 0.7),
+        config=config,
+        runtime=RuntimeConfig(metrics=MetricsRegistry()),
     )
     report = detector.detect(server, options=options)
     return detector, report
+
+
+UNBATCHED = BatchingConfig(enabled=False)
+# Every execution mode; each must forward through the detector's batcher.
+MODES = {
+    "sequential-batched": (DetectorConfig(pipelined=False), False),
+    "sequential-unbatched": (DetectorConfig(pipelined=False, batching=UNBATCHED), False),
+    "pipelined-batched": (DetectorConfig(pipelined=True), False),
+    "pipelined-unbatched": (DetectorConfig(pipelined=True, batching=UNBATCHED), False),
+    "service": (DetectorConfig(pipelined=True), True),
+}
 
 
 def _assert_reports_bitwise_equal(report_a, report_b):
@@ -275,13 +256,12 @@ class TestBatchedEquivalence:
         _, seq_report = _detect(
             trained_model, featurizer, tables, DetectorConfig(pipelined=False)
         )
-        bat_detector, bat_report = _detect(
+        _, bat_report = _detect(
             trained_model,
             featurizer,
             tables,
             DetectorConfig(pipelined=True),
         )
-        assert bat_detector.batcher is not None
         _assert_reports_bitwise_equal(seq_report, bat_report)
 
     def test_pipelined_unbatched_matches_batched(
@@ -292,9 +272,10 @@ class TestBatchedEquivalence:
             trained_model,
             featurizer,
             tables,
-            DetectorConfig(pipelined=True, batching=BatchingConfig(enabled=False)),
+            DetectorConfig(pipelined=True, batching=UNBATCHED),
         )
-        assert off_detector.batcher is None
+        forwards = off_detector.metrics.counter("sched.forwards").value
+        assert forwards == off_detector.metrics.counter("sched.requests").value > 0
         _, on_report = _detect(
             trained_model,
             featurizer,
@@ -354,3 +335,50 @@ class TestBatchedEquivalence:
         degraded_bat = {t.table_name for t in bat_report.tables if t.degraded}
         assert degraded_seq == degraded_bat == {doomed}
         _assert_reports_bitwise_equal(seq_report, bat_report)
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_every_mode_forwards_through_the_batcher(
+        self, mode, trained_model, featurizer, tiny_corpus, table_jobs
+    ):
+        """Sequential or pipelined, batched or not, direct or served: the
+        batcher runs every chunk request the run makes, one per forward
+        when batching is off, and the report is bitwise the sequential,
+        unbatched, eager reference's."""
+        tables = tiny_corpus.train[:10]
+        _, reference = _detect(
+            trained_model,
+            featurizer,
+            tables,
+            DetectorConfig(
+                pipelined=False,
+                batching=UNBATCHED,
+                compile=CompileConfig(enabled=False),
+            ),
+        )
+        config, served = MODES[mode]
+        metrics = MetricsRegistry()
+        detector = TasteDetector(
+            trained_model,
+            featurizer,
+            ThresholdPolicy(0.3, 0.7),
+            config=config,
+            runtime=RuntimeConfig(metrics=metrics),
+        )
+        server = CloudDatabaseServer.from_tables(tables, FAST)
+        table_jobs.clear()
+        if served:
+            with DetectionService(detector) as service:
+                handle = service.submit("tenant-a", server, [t.name for t in tables])
+                report = handle.result(timeout=60.0)
+        else:
+            report = detector.detect(server)
+        assert len(table_jobs) == len(tables)
+        phase1 = sum(len(job.chunks) for job in table_jobs)
+        phase2 = sum(len(job._phase2_chunks()) for job in table_jobs)
+        assert phase2 > 0
+        requests = metrics.counter("sched.requests").value
+        assert requests == phase1 + phase2
+        if not config.batching.enabled:
+            assert metrics.counter("sched.forwards").value == requests
+            assert metrics.histogram("sched.batch_requests").max == 1
+        _assert_reports_bitwise_equal(reference, report)

@@ -4,7 +4,8 @@ Every class under ``src/`` that owns a threading lock is instrumented with
 :class:`LocksetMonitor` while three runs drive it: a pipelined
 ``detect()`` on a sleeping server under a fault plan (so prep stages give
 their slot back in real waits and retry backoffs), a sequential
-``detect()``, and a three-tenant :class:`DetectionService`. The lock order
+``detect()`` (once cleanly, once with a forward that raises), and a
+three-tenant :class:`DetectionService`. The lock order
 observed across all three must be acyclic and must include the edges the
 lock discipline is known to create; after each run nothing may be left
 held.
@@ -38,9 +39,9 @@ from repro.faults.plan import FaultInjector
 from repro.features import FeatureConfig, Featurizer
 from repro.features.encoding import TokenEncodeCache
 from repro.nn.compile import CompiledPlan, PlanCache, _ArenaBudget
-from repro.nn.memo import ArrayKeyLRU
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.metrics import Counter, Gauge, Histogram
+from repro.sched import forward as sched_forward
 from repro.serve import DetectionService
 from repro.serve.admission import AdmissionController, TokenBucket
 from repro.serve.service import _JobConnection, _ServiceSource
@@ -61,7 +62,6 @@ LOCK_OWNERS = (
     PlanCache,
     CompiledPlan,
     _ArenaBudget,
-    ArrayKeyLRU,
     TokenEncodeCache,
     Tracer,
     MetricsRegistry,
@@ -169,16 +169,10 @@ def module_lock_owners(monkeypatch):
     the instrumentation), so their locks are tracked too."""
 
     def install(monitor):
-        import repro.core.adtd as adtd
         import repro.nn.compile as nn_compile
-        import repro.nn.functional as functional
         import repro.obs.metrics as obs_metrics
 
         monkeypatch.setattr(obs_metrics, "_GLOBAL", MetricsRegistry())
-        monkeypatch.setattr(adtd, "_POOLING_MEMO", ArrayKeyLRU("column_pooling", 256))
-        monkeypatch.setattr(
-            functional, "_ATTENTION_MASK_MEMO", ArrayKeyLRU("attention_mask", 128)
-        )
         monkeypatch.setattr(
             nn_compile,
             "_CACHES_LOCK",
@@ -189,7 +183,7 @@ def module_lock_owners(monkeypatch):
 
 
 def test_whole_stack_lock_order_is_acyclic(
-    tiny_encoder, tiny_corpus, tokenizer, table_jobs, module_lock_owners
+    tiny_encoder, tiny_corpus, tokenizer, table_jobs, module_lock_owners, monkeypatch
 ):
     tables = tiny_corpus.tables[:4]
     names = [table.name for table in tables]
@@ -220,6 +214,23 @@ def test_whole_stack_lock_order_is_acyclic(
         assert report.ok
         assert_no_leaked_connections(table_jobs=table_jobs)
 
+        # 2b. Sequential detect() whose second Phase-1 forward raises.
+        run_phase1 = sched_forward.run_phase1
+        forwards = []
+
+        def raising_phase1(*args):
+            forwards.append(args)
+            if len(forwards) == 2:
+                raise RuntimeError("forward failed")
+            return run_phase1(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sched_forward, "run_phase1", raising_phase1)
+            with pytest.raises(RuntimeError, match="forward failed"):
+                sequential.detect(_server(tables, metrics), names)
+        assert len(forwards) == 2
+        assert_no_leaked_connections(table_jobs=table_jobs)
+
         # 3. Three tenants through one service, one of them under faults.
         servers = {tenant: _server(tables, metrics) for tenant in TENANT_PLANS}
         with DetectionService(pipelined) as service:
@@ -232,7 +243,7 @@ def test_whole_stack_lock_order_is_acyclic(
         for server in servers.values():
             assert_no_leaked_connections(service, server, table_jobs=table_jobs)
 
-    assert len(table_jobs) == 5 * len(tables)
+    assert len(table_jobs) == 6 * len(tables)
     monitor.assert_clean()
     edges = monitor.order_edges()
     assert monitor.order_cycle() is None, edges
