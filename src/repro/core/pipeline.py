@@ -17,9 +17,17 @@ inference, in ``pending()`` order, up to ``max_batch_cols`` columns
 (always at least one table), releases the source's condition, builds
 their requests, runs them all through one width-grouped forward call
 (:meth:`~repro.sched.InferenceBatcher.run`), applies each table's
-readout, and reports each table back under the condition. Prep stages
-are dispatched before every round, so their database waits overlap the
-round's forwards; nothing waits for a batch to fill.
+readout, and reports each table back under the condition. Nothing waits
+for a batch to fill.
+
+Prep keeps flowing while a round runs. The loop dispatches prep stages
+before every round, and a prep worker that finishes a stage refills its
+own slot under the condition: it takes the next ready prep stage in
+``pending()`` order and runs it on its own thread. It stops when the
+source aborts, when no prep stage is ready, or when a waking database
+wait has pushed the slots over ``prep_workers``. The next round then
+carries every table prepared meanwhile, so a round is bounded by
+``max_batch_cols``, not by ``prep_workers``.
 
 A prep stage spends most of its wall blocked on the database, not on the
 CPU. ``prep_workers`` therefore counts prep stages *on the CPU*: while a
@@ -117,7 +125,11 @@ class JobSource(Protocol):
         ...
 
     def note_dispatch(self, job: TableJob, kind: str) -> None:
-        """A ``kind`` stage of ``job`` was just dispatched (to TP1, or to a round)."""
+        """A ``kind`` stage of ``job`` was just dispatched (to TP1, or to a round).
+
+        Prep stages are dispatched by the loop and by prep workers
+        refilling their own slot; either way the condition is held.
+        """
         ...
 
     def note_stage_complete(self, job: TableJob) -> None:
@@ -168,7 +180,9 @@ class PipelinedExecutor:
     may run on the CPU at once, and a stage blocked in a real database
     wait does not count against them (see the module docstring). TP1's
     threads, ``max(prep_workers, PREP_THREADS)``, bound both together.
-    Inference stages run on the thread that calls :meth:`run_source`.
+    A worker whose stage ends keeps its slot for the next ready prep
+    stage. Inference stages run on the thread that calls
+    :meth:`run_source`.
 
     Parameters
     ----------
@@ -326,24 +340,41 @@ class PipelinedExecutor:
             else:
                 source.note_stage_error(job, error)
 
-        def prep_worker(job: TableJob) -> None:
+        def next_prep() -> TableJob | None:
+            # Condition held: the slot a finishing stage frees goes to the
+            # first ready prep stage in pending() order, unless the run
+            # aborted or a waking stage pushed the slots over the limit.
+            if source.aborted() or prep_in_flight > self.prep_workers:
+                return None
+            for job in source.pending():
+                if not job.done and id(job) not in running and job.next_stage_kind() == "prep":
+                    return job
+            return None
+
+        def prep_worker(job: TableJob | None) -> None:
             nonlocal prep_in_flight
-            error: BaseException | None = None
             # Scoped to this dispatch's context copy; gone when it ends.
             WAIT_SCOPE.set(slot_released)
-            try:
-                job.run_next_stage()
-            except BaseException as stage_error:  # routed to the source
-                error = stage_error
-            finally:
+            while job is not None:
+                error: BaseException | None = None
+                try:
+                    job.run_next_stage()
+                except BaseException as stage_error:  # routed to the source
+                    error = stage_error
                 with condition:
-                    prep_in_flight -= 1
-                    in_flight_gauges["prep"].set(prep_in_flight)
                     report(job, error)
+                    # Refill the slot here, not on the loop's next pass, so
+                    # prep keeps flowing while the loop runs a round.
+                    job = next_prep()
+                    if job is None:
+                        prep_in_flight -= 1
+                        in_flight_gauges["prep"].set(prep_in_flight)
+                    else:
+                        dispatch(job, "prep", time.perf_counter())
                     condition.notify_all()
 
         def dispatch(job: TableJob, kind: str, now: float) -> None:
-            queue_wait[kind].observe(now - eligible_since[id(job)])
+            queue_wait[kind].observe(now - eligible_since.get(id(job), now))
             running.add(id(job))
             dispatch_counters[kind].inc()
             source.note_dispatch(job, kind)

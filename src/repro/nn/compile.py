@@ -11,10 +11,13 @@ identical shapes. This module trades that overhead for a
   walking the model structure once, prefetching every weight the forward
   touches. Replays are straight-line numpy — zero ``Tensor``/autograd
   objects on the hot path.
-* Each plan owns a **workspace arena**: named, growable buffers reused
-  across replays, written through the shared ``out=`` kernels in
+* Every plan of a model replays into **one workspace arena**, owned by
+  the model's :class:`PlanCache`: named, growable buffers reused across
+  replays and plans, written through the shared ``out=`` kernels in
   :mod:`repro.nn.functional` (``softmax_`` reusing the attention-score
-  buffer, fused residual+``layer_norm_``, fused bias+``gelu_``).
+  buffer, fused residual+``layer_norm_``, fused bias+``gelu_``). Wider
+  forwards grow that one arena to the largest demand per buffer, not a
+  sum of per-plan arenas.
 * **Fused weight layouts**: the per-layer Q/K/V projections are
   concatenated into one ``(H, 3H)`` GEMM at build time, and the
   asymmetric cross-attention's K/V pair into one ``(H, 2H)`` GEMM whose
@@ -41,9 +44,10 @@ mechanisms guarantee it:
 
 Plans are looked up via a module-level weak registry (never stored on the
 model, so models stay picklable/deep-copyable) and are keyed off the same
-width ladder the batcher uses; off-ladder widths, busy plans (another
-thread mid-replay), arena-budget overruns and dead plans all fall back to
-the eager forward — safe, because eager and compiled agree bitwise.
+width ladder the batcher uses; off-ladder widths, a busy arena (another
+thread mid-replay on the same model), arena-budget overruns and dead
+plans all fall back to the eager forward — safe, because eager and
+compiled agree bitwise.
 The detector's :class:`~repro.sched.InferenceBatcher` looks the cache up
 once per run, and only when its own ``compile.enabled`` is set: a
 detector with compilation off runs eager and leaves the plans of other
@@ -98,9 +102,10 @@ class CompileConfig:
     """Knobs of the inference compiler (``DetectorConfig.compile``).
 
     ``max_plans`` bounds how many ``(phase, width)`` plans stay cached
-    (LRU-evicted beyond that); ``arena_bytes_limit`` bounds the summed
-    workspace-arena bytes across all live plans — a replay whose buffers
-    would exceed it falls back to the eager forward for that batch.
+    (LRU-evicted beyond that); ``arena_bytes_limit`` bounds the bytes of
+    the cache's one workspace arena, which every plan shares — a replay
+    whose buffers would grow it past the limit falls back to the eager
+    forward for that batch.
     """
 
     enabled: bool = True
@@ -122,38 +127,20 @@ class ArenaLimitError(RuntimeError):
     """A replay's workspace demand exceeded ``arena_bytes_limit``."""
 
 
-class _ArenaBudget:
-    """Byte budget shared by every arena of one plan cache."""
-
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
-        self.used = 0
-        self._lock = threading.Lock()
-
-    def reserve(self, delta: int) -> None:
-        with self._lock:
-            if delta > 0 and self.used + delta > self.limit:
-                raise ArenaLimitError(
-                    f"workspace arenas would use {self.used + delta} bytes, "
-                    f"over the {self.limit}-byte limit"
-                )
-            self.used += delta
-
-    def release(self, nbytes: int) -> None:
-        with self._lock:
-            self.used -= nbytes
-
-
 class Arena:
-    """Named, growable workspace buffers backing one plan's replays.
+    """Named, growable workspace buffers backing every replay of one plan cache.
 
     ``buf(name, shape)`` returns a contiguous view of a flat backing
     array, re-used across replays; the backing only reallocates when a
-    replay needs more elements than any previous one (batch size and
-    column count vary under a fixed width key, sequence widths do not).
+    replay needs more elements than any previous one under that name.
+    Plans of different widths write the same names, so the arena holds
+    the largest demand per name, not the sum over plans. Growth that
+    would take :attr:`bytes` over ``limit`` raises
+    :class:`ArenaLimitError`. The owning :class:`PlanCache`'s replay lock
+    guards every call.
     """
 
-    def __init__(self, budget: _ArenaBudget) -> None:
+    def __init__(self, limit: int) -> None:
         self._slots: dict[str, np.ndarray] = {}
         # name -> (shape, dtype, view): the last view handed out per name.
         # A steady batch size (the common replay regime) turns every buf()
@@ -161,7 +148,7 @@ class Arena:
         # The entry always views the *current* backing: any reallocation
         # happens inside buf(), which overwrites the entry in the same call.
         self._views: dict[str, tuple[tuple[int, ...], np.dtype, np.ndarray]] = {}
-        self._budget = budget
+        self.limit = limit
         self.bytes = 0
 
     def buf(self, name: str, shape: tuple[int, ...], dtype: Any = np.float32) -> np.ndarray:
@@ -174,24 +161,24 @@ class Arena:
             size *= int(dim)
         backing = self._slots.get(name)
         if backing is None or backing.dtype != dtype or backing.size < size:
-            nbytes = size * dtype.itemsize
             released = backing.nbytes if backing is not None else 0
-            self._budget.reserve(nbytes - released)
-            if backing is not None:
-                del self._slots[name]
-                self.bytes -= released
+            total = self.bytes - released + size * dtype.itemsize
+            if total > self.limit:
+                raise ArenaLimitError(
+                    f"the workspace arena would use {total} bytes, "
+                    f"over the {self.limit}-byte limit"
+                )
             backing = np.empty(size, dtype=dtype)
             self._slots[name] = backing
-            self.bytes += nbytes
+            self.bytes = total
         view = backing[:size].reshape(shape)
         self._views[name] = (shape, dtype, view)
         return view
 
     def release(self) -> None:
-        """Drop all buffers and hand their bytes back to the budget."""
+        """Drop all buffers."""
         self._slots.clear()
         self._views.clear()
-        self._budget.release(self.bytes)
         self.bytes = 0
 
 
@@ -237,10 +224,11 @@ class _LayerWeights:
 
 
 class CompiledPlan:
-    """One shape-specialized replay program plus its workspace arena.
+    """One shape-specialized replay program.
 
-    All replay entry points assume the caller holds :attr:`lock` — the
-    arena's buffers are shared mutable state across replays.
+    Its replays write into the owning :class:`PlanCache`'s one arena, so
+    every replay entry point assumes the caller holds that cache's replay
+    lock.
     """
 
     def __init__(self, key: tuple, cache: "PlanCache") -> None:
@@ -248,8 +236,6 @@ class CompiledPlan:
         self.phase = key[0]
         self.meta_width = key[1]
         self.content_width = key[2] if len(key) > 2 else None
-        self.lock = threading.Lock()
-        self.arena = Arena(cache._budget)
         self.fused = True
         self.dead = False
         self.replays = 0
@@ -289,11 +275,11 @@ class CompiledPlan:
         self._built = True
 
     # ------------------------------------------------------------------
-    # Replay kernels (caller holds self.lock)
+    # Replay kernels (caller holds the cache's replay lock)
     # ------------------------------------------------------------------
     def _embed(self, ids: np.ndarray, segments: np.ndarray, column_ids: np.ndarray, name: str) -> np.ndarray:
         batch_size, seq = ids.shape
-        arena = self.arena
+        arena = self._cache.arena
         out = arena.buf(name, (batch_size, seq, self.hidden))
         scratch = arena.buf("embed_scratch", (batch_size, seq, self.hidden))
         np.take(self.token_w, ids, axis=0, out=out)
@@ -326,7 +312,7 @@ class CompiledPlan:
         ``out`` may alias ``query`` — the query buffer's last read (the
         first residual add) happens before the first write to ``out``.
         """
-        arena = self.arena
+        arena = self._cache.arena
         batch_size, q_len, hidden = query.shape
         kv_len = kv_input.shape[1]
         heads, head_dim = self.heads, self.head_dim
@@ -396,7 +382,7 @@ class CompiledPlan:
         mask = additive_attention_mask(batch.meta_mask)
         outputs = [hidden]
         for index, weights in enumerate(self.layers):
-            out = self.arena.buf(f"meta_h{index + 1}", (batch_size, meta_width, self.hidden))
+            out = self._cache.arena.buf(f"meta_h{index + 1}", (batch_size, meta_width, self.hidden))
             hidden = self._attention_block(weights, hidden, hidden, mask, out, "m_")
             outputs.append(hidden)
         return outputs
@@ -410,7 +396,7 @@ class CompiledPlan:
         b2: np.ndarray,
         prefix: str,
     ) -> np.ndarray:
-        arena = self.arena
+        arena = self._cache.arena
         batch_size, num_columns, _ = features.shape
         hidden = arena.buf(prefix + "cls_hidden", (batch_size, num_columns, w1.shape[1]))
         np.matmul(features, w1, out=hidden)
@@ -431,14 +417,14 @@ class CompiledPlan:
         num_columns = batch.col_positions.shape[1]
         numeric_dim = batch.numeric.shape[-1]
         pooling = column_pooling_matrix(batch.meta_column_ids, batch.meta_mask, num_columns)
-        features = self.arena.buf("p1_features", (batch_size, num_columns, self.hidden + numeric_dim))
+        features = self._cache.arena.buf("p1_features", (batch_size, num_columns, self.hidden + numeric_dim))
         np.matmul(pooling, meta_layers[-1], out=features[..., : self.hidden])
         features[..., self.hidden :] = batch.numeric
         logits = self._classifier(features, self.meta_w1, self.meta_b1, self.meta_w2, self.meta_b2, "p1_")
         return logits, meta_layers
 
     def _replay_phase2(self, batch: "Batch", cached: "list | None") -> np.ndarray:
-        arena = self.arena
+        arena = self._cache.arena
         batch_size, meta_width = batch.meta_ids.shape
         content_width = batch.content_ids.shape[1]
         hidden_size, num_layers = self.hidden, len(self.layers)
@@ -522,8 +508,8 @@ class CompiledPlan:
         phase 2: ``logits``) or ``None`` when the caller must fall back to
         the eager forward. A verification mismatch still returns *valid*
         outputs — the eager reference just computed — while marking the
-        plan dead. The caller holds :attr:`lock`; metric events are
-        appended to ``events`` for emission after it is released.
+        plan dead. The caller holds the cache's replay lock; metric events
+        are appended to ``events`` for emission after it is released.
         """
         if self.dead:
             events.append(("fallback", "dead"))
@@ -575,10 +561,18 @@ class CompiledPlan:
 class PlanCache:
     """LRU cache of :class:`CompiledPlan` for one model.
 
-    Lock discipline: ``self._lock`` guards only the plan dict; each plan's
-    own lock guards its arena; the cache emits its own metrics strictly
-    outside both (metric registries have locks of their own). A replay
-    still takes leaf locks (counter, tracer) under its plan's lock;
+    Every plan replays into the cache's one :class:`Arena`, so the arena
+    holds the largest demand per buffer name over all plans, not a sum
+    of per-plan arenas, and evicting a plan frees nothing.
+
+    Lock discipline: ``self._lock`` guards only the plan dict; the replay
+    lock guards the arena, so one replay runs at a time per model and a
+    concurrent one falls back to the (bitwise identical) eager forward
+    with reason ``busy``. :meth:`reset` releases the arena under the
+    replay lock, after any replay in flight has finished growing it. The
+    cache emits its own metrics strictly outside both locks (metric
+    registries have locks of their own). A replay still takes leaf locks
+    (counter, tracer) under the replay lock;
     ``tests/test_stack_lock_order.py`` checks the observed order stays
     acyclic.
     """
@@ -602,7 +596,8 @@ class PlanCache:
         self._model_ref = weakref.ref(model)
         self._lock = threading.Lock()
         self._plans: "OrderedDict[tuple, CompiledPlan]" = OrderedDict()
-        self._budget = _ArenaBudget(config.arena_bytes_limit)
+        self._replay_lock = threading.Lock()
+        self.arena = Arena(config.arena_bytes_limit)
         self._build_counters = {
             1: metrics.counter("nn.compile.builds", phase="1"),
             2: metrics.counter("nn.compile.builds", phase="2"),
@@ -661,13 +656,12 @@ class PlanCache:
             size = len(self._plans)
         for old in evicted:
             old.dead = True
-            old.arena.release()
         if evicted:
             self._eviction_counter.inc(len(evicted))
         self._plans_gauge.set(size)
         return plan, None
 
-    def _emit(self, events: list) -> None:
+    def _emit(self, events: list, arena_bytes: int) -> None:
         for kind, arg in events:
             if kind == "replay":
                 self._replay_counters[arg].inc()
@@ -676,7 +670,7 @@ class PlanCache:
             elif kind == "fallback":
                 self._fallback_counters[arg].inc()
         if events:
-            self._arena_gauge.set(self._budget.used)
+            self._arena_gauge.set(arena_bytes)
 
     def _run_ctx(self, key: tuple, batch: "Batch", cached: "list | None") -> Iterator[Any]:
         model = self._model_ref()
@@ -685,9 +679,9 @@ class PlanCache:
             self._fallback_counters[reason].inc()
             yield None
             return
-        if not plan.lock.acquire(blocking=False):
-            # Another thread is mid-replay in this plan's arena; the eager
-            # forward is bitwise identical, so just take it.
+        if not self._replay_lock.acquire(blocking=False):
+            # Another thread is mid-replay in the arena; the eager forward
+            # is bitwise identical, so just take it.
             self._fallback_counters["busy"].inc()
             yield None
             return
@@ -695,8 +689,9 @@ class PlanCache:
         try:
             yield plan.run(model, batch, cached, events)
         finally:
-            plan.lock.release()
-            self._emit(events)
+            arena_bytes = self.arena.bytes
+            self._replay_lock.release()
+            self._emit(events, arena_bytes)
 
     @contextmanager
     def phase1(self, batch: "Batch") -> Iterator["tuple[np.ndarray, list[np.ndarray]] | None"]:
@@ -727,12 +722,15 @@ class PlanCache:
             self._plans.clear()
         for plan in plans:
             plan.dead = True
-            plan.arena.release()
+        # A replay in flight keeps growing the arena until it ends, so
+        # release only once it has.
+        with self._replay_lock:
+            self.arena.release()
         model = self._model_ref()
         if model is not None:
             self.fingerprint = weight_fingerprint(model)
         self._plans_gauge.set(0)
-        self._arena_gauge.set(self._budget.used)
+        self._arena_gauge.set(0)
 
     def __len__(self) -> int:
         with self._lock:

@@ -11,6 +11,8 @@ invalidation after weight mutation.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,23 @@ def _phase2_requests(featurizer, tables, cached_results=None):
             )
         )
     return requests
+
+
+def _block_first_classifier(monkeypatch):
+    """Park the first compiled replay that reaches its classifier (its
+    last arena growth) until ``release`` is set; ``inside`` is set once
+    it is parked."""
+    inside, release = threading.Event(), threading.Event()
+    classifier = nn_compile.CompiledPlan._classifier
+
+    def parked(plan, *args):
+        if not inside.is_set():
+            inside.set()
+            release.wait(timeout=10.0)
+        return classifier(plan, *args)
+
+    monkeypatch.setattr(nn_compile.CompiledPlan, "_classifier", parked)
+    return inside, release
 
 
 def _assert_phase1_bitwise(reference, compiled):
@@ -187,13 +206,13 @@ class TestPlanCache:
         _run(untrained_model, requests)
         (key,) = cache.plan_keys()
         plan = cache._plans[key]
-        backings = {name: id(buf) for name, buf in plan.arena._slots.items()}
-        bytes_before = plan.arena.bytes
+        backings = {name: id(buf) for name, buf in cache.arena._slots.items()}
+        bytes_before = cache.arena.bytes
         for _ in range(3):
             _run(untrained_model, requests)
         assert plan.replays >= 4
-        assert plan.arena.bytes == bytes_before
-        assert {name: id(buf) for name, buf in plan.arena._slots.items()} == backings
+        assert cache.arena.bytes == bytes_before
+        assert {name: id(buf) for name, buf in cache.arena._slots.items()} == backings
 
     def test_eviction_at_max_plans(self, untrained_model, featurizer, tiny_corpus):
         metrics = MetricsRegistry()
@@ -237,7 +256,7 @@ class TestPlanCache:
         cache = nn_compile.enable(untrained_model, metrics=metrics)
         _run(untrained_model, requests)
         (key,) = cache.plan_keys()
-        with cache._plans[key].lock:  # simulate another thread mid-replay
+        with cache._replay_lock:  # simulate another thread mid-replay
             compiled = _run(untrained_model, requests)
         _assert_phase1_bitwise(reference, compiled)
         assert metrics.counter("nn.compile.fallbacks", reason="busy").value == 1
@@ -255,10 +274,106 @@ class TestPlanCache:
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:1])
         cache = nn_compile.enable(untrained_model, metrics=MetricsRegistry())
         _run(untrained_model, requests)
-        assert cache._budget.used > 0
+        assert cache.arena.bytes > 0
         nn_compile.disable(untrained_model)
         assert nn_compile.plan_cache(untrained_model) is None
-        assert cache._budget.used == 0
+        assert cache.arena.bytes == 0
+
+    def test_one_arena_serves_every_plan(self, untrained_model, featurizer, tiny_corpus):
+        """Plans of two widths share the cache's arena: it holds the
+        largest demand per buffer name, eviction frees and leaks nothing,
+        and ``reset()`` brings it back to zero."""
+        metrics = MetricsRegistry()
+        encoded = featurizer.encode_offline(
+            tiny_corpus.tables[0], with_content=False, with_labels=False
+        )
+        narrow, wide = [w for w in _ladder() if w >= len(encoded.meta.token_ids)][:2]
+        requests = {
+            width: [Phase1Request(encoded=encoded, meta_width=width)]
+            for width in (narrow, wide)
+        }
+        cache = nn_compile.enable(untrained_model, CompileConfig(max_plans=1), metrics=metrics)
+        demand = {}
+        for width in (narrow, wide):
+            _run(untrained_model, requests[width])
+            demand[width] = {name: buf.nbytes for name, buf in cache.arena._slots.items()}
+            cache.reset()
+            assert cache.arena.bytes == 0
+        assert sum(demand[wide].values()) > sum(demand[narrow].values())
+
+        _run(untrained_model, requests[wide])
+        _run(untrained_model, requests[narrow])  # evicts the wide plan
+        assert cache.plan_keys() == [(1, narrow)]
+        assert metrics.counter("nn.compile.evictions").value == 1
+        largest = {
+            name: max(demand[narrow].get(name, 0), demand[wide].get(name, 0))
+            for name in demand[narrow].keys() | demand[wide].keys()
+        }
+        held = {name: buf.nbytes for name, buf in cache.arena._slots.items()}
+        assert held == largest
+        assert cache.arena.bytes == sum(held.values())
+        assert cache.arena.bytes < sum(demand[narrow].values()) + sum(demand[wide].values())
+        assert metrics.gauge("nn.compile.arena_bytes").value == cache.arena.bytes
+
+        cache.reset()
+        assert cache.arena.bytes == 0 and not cache.arena._slots
+        assert metrics.gauge("nn.compile.arena_bytes").value == 0
+
+    def test_concurrent_replay_of_another_plan_falls_back_busy(
+        self, untrained_model, featurizer, tiny_corpus, monkeypatch
+    ):
+        metrics = MetricsRegistry()
+        encoded = featurizer.encode_offline(
+            tiny_corpus.tables[0], with_content=False, with_labels=False
+        )
+        narrow, wide = [w for w in _ladder() if w >= len(encoded.meta.token_ids)][:2]
+        requests = {
+            width: [Phase1Request(encoded=encoded, meta_width=width, phase2_policy=KEEP_LATENTS)]
+            for width in (narrow, wide)
+        }
+        reference = {width: _run(untrained_model, requests[width]) for width in (narrow, wide)}
+        nn_compile.enable(untrained_model, metrics=metrics)
+        inside, release = _block_first_classifier(monkeypatch)
+        results = {}
+        replay = threading.Thread(
+            target=lambda: results.update(narrow=_run(untrained_model, requests[narrow]))
+        )
+        replay.start()
+        assert inside.wait(timeout=10.0)
+        results["wide"] = _run(untrained_model, requests[wide])
+        release.set()
+        replay.join(timeout=10.0)
+        assert not replay.is_alive()
+        assert metrics.counter("nn.compile.fallbacks", reason="busy").value == 1
+        _assert_phase1_bitwise(reference[wide], results["wide"])
+        _assert_phase1_bitwise(reference[narrow], results["narrow"])
+
+    def test_invalidate_during_replay_leaks_no_arena_bytes(
+        self, untrained_model, featurizer, tiny_corpus, monkeypatch
+    ):
+        """An ``invalidate()`` that lands mid-replay must not strand the
+        bytes that replay grows afterwards: at quiescence the accounted
+        bytes are the bytes held, and with no live plan both are zero."""
+        metrics = MetricsRegistry()
+        requests = _phase1_requests(featurizer, tiny_corpus.tables[:1])
+        cache = nn_compile.enable(untrained_model, metrics=metrics)
+        inside, release = _block_first_classifier(monkeypatch)
+        replay = threading.Thread(target=_run, args=(untrained_model, requests))
+        replay.start()
+        assert inside.wait(timeout=10.0)
+        invalidate = threading.Thread(target=nn_compile.invalidate, args=(untrained_model,))
+        invalidate.start()
+        invalidate.join(timeout=0.2)  # returns at once if reset ignores the replay
+        release.set()
+        for thread in (replay, invalidate):
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        assert len(cache) == 0
+        assert metrics.gauge("nn.compile.arena_bytes").value == 0
+        assert cache.arena.bytes == 0 and not cache.arena._slots
+        _run(untrained_model, requests)
+        held = sum(buf.nbytes for buf in cache.arena._slots.values())
+        assert metrics.gauge("nn.compile.arena_bytes").value == cache.arena.bytes == held > 0
 
     def test_enable_reuses_matching_cache(self, untrained_model):
         metrics = MetricsRegistry()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -187,3 +188,62 @@ class TestPipelinedExecutor:
         pipelined_time = time.perf_counter() - started
 
         assert pipelined_time < sequential_time
+
+
+class TestSlotRefill:
+    def test_worker_refills_its_slot_while_a_round_runs(self):
+        """With one prep slot, three more prep stages complete while the
+        first round runs, and the next round carries all three tables.
+
+        The first round holds ``t0`` alone: the other tables' first prep
+        stage waits until that round has started. The round then blocks
+        until three of those stages have been reported, which only a prep
+        worker that refills its own slot can do while the loop is busy."""
+        round_started, three_prepared = threading.Event(), threading.Event()
+
+        class GatedJob(FakeJob):
+            def run_next_stage(self):
+                if self.name != "t0" and self.completed_stages == 0:
+                    assert round_started.wait(timeout=10.0)
+                super().run_next_stage()
+
+        class CountingSource(_StaticSource):
+            prepared = 0
+
+            def note_stage_complete(self, job):
+                if job.name != "t0" and job.completed_stages == 1:
+                    self.prepared += 1
+                    if self.prepared == 3:
+                        three_prepared.set()
+
+        class RoundRecorder:
+            """Duck-typed detector: records each round's requests."""
+
+            config = SimpleNamespace(batching=SimpleNamespace(max_batch_cols=64))
+
+            def __init__(self):
+                self.rounds: list[list] = []
+                self.refilled: bool | None = None
+
+            def run_inference(self, requests):
+                if not self.rounds:
+                    round_started.set()
+                    self.refilled = three_prepared.wait(timeout=5.0)
+                self.rounds.append(list(requests))
+                return requests
+
+        log, lock = [], threading.Lock()
+        jobs = [GatedJob(f"t{i}", log, lock) for i in range(4)]
+        detector = RoundRecorder()
+        registry = MetricsRegistry()
+        PipelinedExecutor(1, detector=detector).run_source(CountingSource(jobs), registry)
+        assert all(job.done for job in jobs)
+        assert detector.refilled is True
+        assert detector.rounds[:2] == [["t0"], ["t1", "t2", "t3"]]
+        snapshot = registry.snapshot()
+        assert (
+            snapshot["pipeline.dispatches{pool=prep}"]["value"]
+            == snapshot["pipeline.dispatches{pool=infer}"]["value"]
+            == 8
+        )
+        assert snapshot["pipeline.wait_timeouts"]["value"] == 0

@@ -38,7 +38,7 @@ from repro.faults import FaultPlan, FaultRule
 from repro.faults.plan import FaultInjector
 from repro.features import FeatureConfig, Featurizer
 from repro.features.encoding import TokenEncodeCache
-from repro.nn.compile import CompiledPlan, PlanCache, _ArenaBudget
+from repro.nn.compile import PlanCache
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.metrics import Counter, Gauge, Histogram
 from repro.sched import forward as sched_forward
@@ -60,8 +60,6 @@ LOCK_OWNERS = (
     TokenBucket,
     AdmissionController,
     PlanCache,
-    CompiledPlan,
-    _ArenaBudget,
     TokenEncodeCache,
     Tracer,
     MetricsRegistry,
@@ -81,6 +79,8 @@ EXPECTED_EDGES = {
     ("_JobConnection._connect_lock", "MetricsRegistry._lock"),
     ("_JobConnection._connect_lock", "_JobConnection._lock"),
     ("_ServiceSource.condition", "CostLedger._lock"),
+    # A plan's first replay builds it under the cache's replay lock.
+    ("PlanCache._replay_lock", "Tracer._lock"),
 }
 
 COST_MODEL = paper_cost_model(0.05)
