@@ -60,7 +60,7 @@ from .core import (
 )
 from .serve import DetectionService, JobHandle, ServiceConfig, TenantQuota
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     # canonical API

@@ -23,6 +23,7 @@ from ..datagen.tables import Table
 from ..db.server import CloudDatabaseServer
 from ..features.content_features import first_non_empty
 from ..features.encoding import Featurizer, collate, split_metadata
+from ..nn.functional import stable_sigmoid
 from .single_tower import SingleTowerModel
 
 __all__ = ["BaselineDetector", "fine_tune_baseline", "BaselineTrainConfig"]
@@ -118,7 +119,7 @@ class BaselineDetector:
                     batch = collate([encoded])  # noqa: RPR501
                     with nn.no_grad():
                         logits = self.model(batch)
-                    probs = 1.0 / (1.0 + np.exp(-logits.detach().numpy()[0]))
+                    probs = stable_sigmoid(logits.detach().numpy()[0])
                     for local, column in enumerate(chunk.columns):
                         result.predictions.append(
                             ColumnPrediction(

@@ -106,21 +106,16 @@ class TasteDetector:
         )
         self._width_cap = model.config.encoder.max_seq_len
         self.model.eval()
-        # Shape-specialized compiled inference (repro.nn.compile): plans
-        # are keyed off the same bucket-width ladder bucketed_width()
-        # routes requests through, so every execution mode (sequential,
-        # unbatched, batched, served) hits the same plan cache. A detector
-        # configured with compile.enabled=False leaves the model's cache
-        # alone: its batcher never looks the cache up, so *its* runs are
-        # eager while other detectors on the same model keep their plans.
+        # Compiled inference (repro.nn.compile): one plan per phase serves
+        # every width bucketed_width() produces, so every execution mode
+        # (sequential, unbatched, batched, served) replays the same two
+        # plans. A detector configured with compile.enabled=False leaves
+        # the model's cache alone: its batcher never looks the cache up, so
+        # *its* runs are eager while other detectors on the same model keep
+        # their plans.
         if self.config.compile.enabled:
             nn_compile.enable(
-                model,
-                self.config.compile,
-                metrics=self.metrics,
-                tracer=self.tracer,
-                pad_quantum=self.config.batching.pad_quantum,
-                width_cap=self._width_cap,
+                model, self.config.compile, metrics=self.metrics, tracer=self.tracer
             )
 
     # ------------------------------------------------------------------

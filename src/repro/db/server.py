@@ -2,9 +2,9 @@
 
 In the paper's production setup the detection service (on ECS) talks to the
 tenant's RDS MySQL over a VPC. :class:`CloudDatabaseServer` models that
-boundary: it owns the latency model and the per-run cost ledger, and hands
-out :class:`~repro.db.connection.Connection` objects whose every operation
-is charged.
+boundary: it owns the latency model and the cost ledger (lifetime totals,
+not reset per run), and hands out :class:`~repro.db.connection.Connection`
+objects whose every operation is charged.
 """
 
 from __future__ import annotations

@@ -1,25 +1,24 @@
-"""Shape-specialized compiled inference for the ADTD no-grad hot path.
+"""Compiled inference for the ADTD no-grad hot path.
 
-The detector's S2 stage is pure model compute, and the geometric
-bucket-width ladder (:func:`repro.sched.bucket_width`) makes inference
-shapes repeat constantly — so the eager forward's per-op Python dispatch,
-Tensor wrapping and fresh numpy allocations are paid again and again for
-identical shapes. This module trades that overhead for a
+The detector's S2 stage is pure model compute, and the eager forward pays
+per-op Python dispatch, Tensor wrapping and fresh numpy allocations on
+every call. This module trades that overhead for a
 **trace-once/replay-many** scheme:
 
-* A :class:`CompiledPlan` is built per ``(phase, bucket-width)`` key by
-  walking the model structure once, prefetching every weight the forward
-  touches. Replays are straight-line numpy — zero ``Tensor``/autograd
-  objects on the hot path.
-* Every plan of a model replays into **one workspace arena**, owned by
-  the model's :class:`PlanCache`: named, growable buffers reused across
-  replays and plans, written through the shared ``out=`` kernels in
-  :mod:`repro.nn.functional` (``softmax_`` reusing the attention-score
-  buffer, fused residual+``layer_norm_``, fused bias+``gelu_``). Wider
-  forwards grow that one arena to the largest demand per buffer, not a
-  sum of per-plan arenas.
+* A model's :class:`PlanCache` holds exactly two :class:`CompiledPlan`
+  objects, one per phase. A plan walks the model structure once, on its
+  first replay, prefetching every weight the forward touches. Replays
+  are straight-line numpy — zero ``Tensor``/autograd objects on the hot
+  path — and take every shape from the batch, so one plan serves every
+  width.
+* Both plans replay into **one workspace arena**, owned by the cache:
+  named, growable buffers reused across replays, written through the
+  shared ``out=`` kernels in :mod:`repro.nn.functional` (``softmax_``
+  reusing the attention-score buffer, fused residual+``layer_norm_``,
+  fused bias+``gelu_``). Wider forwards grow the arena to the largest
+  demand per buffer name.
 * **Fused weight layouts**: the per-layer Q/K/V projections are
-  concatenated into one ``(H, 3H)`` GEMM at build time, and the
+  concatenated into one ``(H, 3H)`` GEMM when the plan is built, and the
   asymmetric cross-attention's K/V pair into one ``(H, 2H)`` GEMM whose
   input buffer is fed directly from the latents Phase 1 kept for the
   chunk (:class:`~repro.core.latent_cache.CachedEncoding`).
@@ -27,35 +26,36 @@ identical shapes. This module trades that overhead for a
 Bitwise safety
 --------------
 Compiled replays must be bitwise identical to the eager no-grad forward
-(the invariant batched/unbatched/sequential runs already hold). Two
-mechanisms guarantee it:
+(:func:`eager_phase1` / :func:`eager_phase2`, which the fallback paths
+call too). Two mechanisms guarantee it:
 
 1. Replays call the *same* raw-ndarray kernels the eager no-grad fast
    paths call (``softmax_``/``layer_norm_``/``gelu_``/``relu_``), and
    every remaining op is the identical ufunc/GEMM on identical operand
    values — only the output buffer bookkeeping differs.
-2. The first replay of each plan (and of each phase-2 latent mode) is
-   **verified at build time** against the eager forward on the triggering
-   batch. The one residual risk is the fused QKV/KV GEMM: BLAS kernels
-   reduce over ``K`` sequentially regardless of the output width, but if
-   a platform's blocking ever disagrees, verification catches it, the
-   plan rebuilds unfused, and a second mismatch kills the plan (permanent
-   eager fallback, counted under ``nn.compile.fallbacks{reason=verify}``).
+2. The first replay of each **shape** (the meta width, or the
+   ``(meta, content)`` widths) in each latent mode is verified against the
+   eager forward on the triggering batch. The one residual risk is the
+   fused QKV/KV GEMM: BLAS kernels reduce over ``K`` sequentially
+   regardless of the output width, but if a platform's blocking ever
+   disagrees, verification catches it, that shape replays unfused, and a
+   second mismatch retires the shape (permanent eager fallback, counted
+   under ``nn.compile.fallbacks{reason=verify}``).
 
-Plans are looked up via a module-level weak registry (never stored on the
-model, so models stay picklable/deep-copyable) and are keyed off the same
-width ladder the batcher uses; off-ladder widths, a busy arena (another
-thread mid-replay on the same model), arena-budget overruns and dead
-plans all fall back to the eager forward — safe, because eager and
-compiled agree bitwise.
+Caches are looked up via a module-level weak registry (never stored on
+the model, so models stay picklable/deep-copyable). A width over the
+encoder's ``max_seq_len``, a busy arena (another thread mid-replay on the
+same model), an arena-budget overrun and a retired shape all fall back
+to the eager forward — safe, because eager and compiled agree bitwise.
 The detector's :class:`~repro.sched.InferenceBatcher` looks the cache up
 once per run, and only when its own ``compile.enabled`` is set: a
 detector with compilation off runs eager and leaves the plans of other
 detectors on the same model alone.
 
 Weights are prefetched by reference (and by *copy* for the fused
-layouts), so any weight mutation — fine-tuning, feedback, checkpoint
-loads — must call :func:`invalidate`, which the training entry points do.
+layouts), so any weight mutation must call :func:`invalidate`.
+:meth:`~repro.nn.Module.load_state_dict` and the training entry points
+do.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from __future__ import annotations
 import hashlib
 import threading
 import weakref
-from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Iterator
@@ -89,6 +88,8 @@ __all__ = [
     "CompileConfig",
     "CompiledPlan",
     "PlanCache",
+    "eager_phase1",
+    "eager_phase2",
     "enable",
     "disable",
     "invalidate",
@@ -101,20 +102,15 @@ __all__ = [
 class CompileConfig:
     """Knobs of the inference compiler (``DetectorConfig.compile``).
 
-    ``max_plans`` bounds how many ``(phase, width)`` plans stay cached
-    (LRU-evicted beyond that); ``arena_bytes_limit`` bounds the bytes of
-    the cache's one workspace arena, which every plan shares — a replay
-    whose buffers would grow it past the limit falls back to the eager
-    forward for that batch.
+    ``arena_bytes_limit`` bounds the bytes of the cache's one workspace
+    arena, which both plans share — a replay whose buffers would grow it
+    past the limit falls back to the eager forward for that batch.
     """
 
     enabled: bool = True
-    max_plans: int = 32
     arena_bytes_limit: int = 256 * 1024 * 1024
 
     def __post_init__(self) -> None:
-        if self.max_plans < 1:
-            raise ValueError("max_plans must be at least 1")
         if self.arena_bytes_limit < 1:
             raise ValueError("arena_bytes_limit must be at least 1 byte")
 
@@ -133,8 +129,8 @@ class Arena:
     ``buf(name, shape)`` returns a contiguous view of a flat backing
     array, re-used across replays; the backing only reallocates when a
     replay needs more elements than any previous one under that name.
-    Plans of different widths write the same names, so the arena holds
-    the largest demand per name, not the sum over plans. Growth that
+    Replays of every width write the same names, so the arena holds the
+    largest demand per name, not a sum over widths. Growth that
     would take :attr:`bytes` over ``limit`` raises
     :class:`ArenaLimitError`. The owning :class:`PlanCache`'s replay lock
     guards every call.
@@ -186,7 +182,7 @@ class _LayerWeights:
     """Prefetched per-block weights, plus the fused QKV/KV layouts.
 
     Unfused entries are *references* to the live parameter arrays; the
-    fused concatenations are copies made at build time (stale weights are
+    fused concatenations are copies made once per plan (stale weights are
     handled by :func:`invalidate`, not by re-checking here).
     """
 
@@ -224,27 +220,28 @@ class _LayerWeights:
 
 
 class CompiledPlan:
-    """One shape-specialized replay program.
+    """The replay program of one phase, for every width.
 
     Its replays write into the owning :class:`PlanCache`'s one arena, so
     every replay entry point assumes the caller holds that cache's replay
-    lock.
+    lock. The safety state is kept per *shape* — the meta width (phase 1)
+    or the ``(meta, content)`` widths (phase 2): ``verified`` holds the
+    ``(shape, mode)`` pairs checked against the eager forward, ``unfused``
+    the shapes whose fused GEMMs disagreed with it, and ``dead`` the
+    shapes that disagreed unfused too and now always run eager.
     """
 
-    def __init__(self, key: tuple, cache: "PlanCache") -> None:
-        self.key = key
-        self.phase = key[0]
-        self.meta_width = key[1]
-        self.content_width = key[2] if len(key) > 2 else None
-        self.fused = True
-        self.dead = False
+    def __init__(self, phase: int, cache: "PlanCache") -> None:
+        self.phase = phase
         self.replays = 0
+        self.verified: set[tuple] = set()
+        self.unfused: set = set()
+        self.dead: set = set()
         self._cache = cache
         self._built = False
-        self._verified: set[str] = set()
 
     # ------------------------------------------------------------------
-    # Build: structural trace + weight prefetch
+    # Build: structural trace + weight prefetch (once per plan)
     # ------------------------------------------------------------------
     def _build(self, model: Any) -> None:
         encoder_config = model.config.encoder
@@ -303,12 +300,14 @@ class CompiledPlan:
         mask: np.ndarray,
         out: np.ndarray,
         prefix: str,
+        fused: bool,
     ) -> np.ndarray:
         """One transformer block as straight-line numpy into ``out``.
 
         ``kv_input is query`` is the self-attention (metadata tower) form,
         fused into one QKV GEMM; otherwise the asymmetric cross-attention
         form, with K/V fused into one GEMM over the joint sequence.
+        ``fused=False`` runs one GEMM per projection instead.
         ``out`` may alias ``query`` — the query buffer's last read (the
         first residual add) happens before the first write to ``out``.
         """
@@ -316,7 +315,7 @@ class CompiledPlan:
         batch_size, q_len, hidden = query.shape
         kv_len = kv_input.shape[1]
         heads, head_dim = self.heads, self.head_dim
-        if self.fused:
+        if fused:
             if kv_input is query:
                 qkv = arena.buf(prefix + "qkv", (batch_size, q_len, 3 * hidden))
                 np.matmul(query, weights.w_qkv, out=qkv)
@@ -376,14 +375,14 @@ class CompiledPlan:
         layer_norm_(out, weights.ln2_w, weights.ln2_b, weights.ln2_eps, out=out, scratch=merged)
         return out
 
-    def _meta_tower(self, batch: "Batch") -> list[np.ndarray]:
+    def _meta_tower(self, batch: "Batch", fused: bool) -> list[np.ndarray]:
         batch_size, meta_width = batch.meta_ids.shape
         hidden = self._embed(batch.meta_ids, batch.meta_segments, batch.meta_column_ids, "meta_h0")
         mask = additive_attention_mask(batch.meta_mask)
         outputs = [hidden]
         for index, weights in enumerate(self.layers):
             out = self._cache.arena.buf(f"meta_h{index + 1}", (batch_size, meta_width, self.hidden))
-            hidden = self._attention_block(weights, hidden, hidden, mask, out, "m_")
+            hidden = self._attention_block(weights, hidden, hidden, mask, out, "m_", fused)
             outputs.append(hidden)
         return outputs
 
@@ -411,8 +410,8 @@ class CompiledPlan:
         logits += b2
         return logits
 
-    def _replay_phase1(self, batch: "Batch") -> tuple[np.ndarray, list[np.ndarray]]:
-        meta_layers = self._meta_tower(batch)
+    def _replay_phase1(self, batch: "Batch", fused: bool) -> tuple[np.ndarray, list[np.ndarray]]:
+        meta_layers = self._meta_tower(batch, fused)
         batch_size = batch.meta_ids.shape[0]
         num_columns = batch.col_positions.shape[1]
         numeric_dim = batch.numeric.shape[-1]
@@ -423,7 +422,7 @@ class CompiledPlan:
         logits = self._classifier(features, self.meta_w1, self.meta_b1, self.meta_w2, self.meta_b2, "p1_")
         return logits, meta_layers
 
-    def _replay_phase2(self, batch: "Batch", cached: "list | None") -> np.ndarray:
+    def _replay_phase2(self, batch: "Batch", cached: "list | None", fused: bool) -> np.ndarray:
         arena = self._cache.arena
         batch_size, meta_width = batch.meta_ids.shape
         content_width = batch.content_ids.shape[1]
@@ -445,7 +444,7 @@ class CompiledPlan:
             for row, encoding in enumerate(cached):
                 meta_last[row] = encoding.layer_outputs[num_layers][0]
         else:
-            meta_layers = self._meta_tower(batch)
+            meta_layers = self._meta_tower(batch, fused)
             for i in range(num_layers):
                 kv_bufs[i][:, :meta_width] = meta_layers[i]
             meta_last = meta_layers[num_layers]
@@ -458,7 +457,9 @@ class CompiledPlan:
             kv_bufs[index][:, meta_width:] = hidden
             out_name = "content_h_b" if index % 2 == 0 else "content_h_a"
             out = arena.buf(out_name, (batch_size, content_width, hidden_size))
-            hidden = self._attention_block(weights, hidden, kv_bufs[index], joint_mask, out, "x_")
+            hidden = self._attention_block(
+                weights, hidden, kv_bufs[index], joint_mask, out, "x_", fused
+            )
         num_columns = batch.col_positions.shape[1]
         numeric_dim = batch.numeric.shape[-1]
         pool_meta = column_pooling_matrix(batch.meta_column_ids, batch.meta_mask, num_columns)
@@ -471,26 +472,6 @@ class CompiledPlan:
             features, self.content_w1, self.content_b1, self.content_w2, self.content_b2, "p2_"
         )
 
-    # ------------------------------------------------------------------
-    # Eager references (build-time verification)
-    # ------------------------------------------------------------------
-    def _eager(self, model: Any, batch: "Batch", cached: "list | None") -> Any:
-        with no_grad():
-            if self.phase == 1:
-                meta_layers = model.encode_metadata(batch)
-                logits = model.meta_logits(batch, meta_layers)
-                return logits.detach().numpy(), [layer.detach().numpy() for layer in meta_layers]
-            if cached is not None:
-                num_layers = len(cached[0].layer_outputs)
-                meta_layers = [
-                    Tensor(np.concatenate([enc.layer_outputs[i] for enc in cached], axis=0))
-                    for i in range(num_layers)
-                ]
-            else:
-                meta_layers = model.encode_metadata(batch)
-            content_hidden = model.encode_content(batch, meta_layers)
-            return model.content_logits(batch, meta_layers, content_hidden).detach().numpy()
-
     def _matches(self, outputs: Any, reference: Any) -> bool:
         if self.phase == 1:
             logits, layers = outputs
@@ -502,49 +483,51 @@ class CompiledPlan:
 
     # ------------------------------------------------------------------
     def run(self, model: Any, batch: "Batch", cached: "list | None", events: list) -> Any:
-        """Build if needed, replay, and verify first-time modes.
+        """Build if needed, replay, and verify first-time shapes and modes.
 
         Returns the replay outputs (phase 1: ``(logits, layer_arrays)``,
         phase 2: ``logits``) or ``None`` when the caller must fall back to
         the eager forward. A verification mismatch still returns *valid*
-        outputs — the eager reference just computed — while marking the
-        plan dead. The caller holds the cache's replay lock; metric events
-        are appended to ``events`` for emission after it is released.
+        outputs — the eager reference just computed — while retiring the
+        batch's shape. The caller holds the cache's replay lock; metric
+        events are appended to ``events`` for emission after it is
+        released.
         """
-        if self.dead:
+        if self.phase == 1:
+            shape = batch.meta_ids.shape[1]
+            mode = "meta"
+        else:
+            shape = (batch.meta_ids.shape[1], batch.content_ids.shape[1])
+            mode = "cached" if cached is not None else "recompute"
+        if shape in self.dead:
             events.append(("fallback", "dead"))
             return None
         if not self._built:
             tracer = self._cache.tracer
-            span = (
-                tracer.span(
-                    "nn.compile.build",
-                    phase=self.phase,
-                    meta_width=self.meta_width,
-                    content_width=self.content_width,
-                )
-                if tracer is not None
-                else nullcontext()
-            )
+            span = tracer.span("nn.compile.build", phase=self.phase) if tracer is not None else nullcontext()
             with span:
                 self._build(model)
             events.append(("build", self.phase))
-        mode = "meta" if self.phase == 1 else ("cached" if cached is not None else "recompute")
+        fused = shape not in self.unfused
         try:
-            outputs = self._replay(batch, cached)
-            if mode not in self._verified:
-                reference = self._eager(model, batch, cached)
+            outputs = self._replay(batch, cached, fused)
+            if (shape, mode) not in self.verified:
+                reference = (
+                    eager_phase1(model, batch)
+                    if self.phase == 1
+                    else eager_phase2(model, batch, cached)
+                )
                 if not self._matches(outputs, reference):
-                    if self.fused:
+                    if fused:
                         # The fused-GEMM layout disagreed on this platform;
-                        # fall back to per-projection GEMMs and re-verify.
-                        self.fused = False
-                        outputs = self._replay(batch, cached)
+                        # replay this shape per-projection and re-verify.
+                        self.unfused.add(shape)
+                        outputs = self._replay(batch, cached, False)
                     if not self._matches(outputs, reference):
-                        self.dead = True
+                        self.dead.add(shape)
                         events.append(("fallback", "verify"))
                         return reference
-                self._verified.add(mode)
+                self.verified.add((shape, mode))
         except ArenaLimitError:
             events.append(("fallback", "arena_limit"))
             return None
@@ -552,25 +535,55 @@ class CompiledPlan:
         events.append(("replay", self.phase))
         return outputs
 
-    def _replay(self, batch: "Batch", cached: "list | None") -> Any:
+    def _replay(self, batch: "Batch", cached: "list | None", fused: bool) -> Any:
         if self.phase == 1:
-            return self._replay_phase1(batch)
-        return self._replay_phase2(batch, cached)
+            return self._replay_phase1(batch, fused)
+        return self._replay_phase2(batch, cached, fused)
+
+
+# ----------------------------------------------------------------------
+# The eager no-grad forward: the fallback path and the verify reference.
+# ----------------------------------------------------------------------
+def eager_phase1(model: Any, batch: "Batch") -> tuple[np.ndarray, list[np.ndarray]]:
+    """Eager metadata-tower forward: ``(logits, layer_arrays)`` as arrays."""
+    with no_grad():
+        meta_layers = model.encode_metadata(batch)
+        logits = model.meta_logits(batch, meta_layers)
+    return logits.detach().numpy(), [layer.detach().numpy() for layer in meta_layers]
+
+
+def eager_phase2(model: Any, batch: "Batch", cached: "list | None") -> np.ndarray:
+    """Eager content-tower forward: the logits array.
+
+    ``cached`` is the per-request list of latent-cache encodings, or
+    ``None`` to recompute the metadata tower for the whole batch —
+    eval-mode recomputation is bitwise equal to the cached latents.
+    """
+    with no_grad():
+        if cached is not None:
+            meta_layers = [
+                Tensor(np.concatenate([enc.layer_outputs[i] for enc in cached], axis=0))
+                for i in range(len(cached[0].layer_outputs))
+            ]
+        else:
+            meta_layers = model.encode_metadata(batch)
+        content_hidden = model.encode_content(batch, meta_layers)
+        logits = model.content_logits(batch, meta_layers, content_hidden)
+    return logits.detach().numpy()
 
 
 class PlanCache:
-    """LRU cache of :class:`CompiledPlan` for one model.
+    """The two :class:`CompiledPlan` objects of one model, phase 1 and 2.
 
-    Every plan replays into the cache's one :class:`Arena`, so the arena
-    holds the largest demand per buffer name over all plans, not a sum
-    of per-plan arenas, and evicting a plan frees nothing.
+    Both plans replay into the cache's one :class:`Arena`, so the arena
+    holds the largest demand per buffer name over every width replayed.
 
-    Lock discipline: ``self._lock`` guards only the plan dict; the replay
-    lock guards the arena, so one replay runs at a time per model and a
-    concurrent one falls back to the (bitwise identical) eager forward
-    with reason ``busy``. :meth:`reset` releases the arena under the
+    Lock discipline: the replay lock guards the arena and the plans, so
+    one replay runs at a time per model and a concurrent one falls back to
+    the (bitwise identical) eager forward with reason ``busy``.
+    :meth:`reset` swaps in fresh plans and releases the arena under the
     replay lock, after any replay in flight has finished growing it. The
-    cache emits its own metrics strictly outside both locks (metric
+    cache emits its own metrics strictly outside the lock (metric
     registries have locks of their own). A replay still takes leaf locks
     (counter, tracer) under the replay lock;
     ``tests/test_stack_lock_order.py`` checks the observed order stays
@@ -583,21 +596,17 @@ class PlanCache:
         config: CompileConfig,
         metrics: Any,
         tracer: "Tracer | None",
-        pad_quantum: int,
-        width_cap: int | None,
         fingerprint: str,
     ) -> None:
         self.config = config
         self.metrics = metrics
         self.tracer = tracer
-        self.pad_quantum = pad_quantum
-        self.width_cap = width_cap
         self.fingerprint = fingerprint
+        self.max_width = model.config.encoder.max_seq_len
         self._model_ref = weakref.ref(model)
-        self._lock = threading.Lock()
-        self._plans: "OrderedDict[tuple, CompiledPlan]" = OrderedDict()
         self._replay_lock = threading.Lock()
         self.arena = Arena(config.arena_bytes_limit)
+        self.plans = {1: CompiledPlan(1, self), 2: CompiledPlan(2, self)}
         self._build_counters = {
             1: metrics.counter("nn.compile.builds", phase="1"),
             2: metrics.counter("nn.compile.builds", phase="2"),
@@ -613,53 +622,7 @@ class PlanCache:
             "arena_limit": metrics.counter("nn.compile.fallbacks", reason="arena_limit"),
             "verify": metrics.counter("nn.compile.fallbacks", reason="verify"),
         }
-        self._eviction_counter = metrics.counter("nn.compile.evictions")
-        self._plans_gauge = metrics.gauge("nn.compile.plans")
         self._arena_gauge = metrics.gauge("nn.compile.arena_bytes")
-
-    # ------------------------------------------------------------------
-    def _on_ladder(self, width: int) -> bool:
-        """Whether ``width`` is a rung of the bucket-width ladder.
-
-        Mirrors :func:`repro.sched.bucket_width`'s geometric rung
-        generation (duplicated here — ``repro.sched`` imports ``repro.nn``,
-        not the reverse). Widths above the cap are the exact-length
-        escape hatch of the ladder: per-sequence unique, so compiling
-        them would churn the plan cache for single-use plans.
-        """
-        cap = self.width_cap
-        if cap is not None:
-            if width > cap:
-                return False
-            if width == cap:
-                return True
-        rung = self.pad_quantum
-        while rung < width:
-            rung = -(-(rung + rung // 2) // self.pad_quantum) * self.pad_quantum
-        return rung == width
-
-    def _lookup(self, key: tuple) -> tuple["CompiledPlan | None", str | None]:
-        evicted: list[CompiledPlan] = []
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self._plans.move_to_end(key)
-                return plan, None
-            for width in key[1:]:
-                if not self._on_ladder(width):
-                    return None, "off_ladder"
-            while len(self._plans) >= self.config.max_plans:
-                _, old = self._plans.popitem(last=False)
-                evicted.append(old)
-            plan = CompiledPlan(key, self)
-            self._plans[key] = plan
-            size = len(self._plans)
-        for old in evicted:
-            old.dead = True
-        if evicted:
-            self._eviction_counter.inc(len(evicted))
-        self._plans_gauge.set(size)
-        return plan, None
 
     def _emit(self, events: list, arena_bytes: int) -> None:
         for kind, arg in events:
@@ -672,22 +635,28 @@ class PlanCache:
         if events:
             self._arena_gauge.set(arena_bytes)
 
-    def _run_ctx(self, key: tuple, batch: "Batch", cached: "list | None") -> Iterator[Any]:
+    def _run_ctx(self, phase: int, batch: "Batch", cached: "list | None") -> Iterator[Any]:
         model = self._model_ref()
-        plan, reason = self._lookup(key) if model is not None else (None, "dead")
-        if plan is None:
-            self._fallback_counters[reason].inc()
-            yield None
-            return
-        if not self._replay_lock.acquire(blocking=False):
+        width = batch.meta_ids.shape[1]
+        if phase == 2:
+            width = max(width, batch.content_ids.shape[1])
+        reason = None
+        if model is None:
+            reason = "dead"
+        elif width > self.max_width:
+            # The eager forward raises its typed error for this width.
+            reason = "off_ladder"
+        elif not self._replay_lock.acquire(blocking=False):
             # Another thread is mid-replay in the arena; the eager forward
             # is bitwise identical, so just take it.
-            self._fallback_counters["busy"].inc()
+            reason = "busy"
+        if reason is not None:
+            self._fallback_counters[reason].inc()
             yield None
             return
         events: list = []
         try:
-            yield plan.run(model, batch, cached, events)
+            yield self.plans[phase].run(model, batch, cached, events)
         finally:
             arena_bytes = self.arena.bytes
             self._replay_lock.release()
@@ -700,7 +669,7 @@ class PlanCache:
         Outputs are arena views, valid only inside the ``with`` block —
         slice/copy per-request results before leaving it.
         """
-        yield from self._run_ctx((1, batch.meta_ids.shape[1]), batch, None)
+        yield from self._run_ctx(1, batch, None)
 
     @contextmanager
     def phase2(self, batch: "Batch", cached: "list | None") -> Iterator["np.ndarray | None"]:
@@ -710,35 +679,20 @@ class PlanCache:
         *all* requests have width-usable entries, else ``None`` (the plan
         then recomputes the metadata tower, like the eager path).
         """
-        yield from self._run_ctx(
-            (2, batch.meta_ids.shape[1], batch.content_ids.shape[1]), batch, cached
-        )
+        yield from self._run_ctx(2, batch, cached)
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Drop every plan (weights changed); plans rebuild on demand."""
-        with self._lock:
-            plans = list(self._plans.values())
-            self._plans.clear()
-        for plan in plans:
-            plan.dead = True
+        """Drop both plans (weights changed); they rebuild on demand."""
         # A replay in flight keeps growing the arena until it ends, so
-        # release only once it has.
+        # swap and release only once it has.
         with self._replay_lock:
+            self.plans = {1: CompiledPlan(1, self), 2: CompiledPlan(2, self)}
             self.arena.release()
         model = self._model_ref()
         if model is not None:
             self.fingerprint = weight_fingerprint(model)
-        self._plans_gauge.set(0)
         self._arena_gauge.set(0)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)
-
-    def plan_keys(self) -> list[tuple]:
-        with self._lock:
-            return list(self._plans)
 
 
 # ----------------------------------------------------------------------
@@ -767,17 +721,12 @@ def enable(
     *,
     metrics: Any = None,
     tracer: "Tracer | None" = None,
-    pad_quantum: int = 16,
-    width_cap: int | None = None,
 ) -> PlanCache | None:
     """Attach (or reuse) a plan cache for ``model``; returns it.
 
-    ``pad_quantum``/``width_cap`` must match the bucket-width ladder the
-    caller routes requests through (the detector passes its batching
-    quantum and the encoder's ``max_seq_len``). An existing cache is
-    reused only when config, ladder, metrics registry *and* the weight
-    fingerprint all match — so two detectors sharing one model share one
-    set of plans, while a fine-tuned model gets a fresh cache.
+    An existing cache is reused only when config, metrics registry *and*
+    the weight fingerprint all match — so two detectors sharing one model
+    share one pair of plans, while a fine-tuned model gets a fresh cache.
     ``config.enabled=False`` detaches any cache (same as :func:`disable`).
     """
     config = config if config is not None else CompileConfig()
@@ -792,14 +741,12 @@ def enable(
             existing is not None
             and existing.config == config
             and existing.fingerprint == fingerprint
-            and existing.pad_quantum == pad_quantum
-            and existing.width_cap == width_cap
             and existing.metrics is registry
         ):
             if tracer is not None:
                 existing.tracer = tracer
             return existing
-    cache = PlanCache(model, config, registry, tracer, pad_quantum, width_cap, fingerprint)
+    cache = PlanCache(model, config, registry, tracer, fingerprint)
     with _CACHES_LOCK:
         _CACHES[model] = cache
     return cache
@@ -816,8 +763,9 @@ def disable(model: Any) -> None:
 def invalidate(model: Any) -> None:
     """Drop compiled plans after a weight mutation (fine-tune, load, ...).
 
-    The cache stays attached — plans rebuild (and re-verify) from the new
-    weights on the next forward. No-op when compilation is not enabled.
+    The cache stays attached — fresh plans rebuild (and re-verify every
+    shape) from the new weights on the next forward. No-op when
+    compilation is not enabled.
     """
     with _CACHES_LOCK:
         cache = _CACHES.get(model)

@@ -6,6 +6,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .compile import invalidate
 from .tensor import Tensor
 
 __all__ = ["Parameter", "Module", "ModuleList"]
@@ -97,6 +98,8 @@ class Module:
                     f"checkpoint {value.shape} vs model {param.data.shape}"
                 )
             param.data = value.astype(param.data.dtype)
+        # Compiled plans hold the old arrays (and fused copies of them).
+        invalidate(self)
 
     # ------------------------------------------------------------------
     def __call__(self, *args, **kwargs):

@@ -34,12 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import nn
 from ..core.adtd import ADTDModel
 from ..core.latent_cache import CachedEncoding
 from ..core.thresholds import ThresholdPolicy
 from ..features.encoding import EncodedTable, collate
-from ..nn.compile import PlanCache
+from ..nn.compile import PlanCache, eager_phase1, eager_phase2
 from ..nn.functional import stable_sigmoid
 
 __all__ = [
@@ -182,9 +181,10 @@ def run_phase1(
 ) -> list[Phase1Result]:
     """One collated metadata-tower forward over same-width requests.
 
-    Replays a compiled plan from ``plans`` when given one; ``None`` — or
-    any fallback: off-ladder width, busy plan, arena overrun — runs the
-    eager no-grad forward, which is bitwise identical to the replay.
+    Replays the compiled phase-1 plan from ``plans`` when given one;
+    ``None`` — or any fallback: width over ``max_seq_len``, busy arena,
+    arena overrun — runs the eager no-grad forward, which is bitwise
+    identical to the replay.
     """
     if not requests:
         return []
@@ -195,14 +195,8 @@ def run_phase1(
     if plans is not None:
         with plans.phase1(batch) as outputs:
             if outputs is not None:
-                logits_np, layer_arrays = outputs
-                return _phase1_results(requests, logits_np, layer_arrays)
-    with nn.no_grad():
-        meta_layers = model.encode_metadata(batch)
-        logits = model.meta_logits(batch, meta_layers)
-    logits_np = logits.detach().numpy()
-    layer_arrays = [layer.detach().numpy() for layer in meta_layers]
-    return _phase1_results(requests, logits_np, layer_arrays)
+                return _phase1_results(requests, *outputs)
+    return _phase1_results(requests, *eager_phase1(model, batch))
 
 
 def run_phase2(
@@ -230,22 +224,7 @@ def run_phase2(
         with plans.phase2(batch, cached) as logits_np:
             if logits_np is not None:
                 return _phase2_results(requests, logits_np)
-    with nn.no_grad():
-        if cached is not None:
-            num_layers = len(cached[0].layer_outputs)
-            meta_layers = [
-                nn.Tensor(
-                    np.concatenate([enc.layer_outputs[i] for enc in cached], axis=0)
-                )
-                for i in range(num_layers)
-            ]
-        else:
-            # Any miss recomputes the metadata tower for the whole batch;
-            # eval-mode recomputation is bitwise-equal to the cached latents.
-            meta_layers = model.encode_metadata(batch)
-        content_hidden = model.encode_content(batch, meta_layers)
-        logits = model.content_logits(batch, meta_layers, content_hidden)
-    return _phase2_results(requests, logits.detach().numpy())
+    return _phase2_results(requests, eager_phase2(model, batch, cached))
 
 
 def _phase2_results(

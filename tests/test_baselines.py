@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,17 @@ class TestBaselineDetector:
         server = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
         report = BaselineDetector(turl_model, featurizer).detect(server)
         assert report.num_columns == sum(t.num_columns for t in tiny_corpus.test)
+
+    def test_extreme_logits_read_without_overflow(self, turl_model, featurizer, tiny_corpus):
+        """Logits far below float32's ``exp`` range read as probability 0,
+        with no overflow warning."""
+        turl_model.classifier.output.bias.data[:] = -1e3
+        server = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = BaselineDetector(turl_model, featurizer).detect(server)
+        assert report.num_columns == sum(t.num_columns for t in tiny_corpus.test)
+        assert all(not p.admitted_types for p in report.predictions)
 
     def test_invalid_scan_method(self, turl_model, featurizer):
         with pytest.raises(ValueError):

@@ -5,8 +5,9 @@ produce byte-for-byte the same outputs as the eager no-grad forward, for
 every bucket width, both phases, both phase-2 latent modes, at the
 ``detect()`` level and through ``repro.serve`` — with and without an
 active fault plan. Everything else here covers the plan-cache mechanics:
-arena reuse, LRU eviction, off-ladder fallback, grad-mode isolation and
-invalidation after weight mutation.
+one plan per phase, per-shape verification, arena reuse, the
+``max_seq_len`` fallback, grad-mode isolation and invalidation after
+weight mutation.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import pytest
 
 from repro import nn
 from repro.core import (
+    ADTDConfig,
+    ADTDModel,
     BatchingConfig,
     CompileConfig,
     DetectOptions,
@@ -28,6 +31,7 @@ from repro.core import (
     TrainConfig,
     fine_tune,
 )
+from repro.datagen import TableGenConfig, generate_table
 from repro.db import CloudDatabaseServer, CostModel
 from repro.faults import FaultPlan, FaultRule
 from repro.nn import compile as nn_compile
@@ -124,19 +128,17 @@ def _assert_phase1_bitwise(reference, compiled):
 class TestCompileConfig:
     def test_defaults(self):
         config = CompileConfig()
-        assert config.enabled and config.max_plans == 32
+        assert config.enabled and config.arena_bytes_limit == 256 * 1024 * 1024
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="max_plans"):
-            CompileConfig(max_plans=0)
         with pytest.raises(ValueError, match="arena_bytes_limit"):
             CompileConfig(arena_bytes_limit=0)
 
     def test_replace_revalidates(self):
         config = CompileConfig()
-        assert config.replace(max_plans=4).max_plans == 4
+        assert config.replace(arena_bytes_limit=4096).arena_bytes_limit == 4096
         with pytest.raises(ValueError):
-            config.replace(max_plans=-1)
+            config.replace(arena_bytes_limit=-1)
 
 
 # ----------------------------------------------------------------------
@@ -156,15 +158,16 @@ class TestBitwiseEquivalence:
             for w in widths
         ]
         reference = _run(untrained_model, requests)
-        # width_cap makes the capped rung (512) a ladder member, exactly as
-        # the detector passes its encoder max_seq_len.
-        nn_compile.enable(untrained_model, metrics=MetricsRegistry(), width_cap=512)
-        # Twice: the first pass builds+verifies, the second replays hot.
+        metrics = MetricsRegistry()
+        nn_compile.enable(untrained_model, metrics=metrics)
+        # Twice: the first pass verifies each width, the second replays hot.
         for _ in range(2):
             compiled = _run(untrained_model, requests)
             _assert_phase1_bitwise(reference, compiled)
-        cache = nn_compile.plan_cache(untrained_model)
-        assert sorted(cache.plan_keys()) == sorted((1, w) for w in widths)
+        plan = nn_compile.plan_cache(untrained_model).plans[1]
+        assert plan.verified == {(w, "meta") for w in widths}
+        assert plan.replays == 2 * len(widths)
+        assert metrics.counter("nn.compile.builds", phase="1").value == 1
 
     def test_phase1_batched(self, untrained_model, featurizer, tiny_corpus):
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:6])
@@ -192,7 +195,7 @@ class TestBitwiseEquivalence:
         nn_compile.enable(untrained_model, metrics=metrics)
         for _ in range(3):
             _run(untrained_model, requests)
-        assert metrics.counter("nn.compile.builds", phase="1").value >= 1
+        assert metrics.counter("nn.compile.builds", phase="1").value == 1
         assert metrics.counter("nn.compile.replays", phase="1").value >= 3
 
 
@@ -204,8 +207,7 @@ class TestPlanCache:
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:1])
         cache = nn_compile.enable(untrained_model, metrics=MetricsRegistry())
         _run(untrained_model, requests)
-        (key,) = cache.plan_keys()
-        plan = cache._plans[key]
+        plan = cache.plans[1]
         backings = {name: id(buf) for name, buf in cache.arena._slots.items()}
         bytes_before = cache.arena.bytes
         for _ in range(3):
@@ -214,26 +216,11 @@ class TestPlanCache:
         assert cache.arena.bytes == bytes_before
         assert {name: id(buf) for name, buf in cache.arena._slots.items()} == backings
 
-    def test_eviction_at_max_plans(self, untrained_model, featurizer, tiny_corpus):
-        metrics = MetricsRegistry()
-        encoded = featurizer.encode_offline(
-            tiny_corpus.tables[0], with_content=False, with_labels=False
-        )
-        widths = [w for w in _ladder() if w >= len(encoded.meta.token_ids)][:4]
-        cache = nn_compile.enable(
-            untrained_model, CompileConfig(max_plans=2), metrics=metrics
-        )
-        for width in widths:
-            requests = [Phase1Request(encoded=encoded, meta_width=width)]
-            _run(untrained_model, requests)
-        assert len(cache) == 2
-        assert cache.plan_keys() == [(1, w) for w in widths[-2:]]
-        assert metrics.counter("nn.compile.evictions").value == 2
-        assert metrics.gauge("nn.compile.plans").value == 2
-
-    def test_off_ladder_width_falls_back_to_eager(
+    def test_any_width_under_the_cap_replays_bitwise(
         self, untrained_model, featurizer, tiny_corpus
     ):
+        """A width off the bucket ladder replays like any other: the plan
+        takes every shape from its batch."""
         metrics = MetricsRegistry()
         encoded = featurizer.encode_offline(
             tiny_corpus.tables[0], with_content=False, with_labels=False
@@ -246,8 +233,24 @@ class TestPlanCache:
         cache = nn_compile.enable(untrained_model, metrics=metrics)
         compiled = _run(untrained_model, requests)
         _assert_phase1_bitwise(reference, compiled)
-        assert len(cache) == 0
+        assert cache.plans[1].verified == {(width, "meta")}
+        assert metrics.counter("nn.compile.replays", phase="1").value == 1
+        assert metrics.counter("nn.compile.fallbacks", reason="off_ladder").value == 0
+
+    def test_width_over_max_seq_len_raises_the_eager_error(
+        self, untrained_model, featurizer, tiny_corpus
+    ):
+        metrics = MetricsRegistry()
+        encoded = featurizer.encode_offline(
+            tiny_corpus.tables[0], with_content=False, with_labels=False
+        )
+        width = untrained_model.config.encoder.max_seq_len + 16
+        requests = [Phase1Request(encoded=encoded, meta_width=width)]
+        cache = nn_compile.enable(untrained_model, metrics=metrics)
+        with pytest.raises(ValueError, match="max_seq_len"):
+            _run(untrained_model, requests)
         assert metrics.counter("nn.compile.fallbacks", reason="off_ladder").value == 1
+        assert not cache.plans[1].verified and cache.arena.bytes == 0
 
     def test_busy_plan_falls_back_bitwise(self, untrained_model, featurizer, tiny_corpus):
         metrics = MetricsRegistry()
@@ -255,7 +258,6 @@ class TestPlanCache:
         reference = _run(untrained_model, requests)
         cache = nn_compile.enable(untrained_model, metrics=metrics)
         _run(untrained_model, requests)
-        (key,) = cache.plan_keys()
         with cache._replay_lock:  # simulate another thread mid-replay
             compiled = _run(untrained_model, requests)
         _assert_phase1_bitwise(reference, compiled)
@@ -267,8 +269,7 @@ class TestPlanCache:
         nn_compile.enable(untrained_model, metrics=MetricsRegistry(), tracer=tracer)
         _run(untrained_model, requests)
         (span,) = tracer.find("nn.compile.build")
-        assert span.attributes["phase"] == 1
-        assert span.attributes["meta_width"] == requests[0].meta_width
+        assert span.attributes == {"phase": 1}
 
     def test_disable_detaches_and_releases(self, untrained_model, featurizer, tiny_corpus):
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:1])
@@ -280,9 +281,9 @@ class TestPlanCache:
         assert cache.arena.bytes == 0
 
     def test_one_arena_serves_every_plan(self, untrained_model, featurizer, tiny_corpus):
-        """Plans of two widths share the cache's arena: it holds the
-        largest demand per buffer name, eviction frees and leaks nothing,
-        and ``reset()`` brings it back to zero."""
+        """Replays of two widths share the cache's arena: it holds the
+        largest demand per buffer name, and ``reset()`` brings it back to
+        zero."""
         metrics = MetricsRegistry()
         encoded = featurizer.encode_offline(
             tiny_corpus.tables[0], with_content=False, with_labels=False
@@ -292,7 +293,7 @@ class TestPlanCache:
             width: [Phase1Request(encoded=encoded, meta_width=width)]
             for width in (narrow, wide)
         }
-        cache = nn_compile.enable(untrained_model, CompileConfig(max_plans=1), metrics=metrics)
+        cache = nn_compile.enable(untrained_model, metrics=metrics)
         demand = {}
         for width in (narrow, wide):
             _run(untrained_model, requests[width])
@@ -302,9 +303,8 @@ class TestPlanCache:
         assert sum(demand[wide].values()) > sum(demand[narrow].values())
 
         _run(untrained_model, requests[wide])
-        _run(untrained_model, requests[narrow])  # evicts the wide plan
-        assert cache.plan_keys() == [(1, narrow)]
-        assert metrics.counter("nn.compile.evictions").value == 1
+        _run(untrained_model, requests[narrow])
+        assert cache.plans[1].verified == {(narrow, "meta"), (wide, "meta")}
         largest = {
             name: max(demand[narrow].get(name, 0), demand[wide].get(name, 0))
             for name in demand[narrow].keys() | demand[wide].keys()
@@ -368,7 +368,7 @@ class TestPlanCache:
         for thread in (replay, invalidate):
             thread.join(timeout=10.0)
             assert not thread.is_alive()
-        assert len(cache) == 0
+        assert not cache.plans[1].verified and cache.plans[1].replays == 0
         assert metrics.gauge("nn.compile.arena_bytes").value == 0
         assert cache.arena.bytes == 0 and not cache.arena._slots
         _run(untrained_model, requests)
@@ -380,8 +380,97 @@ class TestPlanCache:
         first = nn_compile.enable(untrained_model, metrics=metrics)
         again = nn_compile.enable(untrained_model, metrics=metrics)
         assert again is first
-        other = nn_compile.enable(untrained_model, CompileConfig(max_plans=4), metrics=metrics)
+        other = nn_compile.enable(
+            untrained_model, CompileConfig(arena_bytes_limit=1 << 20), metrics=metrics
+        )
         assert other is not first
+
+
+# ----------------------------------------------------------------------
+# One plan per phase, verified per shape
+# ----------------------------------------------------------------------
+def _spread_tables(registry):
+    """Tables spanning four meta widths and six phase-2 width pairs."""
+    config = TableGenConfig(min_columns=1, max_columns=18, min_rows=5, max_rows=10)
+    rng = np.random.default_rng(11)
+    return [generate_table(registry, config, rng, index) for index in range(8)]
+
+
+class TestPerShapeVerification:
+    def test_a_failed_verify_retires_only_its_width(
+        self, untrained_model, featurizer, tiny_corpus, monkeypatch
+    ):
+        metrics = MetricsRegistry()
+        encoded = featurizer.encode_offline(
+            tiny_corpus.tables[0], with_content=False, with_labels=False
+        )
+        bad, good = [w for w in _ladder() if w >= len(encoded.meta.token_ids)][:2]
+        requests = {
+            width: [Phase1Request(encoded=encoded, meta_width=width, phase2_policy=KEEP_LATENTS)]
+            for width in (bad, good)
+        }
+        reference = {width: _run(untrained_model, requests[width]) for width in (bad, good)}
+        matches = nn_compile.CompiledPlan._matches
+
+        def fails_at_bad(plan, outputs, expected):
+            if plan.phase == 1 and outputs[1][0].shape[1] == bad:
+                return False
+            return matches(plan, outputs, expected)
+
+        monkeypatch.setattr(nn_compile.CompiledPlan, "_matches", fails_at_bad)
+        cache = nn_compile.enable(untrained_model, metrics=metrics)
+        for _ in range(2):
+            for width in (bad, good):
+                _assert_phase1_bitwise(reference[width], _run(untrained_model, requests[width]))
+        plan = cache.plans[1]
+        assert plan.dead == {bad} and plan.unfused == {bad}
+        assert plan.verified == {(good, "meta")}
+        assert plan.replays == 2
+        assert metrics.counter("nn.compile.fallbacks", reason="verify").value == 1
+        assert metrics.counter("nn.compile.fallbacks", reason="dead").value == 1
+        assert metrics.counter("nn.compile.replays", phase="1").value == 2
+
+    def test_one_build_per_phase_and_one_verify_per_shape(
+        self, untrained_model, featurizer, tiny_corpus, monkeypatch
+    ):
+        tables = _spread_tables(tiny_corpus.registry)
+        verifies = []
+
+        def spy(phase, eager):
+            def wrapped(model, batch, *cached):
+                shape = batch.meta_ids.shape[1]
+                mode = "meta"
+                if phase == 2:
+                    shape = (shape, batch.content_ids.shape[1])
+                    mode = "cached" if cached[0] is not None else "recompute"
+                verifies.append((phase, shape, mode))
+                return eager(model, batch, *cached)
+
+            return wrapped
+
+        monkeypatch.setattr(nn_compile, "eager_phase1", spy(1, nn_compile.eager_phase1))
+        monkeypatch.setattr(nn_compile, "eager_phase2", spy(2, nn_compile.eager_phase2))
+        metrics = MetricsRegistry()
+        detector = TasteDetector(
+            untrained_model,
+            featurizer,
+            KEEP_LATENTS,
+            config=DetectorConfig(pipelined=False),
+            runtime=RuntimeConfig(metrics=metrics),
+        )
+        for _ in range(2):
+            detector.detect(CloudDatabaseServer.from_tables(tables, FAST))
+        plans = nn_compile.plan_cache(untrained_model).plans
+        assert len({shape for _, shape, _ in verifies if isinstance(shape, int)}) >= 3
+        assert len({shape for _, shape, _ in verifies if isinstance(shape, tuple)}) >= 3
+        assert len(verifies) == len(set(verifies))
+        assert set(verifies) == {
+            (phase, shape, mode) for phase, plan in plans.items() for shape, mode in plan.verified
+        }
+        for phase in ("1", "2"):
+            assert metrics.counter("nn.compile.builds", phase=phase).value == 1
+            assert metrics.counter("nn.compile.replays", phase=phase).value > len(verifies)
+        assert metrics.counter("nn.compile.fallbacks").value == 0
 
 
 # ----------------------------------------------------------------------
@@ -391,13 +480,12 @@ class TestGradIsolation:
     def test_training_never_routes_through_plans(
         self, tiny_encoder, tiny_corpus, featurizer
     ):
-        from repro.core import ADTDConfig, ADTDModel
-
         model = ADTDModel(
             ADTDConfig(tiny_encoder, num_labels=tiny_corpus.registry.num_labels), seed=3
         )
         cache = nn_compile.enable(model, metrics=MetricsRegistry())
         fingerprint = cache.fingerprint
+        plans = dict(cache.plans)
         fine_tune(
             model,
             featurizer,
@@ -407,7 +495,8 @@ class TestGradIsolation:
         # Training went through the autograd forward (plans only hook the
         # sched no-grad entry points), and the weight mutation dropped the
         # plans + refreshed the fingerprint.
-        assert len(cache) == 0
+        assert all(plan.replays == 0 for plan in plans.values())
+        assert all(cache.plans[phase] is not plans[phase] for phase in (1, 2))
         assert cache.fingerprint != fingerprint
         assert nn_compile.plan_cache(model) is cache
 
@@ -415,11 +504,32 @@ class TestGradIsolation:
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:1])
         cache = nn_compile.enable(untrained_model, metrics=MetricsRegistry())
         _run(untrained_model, requests)
-        assert len(cache) == 1
+        verified = {(requests[0].meta_width, "meta")}
+        assert cache.plans[1].verified == verified
         nn_compile.invalidate(untrained_model)
-        assert len(cache) == 0
+        assert not cache.plans[1].verified
         compiled = _run(untrained_model, requests)
-        assert len(cache) == 1 and compiled[0].probs.size > 0
+        assert cache.plans[1].verified == verified and compiled[0].probs.size > 0
+
+    def test_load_state_dict_drops_stale_plans(
+        self, tiny_encoder, featurizer, tiny_corpus
+    ):
+        """Loading weights into a model whose warm detector replays plans
+        must not leave those plans on the old weights."""
+        model = ADTDModel(
+            ADTDConfig(tiny_encoder, num_labels=tiny_corpus.registry.num_labels), seed=3
+        )
+        compiled = _make_detector(model, featurizer, True)
+        eager = _make_detector(model, featurizer, False)
+
+        def detect(detector):
+            return _report_bytes(
+                detector.detect(CloudDatabaseServer.from_tables(tiny_corpus.test, FAST))
+            )
+
+        assert detect(compiled) == detect(eager)
+        model.load_state_dict(ADTDModel(model.config, seed=99).state_dict())
+        assert detect(compiled) == detect(eager)
 
     def test_grad_mode_unaffected_by_enabled_plans(
         self, untrained_model, featurizer, tiny_corpus

@@ -60,15 +60,40 @@ class TestFairness:
         assert len(big_report.tables) == len(big_tables)
         assert big_report.ok and small_report.ok
 
-    def test_priority_orders_queued_jobs(self, detector, server, tiny_corpus):
-        """A higher-priority job's tables dispatch ahead of lower ones."""
+    def test_priority_orders_queued_jobs(self, detector, server, tiny_corpus, monkeypatch):
+        """A low-priority stage of kind K never dispatches while a
+        higher-priority table sits idle with a ready stage of kind K."""
         names = [t.name for t in tiny_corpus.test]
+        dispatched, violations = [], []
         with DetectionService(detector) as service:
-            low = service.submit("tenant-a", server, names * 4, priority=0)
-            high = service.submit("tenant-b", server, names[:2], priority=10)
-            high.result(timeout=120.0)
-            assert low.status() in ("queued", "running")
-            low.result(timeout=300.0)
+            source = service._source
+            note_dispatch = source.note_dispatch
+
+            def spy(table_job, kind):
+                # The dispatch loop calls this with the condition held.
+                job = source._job_of[id(table_job)]
+                dispatched.append(job.priority)
+                for other in source.active:
+                    if other.priority <= job.priority:
+                        continue
+                    for waiting in other.table_jobs:
+                        if (
+                            not waiting.done
+                            and not other.is_running(waiting)
+                            and waiting.next_stage_kind() == kind
+                        ):
+                            violations.append((table_job.table_name, kind, waiting.table_name))
+                note_dispatch(table_job, kind)
+
+            monkeypatch.setattr(source, "note_dispatch", spy)
+            # Both jobs are queued before the dispatch loop sees either.
+            with source.condition:
+                low = service.submit("tenant-a", server, names * 4, priority=0)
+                high = service.submit("tenant-b", server, names[:2], priority=10)
+            reports = [high.result(timeout=120.0), low.result(timeout=300.0)]
+        assert not violations
+        assert set(dispatched) == {0, 10}
+        assert all(report.ok for report in reports)
 
 
 class TestShedding:
