@@ -2,61 +2,41 @@
 
 Data-preparation stages (I/O + CPU) and inference stages (model compute)
 use different resources, so interleaving them across tables raises
-utilization: while table A is in inference, table B's content fetch can be
-in flight. A stage is *eligible* once all previous stages of the same
-table have finished (Definition 5.1). Prep stages run on thread pool
-``TP1``; Algorithm 1's inference pool ``TP2`` is the dispatch loop's own
-thread.
+utilization. A stage is *eligible* once the previous stage of its table
+has finished (Definition 5.1). That happens at one moment, when that
+stage is reported, so that is when the loop files the job with its
+:class:`JobSource`, in one ready queue per stage kind; dispatch pops the
+heads of those queues and never rescans the jobs, so its cost per stage
+does not grow with the number of tables.
 
-Why no inference pool: inference is numpy under one GIL. Forwards on
-threads of their own do not overlap each other or the loop; they compete
-with them for that lock, and a forward replayed on a contended thread
-takes about twice as long as the same forward alone. So the loop runs
-inference itself, in *rounds*: it takes the tables whose next stage is
-inference, in ``pending()`` order, up to ``max_batch_cols`` columns
-(always at least one table), releases the source's condition, builds
-their requests, runs them all through one width-grouped forward call
-(:meth:`~repro.sched.InferenceBatcher.run`), applies each table's
-readout, and reports each table back under the condition. Nothing waits
-for a batch to fill.
+Prep stages run on thread pool ``TP1``. Algorithm 1's inference pool
+``TP2`` is the dispatch loop's own thread: inference is numpy under one
+GIL, and forwards on threads of their own only compete with the loop for
+that lock. So the loop runs inference in *rounds*: it takes ready infer
+stages in the source's order up to ``max_batch_cols`` columns (always at
+least one table), releases the source's condition, runs their requests
+through one width-grouped :meth:`~repro.sched.InferenceBatcher.run`,
+applies each table's readout and reports each table back. Nothing waits
+for a batch to fill. Meanwhile a prep worker that finishes a stage
+refills its own slot from the prep queue, so the next round carries
+every table prepared during this one (DESIGN §5d).
 
-Prep keeps flowing while a round runs. The loop dispatches prep stages
-before every round, and a prep worker that finishes a stage refills its
-own slot under the condition: it takes the next ready prep stage in
-``pending()`` order and runs it on its own thread. It stops when the
-source aborts, when no prep stage is ready, or when a waking database
-wait has pushed the slots over ``prep_workers``. The next round then
-carries every table prepared meanwhile, so a round is bounded by
-``max_batch_cols``, not by ``prep_workers``.
+``prep_workers`` counts prep stages *on the CPU*: while a stage sits in
+a real wait (:func:`repro.db.cost.wait` — a charged round trip, an
+injected fault delay, a retry backoff) it gives its slot back, and on
+waking takes it back without blocking (briefly over the limit).
+:data:`PREP_THREADS` caps CPU slots plus overlapped waits. With
+``time_scale=0`` only retry backoffs wait, so a run without retries runs
+at most ``prep_workers`` prep stages, as a fixed-size pool would.
 
-A prep stage spends most of its wall blocked on the database, not on the
-CPU. ``prep_workers`` therefore counts prep stages *on the CPU*: while a
-stage sits in a real wait (:func:`repro.db.cost.wait` — a charged round
-trip, an injected fault delay, a retry backoff) it gives its slot back so
-another prep stage can start, and on waking it takes the slot back
-without blocking (briefly over the limit). ``TP1`` has
-:data:`PREP_THREADS` threads, which caps CPU slots plus overlapped waits;
-the dispatcher never submits more prep stages than it has threads. With
-``time_scale=0`` round trips and injected delays do not wait, but retry
-backoffs (which ``time_scale`` does not scale) still do; a run without
-retries then runs at most ``prep_workers`` prep stages, exactly as a
-fixed-size pool would.
-
-The dispatch loop is event-driven: prep workers ``notify_all()`` the
-condition on completion and the loop blocks in ``condition.wait()`` when
-it has nothing to dispatch and no round to run (a long ``wait_timeout``
-remains as a safety net only; timeouts are counted in the
-``pipeline.wait_timeouts`` metric and a healthy run records zero). Prep
-stages run inside a copy of the dispatcher's :mod:`contextvars` context
-and rounds run in the dispatcher's own, so tracer spans of either kind
-parent to the run's root span.
-
-Where jobs come from is abstracted behind :class:`JobSource` so the same
-loop serves two callers: the one-shot :meth:`PipelinedExecutor.run` (a
-static list of jobs, exit when drained, first failure aborts) and the
-long-lived :class:`~repro.serve.DetectionService` (jobs arrive and are
-cancelled while the loop runs; per-table failures are absorbed into the
-table's result instead of killing the loop).
+The loop is event-driven: workers ``notify_all()`` the condition on
+completion, and the loop waits on it when nothing is ready (a firing of
+the long ``wait_timeout`` safety net is counted in
+``pipeline.wait_timeouts``; a healthy run records zero). Prep stages run
+in a copy of the dispatcher's :mod:`contextvars` context and rounds in
+its own, so tracer spans of either kind parent to the run's root span.
+The same loop serves the one-shot :meth:`PipelinedExecutor.run` and the
+long-lived :class:`~repro.serve.DetectionService`, through their sources.
 
 ``SequentialExecutor`` is the ablation baseline: tables processed one by
 one, stages strictly in order, no overlap.
@@ -66,6 +46,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import heapq
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -105,19 +86,28 @@ class JobSource(Protocol):
     """Where the dispatch loop gets its jobs and reports their progress.
 
     The source owns ``condition`` — the one lock of the whole dispatch
-    loop. Every method below is called *with that condition held*; a
-    source that enqueues or cancels jobs from other threads must take the
-    same condition and ``notify_all()`` so the loop re-reads ``pending()``.
+    loop — and one ready queue per stage kind, in its dispatch order.
+    Every method below is called *with that condition held*; a source
+    that enqueues or cancels jobs from other threads must take the same
+    condition and ``notify_all()`` so the loop takes again.
     """
 
     condition: threading.Condition
 
-    def pending(self) -> list[TableJob]:
-        """Dispatchable (not-done) jobs, in dispatch-priority order."""
+    def take(self, kind: str) -> tuple[TableJob, float] | None:
+        """The next ready ``kind`` job and its ``perf_counter()`` ready time,
+        or ``None``. It is in no queue until filed again; a job that was
+        done while it waited (cancelled, expired) is dropped instead."""
+        ...
+
+    def ready(self, job: TableJob, since: float) -> None:
+        """File ``job`` (not done) under ``job.next_stage_kind()``, ready
+        since ``since``: after its stage was reported, or to put back a job
+        just taken. A source files the jobs it adds itself."""
         ...
 
     def finished(self) -> bool:
-        """True when a drained loop (nothing pending/running) should exit."""
+        """True when a drained loop (nothing ready or in flight) should exit."""
         ...
 
     def aborted(self) -> bool:
@@ -125,11 +115,7 @@ class JobSource(Protocol):
         ...
 
     def note_dispatch(self, job: TableJob, kind: str) -> None:
-        """A ``kind`` stage of ``job`` was just dispatched (to TP1, or to a round).
-
-        Prep stages are dispatched by the loop and by prep workers
-        refilling their own slot; either way the condition is held.
-        """
+        """A ``kind`` stage of ``job`` was just dispatched (to TP1, or to a round)."""
         ...
 
     def note_stage_complete(self, job: TableJob) -> None:
@@ -144,18 +130,33 @@ class JobSource(Protocol):
 class _StaticSource:
     """The one-shot source behind :meth:`PipelinedExecutor.run`.
 
-    A fixed job list, drained to completion; the first stage failure
-    aborts the loop and is re-raised to the caller (matching the
-    pre-service executor semantics exactly).
+    A fixed job list, drained to completion in list order: one heap per
+    stage kind, keyed by job index. The first stage failure aborts the
+    loop and is re-raised to the caller (matching the pre-service
+    executor semantics exactly).
     """
 
     def __init__(self, jobs: list[TableJob]) -> None:
         self.condition = threading.Condition()
-        self.jobs = jobs
         self.failures: list[BaseException] = []
+        self._index = {id(job): index for index, job in enumerate(jobs)}
+        self._ready: dict[str, list[tuple[int, float, TableJob]]] = {"prep": [], "infer": []}
+        now = time.perf_counter()
+        for job in jobs:
+            if not job.done:
+                self.ready(job, now)
 
-    def pending(self) -> list[TableJob]:
-        return [job for job in self.jobs if not job.done]
+    def take(self, kind: str) -> tuple[TableJob, float] | None:
+        queue = self._ready[kind]
+        if not queue:
+            return None
+        _, since, job = heapq.heappop(queue)
+        return job, since
+
+    def ready(self, job: TableJob, since: float) -> None:
+        heapq.heappush(
+            self._ready[job.next_stage_kind()], (self._index[id(job)], since, job)
+        )
 
     def finished(self) -> bool:
         return True
@@ -176,12 +177,9 @@ class _StaticSource:
 class PipelinedExecutor:
     """Algorithm 1: prep stages on TP1, inference in rounds on the loop.
 
-    TP1 is CPU slots plus overlapped waits: ``prep_workers`` prep stages
-    may run on the CPU at once, and a stage blocked in a real database
-    wait does not count against them (see the module docstring). TP1's
-    threads, ``max(prep_workers, PREP_THREADS)``, bound both together.
-    A worker whose stage ends keeps its slot for the next ready prep
-    stage. Inference stages run on the thread that calls
+    Ready stages are taken from the source's queues in its order (see the
+    module docstring); TP1 has ``max(prep_workers, PREP_THREADS)``
+    threads, and inference runs on the thread that calls
     :meth:`run_source`.
 
     Parameters
@@ -197,11 +195,9 @@ class PipelinedExecutor:
         for stage machines whose infer stages need no model.
     wait_timeout:
         Safety-net timeout for the dispatch loop's ``condition.wait``.
-        Workers always notify on completion, so with work outstanding
-        this should never fire; a firing with stages pending or running
-        increments ``pipeline.wait_timeouts``. (An idle long-lived source
-        waiting for new jobs times out routinely; that is not a stall and
-        is not counted.)
+        Workers always notify on completion, so a firing with stages in
+        flight is a stall and increments ``pipeline.wait_timeouts`` (an
+        idle long-lived source times out routinely and is not counted).
 
     A stage machine the loop drives has ``done``, ``next_stage_kind()``
     and ``run_next_stage()`` (prep stages), and for its infer stages
@@ -273,9 +269,9 @@ class PipelinedExecutor:
 
         The long-lived entry point: the loop keeps waiting on the
         source's condition while ``finished()`` is false, so a service
-        can keep enqueuing jobs. All loop state (in-flight counts, the
-        running set, eligibility clocks) is local; the only shared lock
-        is ``source.condition``.
+        can keep enqueuing jobs. The loop's own state is its in-flight
+        counts; which jobs are ready, and since when, is the source's.
+        The only shared lock is ``source.condition``.
         """
         metrics = metrics if metrics is not None else global_registry()
         waiting_gauge = metrics.gauge("pipeline.waiting")
@@ -301,10 +297,6 @@ class PipelinedExecutor:
         # those blocked in a real wait, which hold a thread but no slot.
         prep_in_flight = 0
         waiting = 0
-        # A job is dispatchable when it is not done and not currently running.
-        running: set[int] = set()
-        # id(job) -> clock reading when its next stage became eligible.
-        eligible_since: dict[int, float] = {}
 
         @contextlib.contextmanager
         def slot_released() -> Iterator[None]:
@@ -329,27 +321,21 @@ class PipelinedExecutor:
                     waiting_gauge.set(waiting)
 
         def report(job: TableJob, error: BaseException | None) -> None:
-            # Condition held: the job's stage is over, report it.
-            running.discard(id(job))
-            if job.done:
-                eligible_since.pop(id(job), None)
-            else:
-                eligible_since[id(job)] = time.perf_counter()
+            # Condition held: the job's stage is over; report it, then its
+            # next stage is ready from now.
             if error is None:
                 source.note_stage_complete(job)
             else:
                 source.note_stage_error(job, error)
+            if not job.done:
+                source.ready(job, time.perf_counter())
 
-        def next_prep() -> TableJob | None:
-            # Condition held: the slot a finishing stage frees goes to the
-            # first ready prep stage in pending() order, unless the run
-            # aborted or a waking stage pushed the slots over the limit.
-            if source.aborted() or prep_in_flight > self.prep_workers:
-                return None
-            for job in source.pending():
-                if not job.done and id(job) not in running and job.next_stage_kind() == "prep":
-                    return job
-            return None
+        def dispatch(kind: str, taken: tuple[TableJob, float]) -> TableJob:
+            job, since = taken
+            queue_wait[kind].observe(time.perf_counter() - since)
+            dispatch_counters[kind].inc()
+            source.note_dispatch(job, kind)
+            return job
 
         def prep_worker(job: TableJob | None) -> None:
             nonlocal prep_in_flight
@@ -364,20 +350,19 @@ class PipelinedExecutor:
                 with condition:
                     report(job, error)
                     # Refill the slot here, not on the loop's next pass, so
-                    # prep keeps flowing while the loop runs a round.
-                    job = next_prep()
-                    if job is None:
+                    # prep keeps flowing while the loop runs a round; unless
+                    # the run aborted or a waking stage pushed the slots
+                    # over the limit.
+                    taken = None
+                    if not source.aborted() and prep_in_flight <= self.prep_workers:
+                        taken = source.take("prep")
+                    if taken is None:
+                        job = None
                         prep_in_flight -= 1
                         in_flight_gauges["prep"].set(prep_in_flight)
                     else:
-                        dispatch(job, "prep", time.perf_counter())
+                        job = dispatch("prep", taken)
                     condition.notify_all()
-
-        def dispatch(job: TableJob, kind: str, now: float) -> None:
-            queue_wait[kind].observe(now - eligible_since.get(id(job), now))
-            running.add(id(job))
-            dispatch_counters[kind].inc()
-            source.note_dispatch(job, kind)
 
         prep_threads = max(self.prep_workers, PREP_THREADS)
         round_budget = (
@@ -387,52 +372,35 @@ class PipelinedExecutor:
         )
         with ThreadPoolExecutor(prep_threads, thread_name_prefix="taste-prep") as tp1:
             with condition:
-                while True:
-                    if source.aborted():
-                        break
+                while not source.aborted():
                     pass_started = time.perf_counter()
-                    pending = [job for job in source.pending() if not job.done]
-                    if not pending and not running and source.finished():
-                        break
-                    for job in pending:
-                        eligible_since.setdefault(id(job), pass_started)
-                    # One scan in pending() order (Algorithm 1 lines 8-19: a
-                    # job's *next* stage must match and the job must not be
-                    # running a stage): every prep stage a TP1 slot and
-                    # thread can take, and this pass's inference round.
+                    # Algorithm 1 lines 8-19, from the heads of the ready
+                    # queues: every prep stage a TP1 slot and thread can
+                    # take, then this pass's inference round.
                     dispatched = False
+                    while (
+                        prep_in_flight < self.prep_workers
+                        and prep_in_flight + waiting < prep_threads
+                        and (taken := source.take("prep")) is not None
+                    ):
+                        job = dispatch("prep", taken)
+                        prep_in_flight += 1
+                        in_flight_gauges["prep"].set(prep_in_flight)
+                        # Run the stage inside the dispatcher's context so
+                        # spans opened on the worker thread keep the run's
+                        # root span as an ancestor.
+                        context = contextvars.copy_context()
+                        tp1.submit(context.run, prep_worker, job)
+                        dispatched = True
                     round_jobs: list[TableJob] = []
                     round_cols = 0
-                    round_full = False
-                    for job in pending:
-                        if id(job) in running:
-                            continue
-                        kind = job.next_stage_kind()
-                        if kind == "prep":
-                            if (
-                                prep_in_flight >= self.prep_workers
-                                or prep_in_flight + waiting >= prep_threads
-                            ):
-                                continue
-                            dispatch(job, "prep", time.perf_counter())
-                            prep_in_flight += 1
-                            in_flight_gauges["prep"].set(prep_in_flight)
-                            # Run the stage inside the dispatcher's context so
-                            # spans opened on the worker thread keep the run's
-                            # root span as an ancestor.
-                            context = contextvars.copy_context()
-                            tp1.submit(context.run, prep_worker, job)
-                            dispatched = True
-                        elif kind == "infer" and not round_full:
-                            cost = job.infer_columns()
-                            if round_jobs and round_cols + cost > round_budget:
-                                round_full = True
-                                continue
-                            round_jobs.append(job)
-                            round_cols += cost
-                    now = time.perf_counter()
-                    for job in round_jobs:
-                        dispatch(job, "infer", now)
+                    while (taken := source.take("infer")) is not None:
+                        cost = taken[0].infer_columns()
+                        if round_jobs and round_cols + cost > round_budget:
+                            source.ready(*taken)  # heads the next round
+                            break
+                        round_jobs.append(dispatch("infer", taken))
+                        round_cols += cost
                     dispatch_seconds.observe(time.perf_counter() - pass_started)
                     if round_jobs:
                         in_flight_gauges["infer"].set(len(round_jobs))
@@ -445,13 +413,18 @@ class PipelinedExecutor:
                         for job, error in zip(round_jobs, errors):
                             report(job, error)
                         continue
-                    if not dispatched:
-                        # Event-driven wait: workers notify on completion, so
-                        # a timeout with work outstanding is a stall. An idle
-                        # long-lived source (nothing pending or running,
-                        # waiting for submissions) times out as a matter of
-                        # course and is not counted.
-                        notified = condition.wait(timeout=self.wait_timeout)
-                        wakeups.inc()
-                        if not notified and (pending or running):
-                            wait_timeouts.inc()
+                    if dispatched:
+                        continue
+                    # Nothing was taken. With nothing in flight, every slot
+                    # was free, so both queues answered ``None``: drained.
+                    in_flight = prep_in_flight + waiting
+                    if not in_flight and source.finished():
+                        break
+                    # Event-driven wait: workers notify on completion, so
+                    # a timeout with work in flight is a stall. An idle
+                    # long-lived source (waiting for submissions) times out
+                    # as a matter of course and is not counted.
+                    notified = condition.wait(timeout=self.wait_timeout)
+                    wakeups.inc()
+                    if not notified and in_flight:
+                        wait_timeouts.inc()

@@ -760,16 +760,22 @@ def disable(model: Any) -> None:
         cache.reset()
 
 
-def invalidate(model: Any) -> None:
+def invalidate(module: Any) -> None:
     """Drop compiled plans after a weight mutation (fine-tune, load, ...).
 
-    The cache stays attached — fresh plans rebuild (and re-verify every
-    shape) from the new weights on the next forward. No-op when
-    compilation is not enabled.
+    ``module`` is a model or any submodule of one: every attached cache
+    whose model contains it (by identity) is reset. The caches stay
+    attached — fresh plans rebuild (and re-verify every shape) from the
+    new weights on the next forward. No-op when compilation is not
+    enabled.
     """
     with _CACHES_LOCK:
-        cache = _CACHES.get(model)
-    if cache is not None:
+        caches = [
+            cache
+            for model, cache in _CACHES.items()
+            if any(part is module for part in model.modules())
+        ]
+    for cache in caches:
         cache.reset()
 
 

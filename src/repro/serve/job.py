@@ -81,6 +81,7 @@ class Job:
         self.expired = False
         self.table_jobs: list[TableJob] = []
         self.running_ids: set[int] = set()  # id(TableJob) mid-stage right now
+        self.done_prefix = 0  # leading table_jobs known to be done
         self.streamed: list[TableResult] = []  # completed, in completion order
         self.report: DetectionReport | None = None
         self.error: BaseException | None = None

@@ -36,6 +36,7 @@ give its pipeline slot back (see :mod:`repro.core.pipeline`).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import threading
 import time
@@ -165,33 +166,43 @@ class _ServiceSource:
         self.stopping = False
         self.dispatch_error: BaseException | None = None
         self._job_of: dict[int, Job] = {}  # id(TableJob) -> Job
+        self._order_of: dict[int, tuple] = {}  # id(TableJob) -> (deadline, seq, index)
         self._tenant_served: dict[str, int] = {}
         self._streamed_ids: dict[int, set[int]] = {}  # id(Job) -> ids streamed
+        # kind -> (priority, tenant) -> heap of (order, ready since, TableJob)
+        self._ready: dict[str, dict[tuple[int, str], list]] = {"prep": {}, "infer": {}}
+        self._deadlines: list[tuple[float, int, Job]] = []  # live jobs' deadlines
 
     # ------------------------------------------------------------------
     # JobSource protocol (called with the condition held)
     # ------------------------------------------------------------------
-    def pending(self) -> list[TableJob]:
+    def take(self, kind: str) -> tuple[TableJob, float] | None:
+        """The ready ``kind`` stage with the least ``(-priority, served,
+        deadline, seq, index)``: served changes on every dispatch, so each
+        take compares the heads of the ``(priority, tenant)`` queues."""
         now = time.monotonic()
-        for job in list(self.active):
-            if (
-                not job.finished
-                and not job.cancel_requested
-                and job.deadline_passed(now)
-            ):
-                self._expire(job)
-        entries: list[tuple[tuple, TableJob]] = []
-        for job in self.active:
-            served = self._tenant_served.get(job.tenant, 0)
-            urgency = job.deadline_at if job.deadline_at is not None else float("inf")
-            for index, table_job in enumerate(job.table_jobs):
-                if table_job.done:
-                    continue
-                entries.append(
-                    ((-job.priority, served, urgency, job.seq, index), table_job)
-                )
-        entries.sort(key=lambda entry: entry[0])
-        return [table_job for _, table_job in entries]
+        while self._deadlines and self._deadlines[0][0] <= now:
+            self._expire(heapq.heappop(self._deadlines)[2])
+        queues = self._ready[kind]
+        for group, queue in list(queues.items()):
+            while queue and queue[0][2].done:  # cancelled or expired
+                heapq.heappop(queue)
+            if not queue:
+                del queues[group]
+        if not queues:
+            return None
+        served = self._tenant_served
+        group = min(queues, key=lambda g: (-g[0], served.get(g[1], 0), queues[g][0][0]))
+        _, since, table_job = heapq.heappop(queues[group])
+        if not queues[group]:
+            del queues[group]
+        return table_job, since
+
+    def ready(self, table_job: TableJob, since: float) -> None:
+        job = self._job_of[id(table_job)]  # not done, so its job is live
+        queues = self._ready[table_job.next_stage_kind()]
+        queue = queues.setdefault((job.priority, job.tenant), [])
+        heapq.heappush(queue, (self._order_of[id(table_job)], since, table_job))
 
     def finished(self) -> bool:
         return self.stopping and not self.active
@@ -286,7 +297,11 @@ class _ServiceSource:
     def _maybe_finalize(self, job: Job) -> None:
         if job.finished or job.inflight > 0:
             return
-        if not all(table_job.done for table_job in job.table_jobs):
+        # A table never stops being done, so the scan resumes where it stopped.
+        tables = job.table_jobs
+        while job.done_prefix < len(tables) and tables[job.done_prefix].done:
+            job.done_prefix += 1
+        if job.done_prefix < len(tables):
             return
         # Callers already hold the condition; it wraps an RLock, so this
         # re-entrant acquisition just makes the guarded writes explicit.
@@ -296,6 +311,10 @@ class _ServiceSource:
             self._streamed_ids.pop(id(job), None)
             for table_job in job.table_jobs:
                 self._job_of.pop(id(table_job), None)
+                self._order_of.pop(id(table_job), None)
+            if job.deadline_at is not None:
+                self._deadlines = [e for e in self._deadlines if e[2] is not job]
+                heapq.heapify(self._deadlines)
             self.condition.notify_all()
 
     # ------------------------------------------------------------------
@@ -319,8 +338,14 @@ class _ServiceSource:
                     reason="queue",
                 )
             self.active.append(job)
-            for table_job in job.table_jobs:
+            if job.deadline_at is not None:
+                heapq.heappush(self._deadlines, (job.deadline_at, job.seq, job))
+            urgency = job.deadline_at if job.deadline_at is not None else float("inf")
+            now = time.perf_counter()
+            for index, table_job in enumerate(job.table_jobs):
                 self._job_of[id(table_job)] = job
+                self._order_of[id(table_job)] = (urgency, job.seq, index)
+                self.ready(table_job, now)
             self.condition.notify_all()
 
     def cancel(self, job: Job) -> bool:

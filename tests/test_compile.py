@@ -531,6 +531,28 @@ class TestGradIsolation:
         model.load_state_dict(ADTDModel(model.config, seed=99).state_dict())
         assert detect(compiled) == detect(eager)
 
+    def test_loading_a_submodule_drops_the_model_plans(
+        self, tiny_encoder, featurizer, tiny_corpus
+    ):
+        """Plans are cached per model, so loading weights into one of its
+        submodules must drop them too."""
+        model = ADTDModel(
+            ADTDConfig(tiny_encoder, num_labels=tiny_corpus.registry.num_labels), seed=3
+        )
+        compiled = _make_detector(model, featurizer, True)
+        eager = _make_detector(model, featurizer, False)
+
+        def detect(detector):
+            return _report_bytes(
+                detector.detect(CloudDatabaseServer.from_tables(tiny_corpus.test, FAST))
+            )
+
+        assert detect(compiled) == detect(eager)
+        model.content_classifier.load_state_dict(
+            ADTDModel(model.config, seed=99).content_classifier.state_dict()
+        )
+        assert detect(compiled) == detect(eager)
+
     def test_grad_mode_unaffected_by_enabled_plans(
         self, untrained_model, featurizer, tiny_corpus
     ):

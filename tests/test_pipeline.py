@@ -156,14 +156,14 @@ class TestPipelinedExecutor:
             assert hist.count == 6  # two stages of each kind per table
 
     def test_dispatch_seconds_times_the_scan_not_the_round(self, make_jobs):
-        """``pipeline.dispatch_seconds`` covers each pass's ``pending()``
-        scan and its dispatches, and leaves out the inference round."""
+        """``pipeline.dispatch_seconds`` covers each pass's takes from the
+        ready queues and its dispatches, and leaves out the inference round."""
         scan, stage = 0.005, 0.05
 
         class SlowScan(_StaticSource):
-            def pending(self):
+            def take(self, kind):
                 time.sleep(scan)
-                return super().pending()
+                return super().take(kind)
 
         jobs, _ = make_jobs(3, delay=stage)
         registry = MetricsRegistry()
@@ -173,6 +173,31 @@ class TestPipelinedExecutor:
         assert passes.count > 0
         assert passes.min >= scan
         assert passes.max < stage
+
+    def test_dispatch_work_is_linear_in_the_job_count(self):
+        """Each stage becomes ready once and is taken once: a 400-table run
+        asks the jobs for their next stage kind (the loop and the source
+        together) and the source for ready stages O(N) times, not once
+        per job per pass."""
+        count = 400
+        calls = {"next_stage_kind": 0, "source": 0}
+
+        class CountedJob(FakeJob):
+            def next_stage_kind(self):
+                calls["next_stage_kind"] += 1
+                return super().next_stage_kind()
+
+        class CountedSource(_StaticSource):
+            def take(self, kind):
+                calls["source"] += 1
+                return super().take(kind)
+
+        log, lock = [], threading.Lock()
+        jobs = [CountedJob(f"t{i}", log, lock) for i in range(count)]
+        PipelinedExecutor(2).run_source(CountedSource(jobs), MetricsRegistry())
+        assert all(job.done for job in jobs)
+        assert calls["next_stage_kind"] <= 8 * count
+        assert calls["source"] <= 8 * count
 
     def test_faster_than_sequential_with_io_delays(self, make_jobs):
         delay = 0.01

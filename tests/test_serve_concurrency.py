@@ -10,17 +10,27 @@ terminal state).
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DetectorConfig, RuntimeConfig, TasteDetector, ThresholdPolicy
 from repro.db import CloudDatabaseServer, CostModel
 from repro.errors import Cancelled, Overloaded
 from repro.obs import MetricsRegistry
 from repro.serve import DetectionService, ServiceConfig, TenantQuota
+from repro.serve import job as job_module
+from repro.serve import service as service_module
+from repro.serve.job import Job, JobStatus
+from repro.serve.service import _ServiceSource
 from tests.conftest import assert_no_leaked_connections
 
 FAST = CostModel(time_scale=0.0)
@@ -235,3 +245,222 @@ class TestManyTenants:
             for a, b in zip(reference, candidate):
                 assert a.admitted_types == b.admitted_types
                 assert np.array_equal(a.probabilities, b.probabilities)
+
+
+class TestReadyQueues:
+    def test_cancelled_and_expired_jobs_leave_nothing_in_the_source(
+        self, detector, server, tiny_corpus
+    ):
+        """Tables a cancellation or an expiry skips never run again, so the
+        source must drop them from its queues and forget their jobs."""
+        names = [t.name for t in tiny_corpus.test]
+        with DetectionService(detector) as service:
+            source = service._source
+            cancelled = [
+                service.submit(f"tenant-{i}", server, names * 4) for i in range(2)
+            ]
+            for handle in cancelled:
+                next(handle.stream())  # under way, with tables still queued
+                handle.cancel()
+            expired = [
+                service.submit("tenant-c", server, names * 4, deadline=deadline)
+                for deadline in (0.0, 0.02)
+            ]
+            for handle in cancelled:
+                with pytest.raises(Cancelled):
+                    handle.result(timeout=60.0)
+            for handle in expired:
+                assert len(handle.result(timeout=60.0).tables) == len(names) * 4
+            refs = [
+                weakref.ref(table_job)
+                for handle in cancelled + expired
+                for table_job in handle._job.table_jobs
+            ]
+            assert service.submit("tenant-d", server, names[:2]).result(timeout=60.0).ok
+        # stop() drained the service: the loop took until every queue was empty.
+        assert source._ready == {"prep": {}, "infer": {}}
+        assert not (source._deadlines or source._job_of or source._order_of)
+        del cancelled, expired, handle
+        gc.collect()
+        assert not [ref for ref in refs if ref() is not None]
+
+
+class _StubTableJob:
+    """A stage machine the source can queue, expire and cancel."""
+
+    STAGE_KINDS = ("prep", "infer", "prep", "infer")
+    num_stages = 4
+    result = None
+
+    def __init__(self) -> None:
+        self.completed_stages = 0
+
+    @property
+    def done(self) -> bool:
+        return self.completed_stages >= self.num_stages
+
+    def next_stage_kind(self):
+        return None if self.done else self.STAGE_KINDS[self.completed_stages]
+
+    def _give_up(self, stage, error, metrics) -> None:
+        self.completed_stages = self.num_stages
+
+
+class _StubService:
+    """What a :class:`_ServiceSource` asks of its service."""
+
+    metrics = MetricsRegistry()
+    config = ServiceConfig(max_queue_depth=1000)
+
+    def _finalize_job(self, job) -> None:
+        job.status = JobStatus.CANCELLED if job.cancel_requested else JobStatus.COMPLETED
+
+    def _pool_for(self, server):
+        return SimpleNamespace(wake_waiters=lambda: None)
+
+
+def test_source_work_per_stage_is_independent_of_job_size():
+    """One 400-table job driven one stage at a time, infer first (a
+    loop with one slot): the source reads a table's ``done`` a bounded
+    number of times per stage, not once per done table of the job."""
+    count, reads = 400, [0]
+
+    class CountedTableJob(_StubTableJob):
+        @property
+        def done(self):
+            reads[0] += 1
+            return self.completed_stages >= self.num_stages
+
+    source = _ServiceSource(_StubService())
+    job = Job("job-1", 1, "tenant-0", None, [], 0, None, None, source.condition)
+    job.table_jobs = [CountedTableJob() for _ in range(count)]
+    with source.condition:
+        source.enqueue(job)
+        while (entry := source.take("infer") or source.take("prep")) is not None:
+            table_job = entry[0]
+            source.note_dispatch(table_job, table_job.next_stage_kind())
+            table_job.completed_stages += 1
+            source.note_stage_complete(table_job)
+            if table_job.completed_stages < table_job.num_stages:
+                source.ready(table_job, time.perf_counter())
+    assert job.finished
+    assert reads[0] <= 8 * 4 * count
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("submit"),
+            st.integers(0, 2),  # tenant
+            st.integers(0, 1),  # priority
+            st.integers(1, 4),  # tables
+            st.none() | st.integers(0, 6),  # deadline, clock ticks from now
+        ),
+        st.tuples(st.just("take"), st.sampled_from(["prep", "infer"]), st.booleans()),
+        st.tuples(st.just("report"), st.integers(0, 50), st.booleans()),
+        st.tuples(st.just("cancel"), st.integers(0, 50)),
+        st.tuples(st.just("advance"), st.integers(1, 3)),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_OPS)
+def test_take_returns_the_least_fairness_key(ops):
+    """Every ``take(kind)`` returns the ready ``kind`` stage with the least
+    ``(-priority, served, deadline, seq, index)``, the order the service
+    dispatched in when it sorted every live table on each pass; put-backs
+    keep their place, due deadlines expire queued tables first, and a
+    drained source holds nothing."""
+    clock = SimpleNamespace(
+        now=0.0, monotonic=lambda: clock.now, perf_counter=time.perf_counter
+    )
+    source = _ServiceSource(_StubService())
+    jobs: list[Job] = []
+    owner: dict[int, tuple[Job, int]] = {}
+    ready: dict[int, _StubTableJob] = {}
+    running: list[_StubTableJob] = []
+    served: dict[str, int] = {}
+
+    def key(table_job):
+        job, index = owner[id(table_job)]
+        urgency = job.deadline_at if job.deadline_at is not None else float("inf")
+        return (-job.priority, served.get(job.tenant, 0), urgency, job.seq, index)
+
+    def take(kind, dispatch):
+        taken = source.take(kind)
+        for table_job in ready.values():
+            job, _ = owner[id(table_job)]
+            if job.deadline_passed():
+                assert table_job.done  # expired before anything was taken
+        candidates = [
+            table_job
+            for table_job in ready.values()
+            if not table_job.done and table_job.next_stage_kind() == kind
+        ]
+        if taken is None:
+            assert not candidates
+            return None
+        table_job, since = taken
+        assert table_job is min(candidates, key=key)
+        del ready[id(table_job)]
+        if dispatch:
+            source.note_dispatch(table_job, kind)
+            tenant = owner[id(table_job)][0].tenant
+            served[tenant] = served.get(tenant, 0) + 1
+            running.append(table_job)
+        else:
+            source.ready(table_job, since)
+            ready[id(table_job)] = table_job
+        return table_job
+
+    def report(table_job, failed):
+        running.remove(table_job)
+        if failed:
+            source.note_stage_error(table_job, RuntimeError("stage failed"))
+        else:
+            table_job.completed_stages += 1
+            source.note_stage_complete(table_job)
+        if not table_job.done:
+            source.ready(table_job, time.perf_counter())
+            ready[id(table_job)] = table_job
+
+    with mock.patch.object(service_module, "time", clock), mock.patch.object(
+        job_module, "time", clock
+    ), source.condition:
+        for op in ops:
+            if op[0] == "submit":
+                _, tenant, priority, tables, deadline = op
+                job = Job(
+                    job_id=f"job-{len(jobs)}",
+                    seq=len(jobs) + 1,
+                    tenant=f"tenant-{tenant}",
+                    server=None,
+                    table_names=[f"t{i}" for i in range(tables)],
+                    priority=priority,
+                    deadline_at=None if deadline is None else clock.now + deadline,
+                    fault_plan=None,
+                    condition=source.condition,
+                )
+                job.table_jobs = [_StubTableJob() for _ in range(tables)]
+                source.enqueue(job)
+                jobs.append(job)
+                for index, table_job in enumerate(job.table_jobs):
+                    owner[id(table_job)] = (job, index)
+                    ready[id(table_job)] = table_job
+            elif op[0] == "take":
+                take(op[1], op[2])
+            elif op[0] == "report" and running:
+                report(running[op[1] % len(running)], op[2])
+            elif op[0] == "cancel" and jobs:
+                source.cancel(jobs[op[1] % len(jobs)])
+            elif op[0] == "advance":
+                clock.now += op[1]
+        # Drain: run every remaining stage to the end.
+        while running or any(take(kind, True) for kind in ("prep", "infer")):
+            while running:
+                report(running[0], False)
+        assert all(job.finished for job in jobs)
+        assert source._ready == {"prep": {}, "infer": {}}
+        assert not (source.active or source._deadlines or source._job_of)
