@@ -64,7 +64,7 @@ def main() -> None:
             f"predicted={prediction.admitted_types or ['<none>']} "
             f"truth={truth[prediction.column_name] or ['<none>']}"
         )
-    print(f"\nscanned {server.ledger.num_scanned_columns()} of "
+    print(f"\nscanned {report.cost['scanned_columns']} of "
           f"{table.num_columns} columns "
           f"({report.scanned_ratio():.0%} needed Phase 2)")
 

@@ -20,6 +20,7 @@ import numpy as np
 from .. import nn
 from ..core.results import ColumnPrediction, DetectionReport, TableResult
 from ..datagen.tables import Table
+from ..db.cost import CostLedger, billed_to, total_cost
 from ..db.server import CloudDatabaseServer
 from ..features.content_features import first_non_empty
 from ..features.encoding import Featurizer, collate, split_metadata
@@ -80,67 +81,69 @@ class BaselineDetector:
         registry = self.featurizer.registry
         config = self.featurizer.config
         started = time.perf_counter()
-        connection = server.connect()
-        results = []
-        try:
-            if table_names is None:
-                table_names = connection.list_tables()
-            for table_name in table_names:
-                prep_started = time.perf_counter()
-                metadata = connection.fetch_metadata(table_name)
-                content: dict[str, list[str]] = {}
-                if self.with_content:
-                    all_columns = [c.column_name for c in metadata.columns]
-                    sample_seed = (
-                        self.sample_seed if self.scan_method == "sample" else None
-                    )
-                    content = connection.fetch_values(
-                        table_name,
-                        all_columns,
-                        limit=config.scan_rows,
-                        sample_seed=sample_seed,
-                    )
-                prep_seconds = time.perf_counter() - prep_started
+        cost = CostLedger()
+        with billed_to(cost):
+            connection = server.connect()
+            results = []
+            try:
+                if table_names is None:
+                    table_names = connection.list_tables()
+                for table_name in table_names:
+                    prep_started = time.perf_counter()
+                    metadata = connection.fetch_metadata(table_name)
+                    content: dict[str, list[str]] = {}
+                    if self.with_content:
+                        all_columns = [c.column_name for c in metadata.columns]
+                        sample_seed = (
+                            self.sample_seed if self.scan_method == "sample" else None
+                        )
+                        content = connection.fetch_values(
+                            table_name,
+                            all_columns,
+                            limit=config.scan_rows,
+                            sample_seed=sample_seed,
+                        )
+                    prep_seconds = time.perf_counter() - prep_started
 
-                infer_started = time.perf_counter()
-                result = TableResult(table_name, predictions=[])
-                for chunk in split_metadata(metadata, config.column_split_threshold):
-                    local_content = {
-                        index: first_non_empty(
-                            content[column.column_name], config.cells_per_column
-                        )
-                        for index, column in enumerate(chunk.columns)
-                        if column.column_name in content
-                    }
-                    encoded = self.featurizer.encode(chunk, local_content)
-                    # Baselines are sequential by design (no cross-table
-                    # batching in TURL/Doduo-style scans) — the per-chunk
-                    # forward here is the modelled behaviour, not an accident.
-                    batch = collate([encoded])  # noqa: RPR501
-                    with nn.no_grad():
-                        logits = self.model(batch)
-                    probs = stable_sigmoid(logits.detach().numpy()[0])
-                    for local, column in enumerate(chunk.columns):
-                        result.predictions.append(
-                            ColumnPrediction(
-                                table_name=table_name,
-                                column_name=column.column_name,
-                                admitted_types=registry.vector_to_labels(
-                                    probs[local], self.admit_threshold
-                                ),
-                                phase=2 if self.with_content else 1,
-                                probabilities=probs[local].copy(),
+                    infer_started = time.perf_counter()
+                    result = TableResult(table_name, predictions=[])
+                    for chunk in split_metadata(metadata, config.column_split_threshold):
+                        local_content = {
+                            index: first_non_empty(
+                                content[column.column_name], config.cells_per_column
                             )
-                        )
-                result.prepare1_seconds = prep_seconds
-                result.infer1_seconds = time.perf_counter() - infer_started
-                results.append(result)
-        finally:
-            connection.close()
+                            for index, column in enumerate(chunk.columns)
+                            if column.column_name in content
+                        }
+                        encoded = self.featurizer.encode(chunk, local_content)
+                        # Baselines are sequential by design (no cross-table
+                        # batching in TURL/Doduo-style scans) — the per-chunk
+                        # forward here is the modelled behaviour, not an accident.
+                        batch = collate([encoded])  # noqa: RPR501
+                        with nn.no_grad():
+                            logits = self.model(batch)
+                        probs = stable_sigmoid(logits.detach().numpy()[0])
+                        for local, column in enumerate(chunk.columns):
+                            result.predictions.append(
+                                ColumnPrediction(
+                                    table_name=table_name,
+                                    column_name=column.column_name,
+                                    admitted_types=registry.vector_to_labels(
+                                        probs[local], self.admit_threshold
+                                    ),
+                                    phase=2 if self.with_content else 1,
+                                    probabilities=probs[local].copy(),
+                                )
+                            )
+                    result.prepare1_seconds = prep_seconds
+                    result.infer1_seconds = time.perf_counter() - infer_started
+                    results.append(result)
+            finally:
+                connection.close()
         return DetectionReport(
             tables=results,
             wall_seconds=time.perf_counter() - started,
-            cost=server.ledger.snapshot(),
+            cost=total_cost([cost]),
         )
 
 

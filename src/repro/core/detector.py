@@ -37,6 +37,7 @@ import time
 from pathlib import Path
 
 from ..core.adtd import ADTDModel
+from ..db.cost import CostLedger, billed_to, total_cost
 from ..db.server import CloudDatabaseServer
 from ..errors import RetryGiveUpError
 from ..faults.plan import FaultInjector
@@ -157,7 +158,7 @@ class TasteDetector:
         Opens one connection for the batch (reused across tables, as the
         paper recommends), runs the four-stage jobs through the configured
         executor and returns a :class:`DetectionReport` with predictions,
-        wall time and the database-side cost snapshot.
+        wall time and what this run's round trips cost the database.
 
         ``options`` carries per-call settings: ``options.fault_plan``
         injects deterministic faults into the run's database traffic (the
@@ -185,7 +186,7 @@ class TasteDetector:
             pipelined=self.config.pipelined,
             scan_method=self.config.scan_method,
             faults=injector is not None,
-        ) as root:
+        ) as root, billed_to(CostLedger()) as run_cost:  # table jobs bill their own stages
             connection = self._connect(server, injector)
             try:
                 if table_names is None:
@@ -202,7 +203,7 @@ class TasteDetector:
         return DetectionReport(
             tables=results,
             wall_seconds=wall,
-            cost=server.ledger.snapshot(),
+            cost=total_cost([run_cost, *(job.cost for job in jobs)]),
             cache_hits=sum(job.latents.hits for job in jobs),
             cache_misses=sum(job.latents.misses for job in jobs),
             cache_disabled_lookups=sum(job.latents.disabled_lookups for job in jobs),

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..db.connection import Connection
+from ..db.cost import CostLedger, billed_to
 from ..db.schema import TableMetadata
 from ..errors import RetryDeadlineError, RetryGiveUpError
 from ..features.encoding import EncodedTable, split_metadata
@@ -74,7 +75,8 @@ class TableJob:
     the metadata latents of each chunk Phase 2 will read, P2 inference
     takes them, and the store is emptied once P2 inference returns or the
     job gives up. Being per job, it is isolated between tables, runs and
-    tenants by construction. ``span_attrs`` is merged into every stage
+    tenants by construction. ``cost`` bills every round trip its prep
+    stages make, a reconnect included. ``span_attrs`` is merged into every stage
     span, which is how service runs link job → table → stage without
     changing the span tree shape.
     """
@@ -93,6 +95,7 @@ class TableJob:
         self.latents = LatentCache(
             enabled=detector.config.caching, metrics=detector.metrics
         )
+        self.cost = CostLedger()
         self.metadata: TableMetadata | None = None
         self.chunks: list[ChunkState] = []
         self.content_by_column: dict[int, list[str]] = {}
@@ -240,24 +243,25 @@ class TableJob:
         """
         detector = self.detector
         policy = getattr(detector, "retry_policy", None)
-        if policy is None:
-            runner()
-            return
-        retry_counter = metrics.counter("faults.retries", stage=name)
+        with billed_to(self.cost):
+            if policy is None:
+                runner()
+                return
+            retry_counter = metrics.counter("faults.retries", stage=name)
 
-        def on_retry(error: BaseException, attempt: int, delay: float) -> None:
-            retry_counter.inc()
-            self.result.retries += 1
+            def on_retry(error: BaseException, attempt: int, delay: float) -> None:
+                retry_counter.inc()
+                self.result.retries += 1
 
-        try:
-            policy.run(runner, label=f"{name}[{self.table_name}]", on_retry=on_retry)
-        except RetryGiveUpError as error:
-            metrics.counter("faults.giveups", stage=name).inc()
-            if isinstance(error, RetryDeadlineError):
-                metrics.counter("faults.deadline_exceeded", stage=name).inc()
-            if not getattr(detector, "degrade", True):
-                raise
-            self._give_up(stage, error, metrics)
+            try:
+                policy.run(runner, label=f"{name}[{self.table_name}]", on_retry=on_retry)
+            except RetryGiveUpError as error:
+                metrics.counter("faults.giveups", stage=name).inc()
+                if isinstance(error, RetryDeadlineError):
+                    metrics.counter("faults.deadline_exceeded", stage=name).inc()
+                if not getattr(detector, "degrade", True):
+                    raise
+                self._give_up(stage, error, metrics)
 
     def _give_up(self, stage: int, error: RetryGiveUpError, metrics) -> None:
         """Record a permanent stage failure and degrade gracefully.

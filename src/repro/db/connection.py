@@ -1,10 +1,11 @@
 """Client connection to the simulated cloud database.
 
 Every operation that would cross the VPC network in the paper's testbed
-(connection setup, ``information_schema`` queries, content scans) charges
-its latency to the shared :class:`~repro.db.cost.CostLedger` *and* issues a
-real (scaled) sleep, so the pipelined executor genuinely overlaps I/O waits
-with model compute.
+(connection setup, ``information_schema`` queries, content scans) is
+charged through :func:`~repro.db.cost.charge` — counted in the server's
+``db.*`` metrics and billed to the run that made it — *and* issues a real
+(scaled) sleep, so the pipelined executor genuinely overlaps I/O waits with
+model compute.
 
 A small SQL dialect is provided for realism and for driving the engine from
 examples/tests; the detection framework itself uses the typed convenience
@@ -25,7 +26,8 @@ from __future__ import annotations
 import re
 from dataclasses import asdict
 
-from .cost import CostLedger, CostModel
+from ..obs.metrics import MetricsRegistry, NullMetricsRegistry
+from .cost import CostModel, charge
 from .engine import Database
 from .histogram import EQUAL_WIDTH
 from .schema import TableMetadata
@@ -65,10 +67,12 @@ class Connection:
     connection-setup cost.
     """
 
-    def __init__(self, database: Database, cost_model: CostModel, ledger: CostLedger) -> None:
+    def __init__(
+        self, database: Database, cost_model: CostModel, metrics: MetricsRegistry | NullMetricsRegistry
+    ) -> None:
         self._database = database
         self._cost_model = cost_model
-        self._ledger = ledger
+        self._metrics = metrics
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -94,7 +98,7 @@ class Connection:
     def list_tables(self) -> list[str]:
         self._check_open()
         cost = self._cost_model.round_trip_latency
-        self._ledger.record_metadata(0, cost)
+        charge(self._metrics, "metadata", cost)
         self._charge(cost)
         return self._database.table_names()
 
@@ -102,7 +106,7 @@ class Connection:
         """Fetch table + column metadata (Phase 1's only data access)."""
         self._check_open()
         cost = self._cost_model.round_trip_latency + self._cost_model.metadata_per_table
-        self._ledger.record_metadata(1, cost)
+        charge(self._metrics, "metadata", cost, tables=1)
         self._charge(cost)
         return self._database.metadata(table_name)
 
@@ -131,7 +135,7 @@ class Connection:
         )
         if sample_seed is not None:
             cost += self._cost_model.sampling_overhead
-        self._ledger.record_scan(table_name, column_names, len(rows), cost)
+        charge(self._metrics, "scan", cost, table=table_name, columns=column_names, rows=len(rows))
         self._charge(cost)
         return {
             name: [row[i] for row in rows] for i, name in enumerate(column_names)
@@ -153,7 +157,7 @@ class Connection:
             + self._cost_model.scan_fixed
             + self._cost_model.scan_per_row * table.num_rows
         )
-        self._ledger.record_metadata(0, cost)
+        charge(self._metrics, "metadata", cost)
         self._charge(cost)
         self._database.analyze_table(table_name, kind, num_buckets)
 
@@ -198,7 +202,7 @@ class Connection:
                 self._cost_model.round_trip_latency
                 + self._cost_model.metadata_per_table * len(rows)
             )
-            self._ledger.record_metadata(len(rows), cost)
+            charge(self._metrics, "metadata", cost, tables=len(rows))
             self._charge(cost)
             return rows
 

@@ -2,10 +2,13 @@
 
 The paper's end-to-end execution time metric includes connection
 management, metadata retrieval and content scanning (Sec. 6.2), and its
-intrusiveness metric is the ratio of scanned columns (Sec. 6.5). The
-:class:`CostLedger` records all of those, thread-safely, for a whole
-detection run; the :class:`CostModel` holds the latency constants the
-simulated database charges for each operation.
+intrusiveness metric is the ratio of scanned columns (Sec. 6.5). Both
+are measured per run: :func:`charge` bills each round trip to the
+:class:`CostLedger` of the run (or table job) that made it, named by
+:data:`PAYER`, and counts it in the server's ``db.*`` metrics; a report's
+``cost`` is :func:`total_cost` of its run's ledgers. The
+:class:`CostModel` holds the latency constants the simulated database
+charges for each operation.
 
 Two clocks are kept: *wall time* (real ``time.sleep`` is issued so that
 pipelining genuinely overlaps I/O with compute) and *simulated time* (the
@@ -22,15 +25,16 @@ that scope (see :class:`~repro.core.pipeline.PipelinedExecutor`).
 from __future__ import annotations
 
 import contextvars
-import threading
 import time
-from contextlib import AbstractContextManager
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator, Sequence
 
-from ..obs.metrics import MetricsRegistry, NullMetricsRegistry, global_registry
+from ..obs.metrics import MetricsRegistry, NullMetricsRegistry
 
-__all__ = ["CostModel", "CostLedger", "WAIT_SCOPE", "wait"]
+__all__ = [
+    "CostModel", "CostLedger", "PAYER", "billed_to", "charge", "total_cost", "WAIT_SCOPE", "wait"
+]
 
 # A factory of the context every real wait of the current task runs in;
 # ``None`` (the default) waits with nothing around it.
@@ -78,14 +82,13 @@ class CostModel:
 
 @dataclass
 class CostLedger:
-    """Thread-safe counters for one detection run.
+    """What one run's round trips cost, or one table job's share of it.
 
-    Every ``record_*`` call corresponds to one client/server round trip,
-    tallied in ``round_trips``. The ledger mirrors its counters into a
-    :class:`~repro.obs.metrics.MetricsRegistry` (``db.round_trips`` with an
-    ``op`` label, ``db.rows_read``, ``db.cells_read``,
-    ``db.charged_seconds``) so a run's network profile appears alongside
-    the pipeline metrics; the process-global registry is the default sink.
+    Each counter counts what :func:`charge` billed while this ledger was
+    the :data:`PAYER`; ``scanned`` holds the ``(table, column)`` pairs
+    content scans read. A ledger has one payer at a time (a run's own
+    connect and listing, or one table job's prep stages, which never run
+    at once), so it needs no lock.
     """
 
     connections_opened: int = 0
@@ -95,85 +98,73 @@ class CostLedger:
     cells_read: int = 0
     round_trips: int = 0
     simulated_seconds: float = 0.0
-    metrics: MetricsRegistry | NullMetricsRegistry | None = None
-    _scanned_columns: set[tuple[str, str]] = field(default_factory=set)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    scanned: set[tuple[str, str]] = field(default_factory=set)
 
-    def _metrics(self) -> MetricsRegistry | NullMetricsRegistry:
-        return self.metrics if self.metrics is not None else global_registry()
 
-    def record_connection(self, cost: float) -> None:
-        with self._lock:
-            self.connections_opened += 1
-            self.round_trips += 1
-            self.simulated_seconds += cost
-        metrics = self._metrics()
-        metrics.counter("db.round_trips", op="connect").inc()
-        metrics.counter("db.charged_seconds").inc(cost)
+# The ledger the current task's round trips are billed to; ``None`` (the
+# default) bills nobody and only counts them.
+PAYER: contextvars.ContextVar[CostLedger | None] = contextvars.ContextVar(
+    "repro_payer", default=None
+)
 
-    def record_metadata(self, num_tables: int, cost: float) -> None:
-        with self._lock:
-            self.metadata_requests += num_tables
-            self.round_trips += 1
-            self.simulated_seconds += cost
-        metrics = self._metrics()
-        metrics.counter("db.round_trips", op="metadata").inc()
-        metrics.counter("db.charged_seconds").inc(cost)
 
-    def record_scan(
-        self, table: str, columns: list[str], rows: int, cost: float
-    ) -> None:
-        with self._lock:
-            self.scan_queries += 1
-            self.rows_read += rows
-            self.cells_read += rows * len(columns)
-            self.round_trips += 1
-            self.simulated_seconds += cost
-            for column in columns:
-                self._scanned_columns.add((table, column))
-        metrics = self._metrics()
-        metrics.counter("db.round_trips", op="scan").inc()
+@contextmanager
+def billed_to(ledger: CostLedger) -> Iterator[CostLedger]:
+    """Bill every round trip made inside the block to ``ledger``."""
+    token = PAYER.set(ledger)
+    try:
+        yield ledger
+    finally:
+        PAYER.reset(token)
+
+
+def charge(
+    metrics: MetricsRegistry | NullMetricsRegistry,
+    op: str,
+    seconds: float,
+    *,
+    tables: int = 0,
+    table: str = "",
+    columns: Sequence[str] = (),
+    rows: int = 0,
+) -> None:
+    """Count one round trip in the server's ``db.*`` counters and bill it
+    to the current :data:`PAYER`.
+
+    ``op`` is ``"connect"``, ``"metadata"`` (``tables`` metadata records
+    fetched) or ``"scan"`` (``rows`` rows of ``table``'s ``columns``).
+    """
+    metrics.counter("db.round_trips", op=op).inc()
+    if op == "scan":
         metrics.counter("db.rows_read").inc(rows)
         metrics.counter("db.cells_read").inc(rows * len(columns))
-        metrics.counter("db.charged_seconds").inc(cost)
+    metrics.counter("db.charged_seconds").inc(seconds)
+    ledger = PAYER.get()
+    if ledger is None:
+        return
+    ledger.round_trips += 1
+    ledger.simulated_seconds += seconds
+    ledger.metadata_requests += tables
+    if op == "connect":
+        ledger.connections_opened += 1
+    elif op == "scan":
+        ledger.scan_queries += 1
+        ledger.rows_read += rows
+        ledger.cells_read += rows * len(columns)
+        ledger.scanned.update((table, column) for column in columns)
 
-    # ------------------------------------------------------------------
-    @property
-    def scanned_columns(self) -> set[tuple[str, str]]:
-        with self._lock:
-            return set(self._scanned_columns)
 
-    def num_scanned_columns(self) -> int:
-        with self._lock:
-            return len(self._scanned_columns)
+# The additive counts of a report's ``cost``, in its key order.
+_COUNTERS = (
+    "connections_opened", "metadata_requests", "scan_queries", "rows_read", "cells_read", "round_trips"
+)
 
-    def scanned_ratio(self, total_columns: int) -> float:
-        """Ratio of scanned columns (paper Sec. 6.5 metric)."""
-        if total_columns <= 0:
-            return 0.0
-        return self.num_scanned_columns() / total_columns
 
-    def snapshot(self) -> dict[str, float]:
-        """A plain-dict copy of the counters, for reports."""
-        with self._lock:
-            return {
-                "connections_opened": self.connections_opened,
-                "metadata_requests": self.metadata_requests,
-                "scan_queries": self.scan_queries,
-                "rows_read": self.rows_read,
-                "cells_read": self.cells_read,
-                "round_trips": self.round_trips,
-                "scanned_columns": len(self._scanned_columns),
-                "simulated_seconds": self.simulated_seconds,
-            }
-
-    def reset(self) -> None:
-        with self._lock:
-            self.connections_opened = 0
-            self.metadata_requests = 0
-            self.scan_queries = 0
-            self.rows_read = 0
-            self.cells_read = 0
-            self.round_trips = 0
-            self.simulated_seconds = 0.0
-            self._scanned_columns.clear()
+def total_cost(ledgers: Iterable[CostLedger]) -> dict[str, float]:
+    """A report's ``cost`` dict: ``ledgers`` added up in order, each
+    scanned column counted once."""
+    ledgers = list(ledgers)
+    cost = {name: sum(getattr(ledger, name) for ledger in ledgers) for name in _COUNTERS}
+    cost["scanned_columns"] = len(set().union(*(ledger.scanned for ledger in ledgers)))
+    cost["simulated_seconds"] = sum(ledger.simulated_seconds for ledger in ledgers)
+    return cost

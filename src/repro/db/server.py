@@ -1,18 +1,19 @@
-"""The cloud-side view of a tenant database: connections + cost ledger.
+"""The cloud-side view of a tenant database: connections + latency model.
 
 In the paper's production setup the detection service (on ECS) talks to the
 tenant's RDS MySQL over a VPC. :class:`CloudDatabaseServer` models that
-boundary: it owns the latency model and the cost ledger (lifetime totals,
-not reset per run), and hands out :class:`~repro.db.connection.Connection`
-objects whose every operation is charged.
+boundary: it owns the latency model, and hands out
+:class:`~repro.db.connection.Connection` objects whose every operation is
+charged. The server counts round trips only in its ``db.*`` metrics; what
+they cost a run is billed to that run (see :mod:`repro.db.cost`).
 """
 
 from __future__ import annotations
 
 from ..datagen.tables import Table
-from ..obs.metrics import MetricsRegistry, NullMetricsRegistry
+from ..obs.metrics import MetricsRegistry, NullMetricsRegistry, global_registry
 from .connection import Connection
-from .cost import CostLedger, CostModel
+from .cost import CostModel, charge
 from .engine import Database
 
 __all__ = ["CloudDatabaseServer"]
@@ -25,12 +26,11 @@ class CloudDatabaseServer:
         self,
         database: Database,
         cost_model: CostModel | None = None,
-        ledger: CostLedger | None = None,
         metrics: MetricsRegistry | NullMetricsRegistry | None = None,
     ) -> None:
         self.database = database
         self.cost_model = cost_model or CostModel()
-        self.ledger = ledger or CostLedger(metrics=metrics)
+        self.metrics = metrics if metrics is not None else global_registry()
 
     @staticmethod
     def from_tables(
@@ -50,17 +50,6 @@ class CloudDatabaseServer:
     def connect(self) -> Connection:
         """Open a connection, charging the connection-setup latency."""
         cost = self.cost_model.connect_latency
-        self.ledger.record_connection(cost)
+        charge(self.metrics, "connect", cost)
         self.cost_model.sleep(cost)
-        return Connection(self.database, self.cost_model, self.ledger)
-
-    @property
-    def total_columns(self) -> int:
-        return self.database.total_columns
-
-    def scanned_ratio(self) -> float:
-        """Ratio of scanned columns over all hosted columns (Fig. 5 metric)."""
-        return self.ledger.scanned_ratio(self.total_columns)
-
-    def reset_ledger(self) -> None:
-        self.ledger.reset()
+        return Connection(self.database, self.cost_model, self.metrics)

@@ -382,7 +382,7 @@ def get_fig6_bundle(scale: Scale, k: int) -> Fig6Bundle:
 def make_server(
     tables, cost_model: CostModel | None = None, analyze: bool = False
 ) -> CloudDatabaseServer:
-    """Fresh server hosting ``tables`` (fresh ledger each call)."""
+    """A server hosting ``tables``, free of real waits by default."""
     return CloudDatabaseServer.from_tables(
         tables, cost_model or CostModel(time_scale=0.0), analyze=analyze
     )

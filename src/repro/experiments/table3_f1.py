@@ -98,9 +98,7 @@ def evaluate_corpus(corpus_name: str, scale: Scale) -> list[ApproachResult]:
         if approach in ("turl", "doduo"):
             model, featurizer = get_baseline_model(corpus, scale, approach)
             detector = BaselineDetector(model, featurizer)
-            server = make_server(corpus.test)
-            report = detector.detect(server)
-            scanned = server.scanned_ratio()
+            report = detector.detect(make_server(corpus.test))
         else:
             use_histogram = approach == "taste_hist"
             model, featurizer = get_taste_model(corpus, scale, use_histogram)
@@ -113,9 +111,7 @@ def evaluate_corpus(corpus_name: str, scale: Scale) -> list[ApproachResult]:
                     scan_method="sample" if approach == "taste_sampling" else "first",
                 ),
             )
-            server = make_server(corpus.test, analyze=use_histogram)
-            report = detector.detect(server)
-            scanned = report.scanned_ratio()
+            report = detector.detect(make_server(corpus.test, analyze=use_histogram))
 
         prf = micro_prf(report.predicted_labels(), ground_truth)
         results.append(
@@ -125,7 +121,7 @@ def evaluate_corpus(corpus_name: str, scale: Scale) -> list[ApproachResult]:
                 precision=prf.precision,
                 recall=prf.recall,
                 f1=prf.f1,
-                scanned_ratio=scanned,
+                scanned_ratio=report.scanned_ratio(),
             )
         )
 

@@ -10,7 +10,7 @@ reproducible:
   connection drops, scan throttling), per operation class.
 * :class:`FaultInjector` / :class:`FaultyConnection` — the live layer that
   wraps :class:`~repro.db.connection.Connection` and fires the plan
-  deterministically, without touching cost-ledger semantics.
+  deterministically, without changing what a round trip costs.
 * :class:`RetryPolicy` — capped exponential backoff with jitter and
   per-call deadlines, applied by the detector's data-preparation stages
   and the connection pool.

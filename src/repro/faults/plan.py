@@ -10,13 +10,13 @@ operation's identity, so every run with the same plan reproduces the same
 faults on the same tables however its threads interleave.
 
 Faults fire *before* the underlying :class:`~repro.db.connection.Connection`
-operation runs, so a failed attempt charges nothing to the
-:class:`~repro.db.cost.CostLedger` — the ledger's semantics (what a
-successful round trip costs and counts) are unchanged, and a fully retried
-run converges to the same charged totals as a fault-free one, plus any
-reconnects. Injected latency sleeps through the cost model's scaled clock
-but is accounted separately (``faults.injected_latency_seconds``), never
-in the ledger.
+operation runs, so a failed attempt charges nothing (see
+:func:`~repro.db.cost.charge`) — what a successful round trip costs and
+counts is unchanged, and a fully retried run converges to the same
+charged totals as a fault-free one, plus any reconnects, each billed to
+the table job whose stage made it. Injected latency sleeps through the
+cost model's scaled clock but is accounted separately
+(``faults.injected_latency_seconds``), never in a run's cost.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ class FaultInjector:
     operation, table, n)`` where ``n`` counts how often that rule has been
     evaluated for that operation on that table. No stream is shared
     between tables, so *which table* eats a fault — hence per-table retry
-    counts, degraded sets and ledger totals — is the same for sequential,
+    counts, degraded sets and charged totals — is the same for sequential,
     pipelined, batched and served runs at any worker count.
 
     The invariant is scoped to table-keyed operations. Three corners:

@@ -1,11 +1,11 @@
 """Admission control: per-tenant token buckets over a shared clock.
 
 The controller answers exactly one question — *may this tenant start a
-job of this size right now?* — and answers it before any job state is
-created, so a shed job costs nothing but the rejected
-:class:`~repro.errors.Overloaded`. The job-queue bound is enforced
-separately by the service (it owns the queue); this module owns only the
-quota dimension.
+job of this size right now?* The service asks it last, once the job
+queue has room and under the queue's condition, so tokens are spent only
+by a job that is enqueued: a job shed for any reason costs its tenant
+nothing. The job-queue bound is enforced separately by the service (it
+owns the queue); this module owns only the quota dimension.
 """
 
 from __future__ import annotations

@@ -47,6 +47,7 @@ from ..core.phases import TableJob
 from ..core.pipeline import PipelinedExecutor
 from ..core.results import DetectionReport
 from ..db.connection import Connection
+from ..db.cost import total_cost
 from ..db.pool import ConnectionPool
 from ..db.server import CloudDatabaseServer
 from ..errors import Overloaded, RetryGiveUpError, ServiceError
@@ -153,7 +154,8 @@ class _JobConnection:
 class _ServiceSource:
     """The long-lived :class:`~repro.core.pipeline.JobSource` of a service.
 
-    Owns the service-wide condition and all job bookkeeping. Protocol
+    Owns the service-wide condition, all job bookkeeping and the
+    tenants' quotas, which :meth:`enqueue` spends under it. Protocol
     methods run with the condition held (the dispatch loop guarantees
     it); the service-facing methods (:meth:`enqueue`, :meth:`cancel`,
     :meth:`shutdown`) take it themselves.
@@ -162,6 +164,7 @@ class _ServiceSource:
     def __init__(self, service: "DetectionService") -> None:
         self.condition = threading.Condition()
         self._service = service
+        self._admission = AdmissionController(service.config, service.metrics)
         self.active: list[Job] = []
         self.stopping = False
         self.dispatch_error: BaseException | None = None
@@ -337,6 +340,8 @@ class _ServiceSource:
                     "jobs queued or running)",
                     reason="queue",
                 )
+            # Quota last, so a job shed for any other reason spends none.
+            self._admission.admit(job.tenant, len(job.table_names))
             self.active.append(job)
             if job.deadline_at is not None:
                 heapq.heappush(self._deadlines, (job.deadline_at, job.seq, job))
@@ -416,7 +421,6 @@ class DetectionService:
         self.config = config if config is not None else ServiceConfig()
         self.metrics = detector.metrics
         self.tracer = detector.tracer
-        self._admission = AdmissionController(self.config, self.metrics)
         self._source = _ServiceSource(self)
         # The service's own instance of the same executor machinery,
         # running rounds through the detector's batcher, so direct
@@ -503,7 +507,6 @@ class DetectionService:
             raise ServiceError("service is not running; call start() first")
         if not tables:
             raise ValueError("tables must be a non-empty list of table names")
-        self._admission.admit(tenant, len(tables))
         seq = next(self._seq)
         job = Job(
             job_id=f"{tenant}-{seq}",
@@ -608,7 +611,7 @@ class DetectionService:
             tables=results,
             wall_seconds=(job.finished_perf or job.submitted_perf)
             - job.submitted_perf,
-            cost=job.server.ledger.snapshot(),
+            cost=total_cost(t.cost for t in table_jobs),
             cache_hits=sum(t.latents.hits for t in table_jobs),
             cache_misses=sum(t.latents.misses for t in table_jobs),
             cache_disabled_lookups=sum(t.latents.disabled_lookups for t in table_jobs),

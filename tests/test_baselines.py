@@ -106,13 +106,13 @@ class TestBaselineTraining:
 class TestBaselineDetector:
     def test_scans_every_column(self, turl_model, featurizer, tiny_corpus):
         server = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
-        BaselineDetector(turl_model, featurizer).detect(server)
-        assert server.scanned_ratio() == pytest.approx(1.0)
+        report = BaselineDetector(turl_model, featurizer).detect(server)
+        assert report.cost["scanned_columns"] == server.database.total_columns
 
     def test_without_content_scans_nothing(self, turl_model, featurizer, tiny_corpus):
         server = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
         report = BaselineDetector(turl_model, featurizer, with_content=False).detect(server)
-        assert server.scanned_ratio() == 0.0
+        assert report.cost["scanned_columns"] == 0
         assert all(p.phase == 1 for p in report.predictions)
 
     def test_predictions_cover_all_columns(self, turl_model, featurizer, tiny_corpus):

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 
+from repro.core.results import DetectionReport
 from repro.datagen import TableGenConfig, default_registry, generate_table
 from repro.db import (
     CloudDatabaseServer,
@@ -16,8 +15,19 @@ from repro.db import (
     Database,
     SQLSyntaxError,
 )
+from repro.db.cost import billed_to, total_cost
+from repro.obs import MetricsRegistry
 
 FAST = CostModel(time_scale=0.0)
+
+
+def counted_round_trips(metrics: MetricsRegistry) -> float:
+    """Round trips the server's ``db.round_trips`` counters hold, all ops."""
+    return sum(
+        series["value"]
+        for name, series in metrics.snapshot().items()
+        if name.startswith("db.round_trips{")
+    )
 
 
 @pytest.fixture()
@@ -96,31 +106,34 @@ class TestDatabase:
 class TestConnection:
     def test_fetch_metadata_charges_ledger(self, server, tables):
         conn = server.connect()
-        conn.fetch_metadata(tables[0].name)
-        assert server.ledger.metadata_requests == 1
-        assert server.ledger.simulated_seconds > 0
+        with billed_to(CostLedger()) as ledger:
+            conn.fetch_metadata(tables[0].name)
+        assert ledger.metadata_requests == 1
+        assert ledger.simulated_seconds > 0
 
     def test_fetch_values_records_scan(self, server, tables):
         conn = server.connect()
         names = [c.name for c in tables[0].columns[:2]]
-        values = conn.fetch_values(tables[0].name, names, limit=10)
+        with billed_to(CostLedger()) as ledger:
+            values = conn.fetch_values(tables[0].name, names, limit=10)
         assert set(values) == set(names)
-        assert server.ledger.num_scanned_columns() == 2
-        assert server.ledger.rows_read == 10
+        assert ledger.scanned == {(tables[0].name, name) for name in names}
+        assert ledger.rows_read == 10
 
     def test_fetch_values_empty_request(self, server, tables):
         conn = server.connect()
-        assert conn.fetch_values(tables[0].name, []) == {}
-        assert server.ledger.scan_queries == 0
+        with billed_to(CostLedger()) as ledger:
+            assert conn.fetch_values(tables[0].name, []) == {}
+        assert ledger.scan_queries == 0
 
     def test_sampling_costs_more(self, tables):
-        model = CostModel(time_scale=0.0)
-        server_a = CloudDatabaseServer.from_tables(tables, model)
-        server_b = CloudDatabaseServer.from_tables(tables, model)
+        conn = CloudDatabaseServer.from_tables(tables, FAST).connect()
         name = tables[0].columns[0].name
-        server_a.connect().fetch_values(tables[0].name, [name], limit=5)
-        server_b.connect().fetch_values(tables[0].name, [name], limit=5, sample_seed=0)
-        assert server_b.ledger.simulated_seconds > server_a.ledger.simulated_seconds
+        with billed_to(CostLedger()) as first:
+            conn.fetch_values(tables[0].name, [name], limit=5)
+        with billed_to(CostLedger()) as sample:
+            conn.fetch_values(tables[0].name, [name], limit=5, sample_seed=0)
+        assert sample.simulated_seconds > first.simulated_seconds
 
     def test_closed_connection_rejected(self, server, tables):
         conn = server.connect()
@@ -136,8 +149,9 @@ class TestConnection:
 
     def test_analyze_does_not_count_as_scan(self, server, tables):
         conn = server.connect()
-        conn.analyze_table(tables[0].name)
-        assert server.ledger.num_scanned_columns() == 0
+        with billed_to(CostLedger()) as ledger:
+            conn.analyze_table(tables[0].name)
+        assert ledger.scanned == set()
         metadata = conn.fetch_metadata(tables[0].name)
         assert metadata.columns[0].histogram is not None
 
@@ -182,9 +196,9 @@ class TestSQLDialect:
         per-table metadata cost."""
         server = CloudDatabaseServer.from_tables(tables, FAST)
         conn = server.connect()
-        base = server.ledger.simulated_seconds
-        conn.execute("SELECT * FROM information_schema.tables")
-        charged = server.ledger.simulated_seconds - base
+        with billed_to(CostLedger()) as ledger:
+            conn.execute("SELECT * FROM information_schema.tables")
+        charged = ledger.simulated_seconds
         model = server.cost_model
         # One round trip for the embedded list_tables() plus one for the
         # metadata fetch itself (previously omitted) plus per-table cost.
@@ -192,13 +206,16 @@ class TestSQLDialect:
             2 * model.round_trip_latency + model.metadata_per_table * len(tables)
         )
 
-    def test_round_trips_counted(self, server, tables):
-        conn = server.connect()
-        conn.fetch_metadata(tables[0].name)
-        conn.fetch_values(tables[0].name, [tables[0].columns[0].name], limit=2)
-        # connect + metadata + scan = 3 round trips, mirrored in snapshot()
-        assert server.ledger.round_trips == 3
-        assert server.ledger.snapshot()["round_trips"] == 3
+    def test_round_trips_counted(self, tables):
+        metrics = MetricsRegistry()
+        server = CloudDatabaseServer.from_tables(tables, FAST, metrics=metrics)
+        with billed_to(CostLedger()) as ledger:
+            conn = server.connect()
+            conn.fetch_metadata(tables[0].name)
+            conn.fetch_values(tables[0].name, [tables[0].columns[0].name], limit=2)
+        # connect + metadata + scan = 3 round trips, billed and counted alike
+        assert ledger.round_trips == 3
+        assert counted_round_trips(metrics) == 3
 
     def test_analyze_table_statement(self, server, tables):
         conn = server.connect()
@@ -213,51 +230,45 @@ class TestSQLDialect:
 
 
 class TestCostLedger:
-    def test_snapshot_and_reset(self, server, tables):
-        conn = server.connect()
-        conn.fetch_values(tables[0].name, [tables[0].columns[0].name], limit=3)
-        snapshot = server.ledger.snapshot()
-        assert snapshot["scanned_columns"] == 1
-        server.reset_ledger()
-        assert server.ledger.snapshot()["scanned_columns"] == 0
-
     def test_scanned_ratio(self, server, tables):
         conn = server.connect()
-        conn.fetch_values(tables[0].name, [tables[0].columns[0].name], limit=1)
-        expected = 1 / server.total_columns
-        assert server.scanned_ratio() == pytest.approx(expected)
+        with billed_to(CostLedger()) as ledger:
+            conn.fetch_values(tables[0].name, [tables[0].columns[0].name], limit=1)
+        # The paper's ratio (Sec. 6.5) over the run's own scans only.
+        assert total_cost([ledger])["scanned_columns"] == 1
 
     def test_scanned_ratio_empty_denominator(self):
-        assert CostLedger().scanned_ratio(0) == 0.0
+        report = DetectionReport(tables=[], wall_seconds=0.0, cost=total_cost([]))
+        assert report.scanned_ratio() == 0.0
 
     def test_duplicate_scans_counted_once(self, server, tables):
         conn = server.connect()
         name = tables[0].columns[0].name
-        conn.fetch_values(tables[0].name, [name], limit=1)
-        conn.fetch_values(tables[0].name, [name], limit=1)
-        assert server.ledger.num_scanned_columns() == 1
+        with billed_to(CostLedger()) as first:
+            conn.fetch_values(tables[0].name, [name], limit=1)
+        with billed_to(CostLedger()) as second:
+            conn.fetch_values(tables[0].name, [name], limit=1)
+        cost = total_cost([first, second])
+        assert cost["scan_queries"] == 2
+        assert cost["scanned_columns"] == 1
 
-    def test_thread_safety(self):
-        ledger = CostLedger()
-
-        def worker(start: int) -> None:
-            for i in range(200):
-                ledger.record_scan("t", [f"c{start}_{i}"], 1, 0.001)
-
-        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert ledger.scan_queries == 800
-        assert ledger.num_scanned_columns() == 800
-        assert ledger.simulated_seconds == pytest.approx(0.8)
+    def test_unbilled_round_trips_are_only_counted(self, tables):
+        """Outside a run nobody pays; the server's counters still count."""
+        metrics = MetricsRegistry()
+        server = CloudDatabaseServer.from_tables(tables, FAST, metrics=metrics)
+        with billed_to(CostLedger()) as ledger:
+            pass
+        server.connect().fetch_metadata(tables[0].name)
+        assert ledger == CostLedger()
+        assert counted_round_trips(metrics) == 2
 
 
 class TestServer:
     def test_connect_charges_cost(self, server):
-        server.connect()
-        assert server.ledger.connections_opened == 1
+        with billed_to(CostLedger()) as ledger:
+            server.connect()
+        assert ledger.connections_opened == 1
+        assert ledger.simulated_seconds == server.cost_model.connect_latency
 
     def test_from_tables_analyze_flag(self, tables):
         server = CloudDatabaseServer.from_tables(tables, FAST, analyze=True)

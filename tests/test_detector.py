@@ -5,10 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines import BaselineDetector, build_turl_model
 from repro.core import DetectorConfig, TasteDetector, ThresholdPolicy
 from repro.db import CloudDatabaseServer, CostModel
+from repro.obs import MetricsRegistry
+from repro.serve import DetectionService
 
 FAST = CostModel(time_scale=0.0)
+# Power-of-two latencies: a cost's float sum is exact in any order.
+EXACT = CostModel(
+    connect_latency=2**-8,
+    round_trip_latency=2**-9,
+    metadata_per_table=2**-10,
+    scan_fixed=2**-8,
+    scan_per_row=2**-14,
+    time_scale=0.0,
+)
 
 
 @pytest.fixture()
@@ -35,11 +47,10 @@ class TestDetection:
         report = detector.detect(server, [name])
         assert {p.table_name for p in report.predictions} == {name}
 
-    def test_phase_assignment_consistent_with_scanning(self, detector, server):
+    def test_phase_assignment_consistent_with_scanning(self, detector, server, table_jobs):
         report = detector.detect(server)
-        scanned_names = {
-            (table, column) for table, column in server.ledger.scanned_columns
-        }
+        scanned_names = set().union(*(job.cost.scanned for job in table_jobs))
+        assert report.cost["scanned_columns"] == len(scanned_names)
         for prediction in report.predictions:
             key = (prediction.table_name, prediction.column_name)
             if prediction.phase == 2:
@@ -56,6 +67,63 @@ class TestDetection:
         report = detector.detect(server)
         assert 0.0 <= report.scanned_ratio() <= 1.0
 
+    def test_repeated_runs_report_equal_cost(self, detector, server):
+        """A report's cost is its own run's: a second run on the same
+        server costs what the first did, not the server's running total."""
+        first = detector.detect(server)
+        second = detector.detect(server)
+        assert first.cost["connections_opened"] == 1
+        assert second.cost == first.cost
+
+
+class TestFreshServerCost:
+    def test_every_mode_reports_what_the_server_counted(
+        self, trained_model, featurizer, tiny_encoder, tiny_corpus
+    ):
+        """On a fresh server a run's cost is everything the server charged,
+        and every TASTE mode charges what the sequential reference does."""
+        names = [t.name for t in tiny_corpus.test]
+        policy = ThresholdPolicy(0.1, 0.9)
+
+        def detector(pipelined: bool) -> TasteDetector:
+            return TasteDetector(
+                trained_model, featurizer, policy,
+                config=DetectorConfig(pipelined=pipelined),
+            )
+
+        def service_run(server):
+            with DetectionService(detector(True)) as service:
+                return service.submit("tenant", server, names).result(timeout=120.0)
+
+        baseline = BaselineDetector(
+            build_turl_model(tiny_encoder, tiny_corpus.registry.num_labels), featurizer
+        )
+        runs = {
+            "sequential": lambda server: detector(False).detect(server, names),
+            "pipelined": lambda server: detector(True).detect(server, names),
+            "service": service_run,
+            "baseline": lambda server: baseline.detect(server, names),
+        }
+        costs = {}
+        for mode, run in runs.items():
+            metrics = MetricsRegistry()
+            cost = run(CloudDatabaseServer.from_tables(tiny_corpus.test, EXACT, metrics=metrics)).cost
+            counted = metrics.snapshot()
+            round_trips = {
+                op: counted.get(f"db.round_trips{{op={op}}}", {"value": 0})["value"]
+                for op in ("connect", "metadata", "scan")
+            }
+            assert cost["connections_opened"] == round_trips["connect"], mode
+            assert cost["scan_queries"] == round_trips["scan"], mode
+            assert cost["round_trips"] == sum(round_trips.values()), mode
+            assert cost["rows_read"] == counted["db.rows_read"]["value"], mode
+            assert cost["cells_read"] == counted["db.cells_read"]["value"], mode
+            assert cost["simulated_seconds"] == counted["db.charged_seconds"]["value"], mode
+            costs[mode] = cost
+        assert costs["pipelined"] == costs["sequential"]
+        assert costs["service"] == costs["sequential"]
+        assert costs["baseline"]["scanned_columns"] == sum(t.num_columns for t in tiny_corpus.test)
+
 
 class TestPrivacyMode:
     def test_no_scans_when_phase2_disabled(self, trained_model, featurizer, server):
@@ -64,7 +132,7 @@ class TestPrivacyMode:
             config=DetectorConfig(pipelined=False),
         )
         report = detector.detect(server)
-        assert server.ledger.num_scanned_columns() == 0
+        assert report.cost["scanned_columns"] == 0
         assert report.scanned_ratio() == 0.0
         assert all(p.phase == 1 for p in report.predictions)
 
@@ -153,18 +221,15 @@ class TestScanMethods:
         policy = ThresholdPolicy(0.0, 1.0)  # force scans
         server_first = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
         server_sample = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
-        TasteDetector(
+        first = TasteDetector(
             trained_model, featurizer, policy,
             config=DetectorConfig(pipelined=False, scan_method="first"),
         ).detect(server_first)
-        TasteDetector(
+        sample = TasteDetector(
             trained_model, featurizer, policy,
             config=DetectorConfig(pipelined=False, scan_method="sample"),
         ).detect(server_sample)
-        assert (
-            server_sample.ledger.simulated_seconds
-            > server_first.ledger.simulated_seconds
-        )
+        assert sample.cost["simulated_seconds"] > first.cost["simulated_seconds"]
 
     def test_invalid_scan_method(self, trained_model, featurizer):
         with pytest.raises(ValueError):

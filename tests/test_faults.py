@@ -13,7 +13,8 @@ from repro.core import (
     TasteDetector,
     ThresholdPolicy,
 )
-from repro.db import CloudDatabaseServer, CostModel
+from repro.db import CloudDatabaseServer, CostLedger, CostModel
+from repro.db.cost import billed_to
 from repro.faults import (
     ConnectionDroppedError,
     FaultInjector,
@@ -217,25 +218,31 @@ class TestFaultRules:
         )
         connection = plan.build(metrics=MetricsRegistry()).connect(server)
         table = server.database.table_names()[0]
-        for _ in range(3):
-            with pytest.raises(TransientDBError):
-                connection.fetch_metadata(table)
-        assert server.ledger.metadata_requests == 0  # faults fire pre-charge
-        connection.fetch_metadata(table)
-        assert server.ledger.metadata_requests == 1
+        with billed_to(CostLedger()) as ledger:
+            for _ in range(3):
+                with pytest.raises(TransientDBError):
+                    connection.fetch_metadata(table)
+            assert ledger.metadata_requests == 0  # faults fire pre-charge
+            connection.fetch_metadata(table)
+        assert ledger.metadata_requests == 1
+        assert ledger.round_trips == 1
 
     def test_drop_then_transparent_reconnect(self, server):
         plan = FaultPlan(rules=(FaultRule("fetch_values", "drop", max_faults=1),))
-        connection = plan.build(metrics=MetricsRegistry()).connect(server)
+        with billed_to(CostLedger()) as ledger:
+            connection = plan.build(metrics=MetricsRegistry()).connect(server)
         table = server.database.table_names()[0]
         column = connection.fetch_metadata(table).columns[0].column_name
-        assert server.ledger.connections_opened == 1
-        with pytest.raises(ConnectionDroppedError):
-            connection.fetch_values(table, [column], limit=2)
-        values = connection.fetch_values(table, [column], limit=2)
+        assert ledger.connections_opened == 1
+        with billed_to(CostLedger()) as retried:
+            with pytest.raises(ConnectionDroppedError):
+                connection.fetch_values(table, [column], limit=2)
+            values = connection.fetch_values(table, [column], limit=2)
         assert column in values
         assert connection.reconnects == 1
-        assert server.ledger.connections_opened == 2  # reconnect pays connect cost
+        # The reconnect pays connect cost, billed to whoever's call made it.
+        assert retried.connections_opened == 1
+        assert retried.scan_queries == 1
 
     def test_injected_latency_accounted_outside_ledger(self, server):
         plan = FaultPlan(
@@ -244,14 +251,13 @@ class TestFaultRules:
         metrics = MetricsRegistry()
         injector = plan.build(metrics=metrics)
         connection = injector.connect(server)
-        simulated_before = server.ledger.simulated_seconds
-        connection.fetch_metadata(server.database.table_names()[0])
+        with billed_to(CostLedger()) as ledger:
+            connection.fetch_metadata(server.database.table_names()[0])
         assert injector.injected_latency == pytest.approx(0.25)
         assert metrics.counter("faults.injected_latency_seconds").value == pytest.approx(0.25)
         # The ledger charges the normal metadata cost only — injected delay
         # is accounted by the injector, never billed to the database.
-        normal_cost = server.ledger.simulated_seconds - simulated_before
-        assert normal_cost < 0.25
+        assert ledger.simulated_seconds < 0.25
 
     def test_throttle_scales_with_column_count(self, server):
         plan = FaultPlan(
@@ -406,7 +412,7 @@ class TestGracefulDegradation:
         assert report.ok  # the drop was retried away, not degraded
         assert report.retries == 1
         assert report.faults_injected == 1
-        assert server.ledger.connections_opened == 2
+        assert report.cost["connections_opened"] == 2
 
     def test_retried_run_charges_like_fault_free_run(
         self, untrained_model, featurizer, tiny_corpus

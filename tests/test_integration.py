@@ -122,7 +122,7 @@ class TestBaselineEndToEnd:
         )
         server = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
         report = BaselineDetector(model, featurizer).detect(server)
-        assert server.scanned_ratio() == 1.0
+        assert report.cost["scanned_columns"] == server.database.total_columns
         assert report.num_columns == sum(t.num_columns for t in tiny_corpus.test)
 
 

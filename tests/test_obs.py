@@ -303,6 +303,8 @@ class TestTracePropagation:
         assert overlapping
 
     def test_metrics_consistent_with_ledger(self, traced_run):
+        """The one run on a fresh server: its report's cost and the
+        server's ``db.*`` counters agree."""
         _, server, registry, report = traced_run
         snapshot = registry.snapshot()
         round_trips = sum(
@@ -310,8 +312,9 @@ class TestTracePropagation:
             for op in ("connect", "metadata", "scan")
             if f"db.round_trips{{op={op}}}" in snapshot
         )
-        assert round_trips == server.ledger.round_trips
-        assert snapshot["db.rows_read"]["value"] == server.ledger.rows_read
+        assert round_trips == report.cost["round_trips"]
+        assert snapshot["db.rows_read"]["value"] == report.cost["rows_read"]
+        assert snapshot["db.cells_read"]["value"] == report.cost["cells_read"]
         assert snapshot["cache.hits"]["value"] == report.cache_hits > 0
         assert snapshot["pipeline.in_flight{pool=prep}"]["peak"] >= 1
         assert snapshot["pipeline.in_flight{pool=infer}"]["peak"] >= 1

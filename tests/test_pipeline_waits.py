@@ -4,7 +4,7 @@
 :func:`repro.db.cost.wait` (a charged round trip, an injected fault delay,
 a retry backoff) holds a TP1 thread but no slot, so other prep stages
 start meanwhile. These tests drive that path with real (short) sleeps and
-check what must not move: predictions, the ledger, the degraded set — and
+check what must not move: predictions, the run's cost, the degraded set — and
 that a run that never sleeps never oversubscribes.
 """
 
@@ -29,7 +29,7 @@ from repro.db.cost import wait
 from repro.faults import FaultPlan, FaultRule, RetryPolicy
 from repro.obs import MetricsRegistry, Tracer
 
-# Every charged latency a power of two, so the ledger's float sum of
+# Every charged latency a power of two, so a report's float sum of
 # simulated seconds is exact in any order and compares with ``==``.
 SLEEPING = CostModel(
     connect_latency=2**-6,

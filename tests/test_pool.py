@@ -8,7 +8,8 @@ import time
 import pytest
 
 from repro.datagen import TableGenConfig, generate_table
-from repro.db import CloudDatabaseServer, ConnectionPool, CostModel, PoolExhaustedError
+from repro.db import CloudDatabaseServer, ConnectionPool, CostLedger, CostModel, PoolExhaustedError
+from repro.db.cost import billed_to
 from repro.errors import Cancelled
 from repro.faults import RetryPolicy, TransientDBError
 from repro.obs import MetricsRegistry
@@ -28,11 +29,12 @@ def server(registry, rng):
 class TestAcquireRelease:
     def test_reuse_avoids_new_connections(self, server):
         pool = ConnectionPool(server, max_size=2)
-        conn = pool.acquire()
-        pool.release(conn)
-        again = pool.acquire()
+        with billed_to(CostLedger()) as ledger:
+            conn = pool.acquire()
+            pool.release(conn)
+            again = pool.acquire()
         assert again is conn
-        assert server.ledger.connections_opened == 1
+        assert ledger.connections_opened == 1
         assert pool.stats.reused == 1
 
     def test_exhaustion_raises(self, server):
@@ -56,12 +58,13 @@ class TestAcquireRelease:
 
     def test_closed_connection_not_reused(self, server):
         pool = ConnectionPool(server, max_size=1)
-        conn = pool.acquire()
-        conn.close()
-        pool.release(conn)
-        fresh = pool.acquire()
+        with billed_to(CostLedger()) as ledger:
+            conn = pool.acquire()
+            conn.close()
+            pool.release(conn)
+            fresh = pool.acquire()
         assert fresh is not conn
-        assert server.ledger.connections_opened == 2
+        assert ledger.connections_opened == 2
 
     def test_lease_context_manager(self, server):
         pool = ConnectionPool(server, max_size=1)

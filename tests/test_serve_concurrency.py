@@ -163,6 +163,73 @@ class TestShedding:
         assert all(report.ok for report in reports)
 
 
+    def test_job_shed_by_a_full_queue_spends_no_quota(
+        self, detector, server, tiny_corpus
+    ):
+        names = ([t.name for t in tiny_corpus.test] * 5)[:5]
+        config = ServiceConfig(
+            max_queue_depth=1,
+            default_quota=TenantQuota(rate_tables_per_s=1e-9, burst_tables=10),
+            clock=lambda: 0.0,  # frozen: no refill during the test
+        )
+        with DetectionService(detector, config) as service:
+            source = service._source
+            # Held: the first job stays queued while the second is shed.
+            with source.condition:
+                first = service.submit("tenant-a", server, names)
+                with pytest.raises(Overloaded) as excinfo:
+                    service.submit("tenant-a", server, names)
+            assert excinfo.value.reason == "queue"
+            first.result(timeout=120.0)
+            # Only the enqueued job's 5 tables were spent.
+            assert source._admission._bucket("tenant-a").tokens == 5.0
+            third = service.submit("tenant-a", server, names)
+            assert third.result(timeout=120.0).ok
+
+
+class TestCost:
+    """A job's ``cost`` is what its own round trips cost."""
+
+    COUNTS = ("metadata_requests", "scan_queries", "rows_read", "cells_read", "scanned_columns")
+
+    def test_concurrent_jobs_each_report_their_own_cost(
+        self, detector, tiny_corpus
+    ):
+        names = [t.name for t in tiny_corpus.test]
+        metrics = MetricsRegistry()
+        server = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST, metrics=metrics)
+        with DetectionService(detector) as service:
+            alone = service.submit("tenant-a", server, names).result(timeout=120.0)
+            before = metrics.snapshot()
+            with service._source.condition:  # both queued before either runs
+                handles = [service.submit("tenant-a", server, names) for _ in range(2)]
+            reports = [handle.result(timeout=120.0) for handle in handles]
+            after = metrics.snapshot()
+        for report in reports:
+            assert report.ok
+            for key in self.COUNTS:
+                assert report.cost[key] == alone.cost[key], key
+            assert (
+                report.cost["round_trips"] - report.cost["connections_opened"]
+                == alone.cost["round_trips"] - alone.cost["connections_opened"]
+            )
+
+        def delta(name: str) -> float:
+            return after.get(name, {}).get("value", 0) - before.get(name, {}).get("value", 0)
+
+        def total(key: str) -> float:
+            return sum(report.cost[key] for report in reports)
+
+        assert delta("db.round_trips{op=connect}") == total("connections_opened")
+        assert delta("db.round_trips{op=scan}") == total("scan_queries")
+        assert sum(
+            delta(f"db.round_trips{{op={op}}}") for op in ("connect", "metadata", "scan")
+        ) == total("round_trips")
+        assert delta("db.rows_read") == total("rows_read")
+        assert delta("db.cells_read") == total("cells_read")
+        assert delta("db.charged_seconds") == pytest.approx(total("simulated_seconds"))
+
+
 class TestCancellation:
     def test_cancel_mid_phase_leaks_nothing(self, detector, server, tiny_corpus):
         names = [t.name for t in tiny_corpus.test]

@@ -32,7 +32,6 @@ from repro.core import (
 )
 from repro.core.pipeline import _StaticSource
 from repro.db import CloudDatabaseServer, ConnectionPool
-from repro.db.cost import CostLedger
 from repro.experiments.common import paper_cost_model
 from repro.faults import FaultPlan, FaultRule
 from repro.faults.plan import FaultInjector
@@ -51,7 +50,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 LOCK_OWNERS = (
     ConnectionPool,
-    CostLedger,
     FaultInjector,
     _StaticSource,
     _ServiceSource,
@@ -73,12 +71,13 @@ LOCK_OWNERS = (
 EXPECTED_EDGES = {
     ("DetectionService._pools_lock", "MetricsRegistry._lock"),
     ("_JobConnection._connect_lock", "ConnectionPool._lock"),
-    ("_JobConnection._connect_lock", "CostLedger._lock"),
     ("_JobConnection._connect_lock", "Counter._lock"),
     ("_JobConnection._connect_lock", "FaultInjector._lock"),
     ("_JobConnection._connect_lock", "MetricsRegistry._lock"),
     ("_JobConnection._connect_lock", "_JobConnection._lock"),
-    ("_ServiceSource.condition", "CostLedger._lock"),
+    # A job spends its quota only once the queue has taken it.
+    ("_ServiceSource.condition", "AdmissionController._lock"),
+    ("_ServiceSource.condition", "TokenBucket._lock"),
     # A plan's first replay builds it under the cache's replay lock.
     ("PlanCache._replay_lock", "Tracer._lock"),
 }
