@@ -164,14 +164,6 @@ class TableJob:
             elapsed = time.perf_counter() - started
         self._finish_stage(stage, elapsed, metrics)
 
-    def infer_columns(self) -> int:
-        """Columns the next (infer) stage sends to the model: its round cost."""
-        if self.completed_stages == 1:
-            chunks = self.chunks
-        else:
-            chunks = [chunk for _, chunk in self._phase2_chunks()]
-        return sum(max(len(chunk.metadata.columns), 1) for chunk in chunks)
-
     def infer_requests(self) -> "list[Phase1Request | Phase2Request]":
         """Start the next (infer) stage: the chunk requests it runs."""
         self._infer_started = time.perf_counter()

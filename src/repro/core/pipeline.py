@@ -12,14 +12,16 @@ does not grow with the number of tables.
 Prep stages run on thread pool ``TP1``. Algorithm 1's inference pool
 ``TP2`` is the dispatch loop's own thread: inference is numpy under one
 GIL, and forwards on threads of their own only compete with the loop for
-that lock. So the loop runs inference in *rounds*: it takes ready infer
-stages in the source's order up to ``max_batch_cols`` columns (always at
-least one table), releases the source's condition, runs their requests
-through one width-grouped :meth:`~repro.sched.InferenceBatcher.run`,
-applies each table's readout and reports each table back. Nothing waits
-for a batch to fill. Meanwhile a prep worker that finishes a stage
-refills its own slot from the prep queue, so the next round carries
-every table prepared during this one (DESIGN §5d).
+that lock. So the loop runs inference in *rounds*: it takes every ready
+infer stage in the source's order, releases the source's condition, runs
+their requests through one width-grouped
+:meth:`~repro.sched.InferenceBatcher.run` (which cuts each width group
+into forwards of at most ``max_batch_cols`` columns), applies each
+table's readout and reports each table back. Nothing waits for a batch to
+fill. Meanwhile a prep worker that finishes a stage refills its own slot
+from the prep queue, so the next round carries every table prepared
+during this one, and a stage that becomes ready during a round waits at
+most for that round (DESIGN §5d).
 
 ``prep_workers`` counts prep stages *on the CPU*: while a stage sits in
 a real wait (:func:`repro.db.cost.wait` — a charged round trip, an
@@ -102,8 +104,8 @@ class JobSource(Protocol):
 
     def ready(self, job: TableJob, since: float) -> None:
         """File ``job`` (not done) under ``job.next_stage_kind()``, ready
-        since ``since``: after its stage was reported, or to put back a job
-        just taken. A source files the jobs it adds itself."""
+        since ``since``: after its stage was reported. A source files the
+        jobs it adds itself."""
         ...
 
     def finished(self) -> bool:
@@ -180,7 +182,8 @@ class PipelinedExecutor:
     Ready stages are taken from the source's queues in its order (see the
     module docstring); TP1 has ``max(prep_workers, PREP_THREADS)``
     threads, and inference runs on the thread that calls
-    :meth:`run_source`.
+    :meth:`run_source`, one round per pass holding every infer stage
+    ready at its start.
 
     Parameters
     ----------
@@ -188,11 +191,9 @@ class PipelinedExecutor:
         Prep stages on the CPU at once (TP1's slots).
     detector:
         The :class:`~repro.core.TasteDetector` whose tables run: a round
-        takes up to its ``batching.max_batch_cols`` columns (always at
-        least one table) and runs through its
-        :meth:`~repro.core.TasteDetector.run_inference`. ``None`` puts no
-        budget on a round and hands each request back as its own result,
-        for stage machines whose infer stages need no model.
+        runs through its :meth:`~repro.core.TasteDetector.run_inference`.
+        ``None`` hands each request back as its own result, for stage
+        machines whose infer stages need no model.
     wait_timeout:
         Safety-net timeout for the dispatch loop's ``condition.wait``.
         Workers always notify on completion, so a firing with stages in
@@ -201,8 +202,8 @@ class PipelinedExecutor:
 
     A stage machine the loop drives has ``done``, ``next_stage_kind()``
     and ``run_next_stage()`` (prep stages), and for its infer stages
-    ``infer_columns()``, ``infer_requests()`` and
-    ``apply_inference(results)``, as :class:`~repro.core.phases.TableJob`.
+    ``infer_requests()`` and ``apply_inference(results)``, as
+    :class:`~repro.core.phases.TableJob`.
     """
 
     def __init__(
@@ -365,11 +366,6 @@ class PipelinedExecutor:
                     condition.notify_all()
 
         prep_threads = max(self.prep_workers, PREP_THREADS)
-        round_budget = (
-            self.detector.config.batching.max_batch_cols
-            if self.detector is not None
-            else float("inf")
-        )
         with ThreadPoolExecutor(prep_threads, thread_name_prefix="taste-prep") as tp1:
             with condition:
                 while not source.aborted():
@@ -393,14 +389,8 @@ class PipelinedExecutor:
                         tp1.submit(context.run, prep_worker, job)
                         dispatched = True
                     round_jobs: list[TableJob] = []
-                    round_cols = 0
                     while (taken := source.take("infer")) is not None:
-                        cost = taken[0].infer_columns()
-                        if round_jobs and round_cols + cost > round_budget:
-                            source.ready(*taken)  # heads the next round
-                            break
                         round_jobs.append(dispatch("infer", taken))
-                        round_cols += cost
                     dispatch_seconds.observe(time.perf_counter() - pass_started)
                     if round_jobs:
                         in_flight_gauges["infer"].set(len(round_jobs))

@@ -20,6 +20,20 @@ from .schema import ColumnMetadata, TableMetadata
 __all__ = ["StoredColumn", "StoredTable", "Database"]
 
 
+def _column_statistics(values: list[str]) -> tuple[int, float, float, int]:
+    """``(num_distinct, null_fraction, avg_length, max_length)`` of ``values``."""
+    total = len(values)
+    non_null = [value for value in values if value]
+    null_fraction = 1.0 - len(non_null) / total if total else 0.0
+    if non_null:
+        lengths = [len(value) for value in non_null]
+        avg_length = float(np.mean(lengths))
+        max_length = int(max(lengths))
+    else:
+        avg_length, max_length = 0.0, 0
+    return len(set(non_null)), null_fraction, avg_length, max_length
+
+
 @dataclass
 class StoredColumn:
     """Column payload plus lazily-computed statistics."""
@@ -29,19 +43,20 @@ class StoredColumn:
     data_type: str
     values: list[str]
     histogram: Histogram | None = None
+    _statistics: tuple[int, float, float, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def statistics(self) -> tuple[int, float, float, int]:
-        """Return ``(num_distinct, null_fraction, avg_length, max_length)``."""
-        total = len(self.values)
-        non_null = [value for value in self.values if value]
-        null_fraction = 1.0 - len(non_null) / total if total else 0.0
-        if non_null:
-            lengths = [len(value) for value in non_null]
-            avg_length = float(np.mean(lengths))
-            max_length = int(max(lengths))
-        else:
-            avg_length, max_length = 0.0, 0
-        return len(set(non_null)), null_fraction, avg_length, max_length
+        """Return ``(num_distinct, null_fraction, avg_length, max_length)``.
+
+        Computed on the first call and kept: nothing writes ``values``
+        after :meth:`Database.create_table`. Two threads racing on the
+        first call compute the same tuple.
+        """
+        if self._statistics is None:
+            self._statistics = _column_statistics(self.values)
+        return self._statistics
 
 
 @dataclass

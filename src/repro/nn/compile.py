@@ -35,12 +35,17 @@ call too). Two mechanisms guarantee it:
    values — only the output buffer bookkeeping differs.
 2. The first replay of each **shape** (the meta width, or the
    ``(meta, content)`` widths) in each latent mode is verified against the
-   eager forward on the triggering batch. The one residual risk is the
-   fused QKV/KV GEMM: BLAS kernels reduce over ``K`` sequentially
-   regardless of the output width, but if a platform's blocking ever
-   disagrees, verification catches it, that shape replays unfused, and a
-   second mismatch retires the shape (permanent eager fallback, counted
-   under ``nn.compile.fallbacks{reason=verify}``).
+   eager forward of the triggering batch, bit for bit on every row. The
+   reference runs :data:`VERIFY_ROWS` rows at a time at the batch's
+   padded widths and is concatenated (:func:`sliced_reference`): a row's
+   arithmetic does not depend on its neighbours, so this equals the
+   whole-batch forward, and the eager transient is bounded by the slice,
+   not by the batch. The one residual risk is the fused QKV/KV GEMM:
+   BLAS kernels reduce over ``K`` sequentially regardless of the output
+   width, but if a platform's blocking ever disagrees, verification
+   catches it, that shape replays unfused, and a second mismatch retires
+   the shape (permanent eager fallback, counted under
+   ``nn.compile.fallbacks{reason=verify}``).
 
 Caches are looked up via a module-level weak registry (never stored on
 the model, so models stay picklable/deep-copyable). A width over the
@@ -512,11 +517,7 @@ class CompiledPlan:
         try:
             outputs = self._replay(batch, cached, fused)
             if (shape, mode) not in self.verified:
-                reference = (
-                    eager_phase1(model, batch)
-                    if self.phase == 1
-                    else eager_phase2(model, batch, cached)
-                )
+                reference = sliced_reference(model, self.phase, batch, cached)
                 if not self._matches(outputs, reference):
                     if fused:
                         # The fused-GEMM layout disagreed on this platform;
@@ -544,6 +545,45 @@ class CompiledPlan:
 # ----------------------------------------------------------------------
 # The eager no-grad forward: the fallback path and the verify reference.
 # ----------------------------------------------------------------------
+# Rows per eager forward of a verification reference: the transient it
+# allocates is bounded by this slice, not by the batch it verifies. One
+# row gives the lowest peak RSS and no slower a warm-up (DESIGN §5d).
+VERIFY_ROWS = 1
+
+
+def _rows(batch: "Batch", start: int, stop: int) -> "Batch":
+    """Rows ``[start, stop)`` of ``batch``, at the batch's padded widths."""
+    return replace(
+        batch,
+        **{
+            name: None if value is None else value[start:stop]
+            for name, value in vars(batch).items()
+        },
+    )
+
+
+def sliced_reference(model: Any, phase: int, batch: "Batch", cached: "list | None") -> Any:
+    """The eager forward of ``batch``, run :data:`VERIFY_ROWS` rows at a time.
+
+    Equal bit for bit to :func:`eager_phase1` / :func:`eager_phase2` of
+    the whole batch: every slice keeps the batch's padded widths, and a
+    row's arithmetic never depends on the other rows beside it.
+    """
+    parts = []
+    for start in range(0, batch.size, VERIFY_ROWS):
+        rows = _rows(batch, start, start + VERIFY_ROWS)
+        if phase == 1:
+            parts.append(eager_phase1(model, rows))
+        else:
+            part_cached = None if cached is None else cached[start : start + VERIFY_ROWS]
+            parts.append(eager_phase2(model, rows, part_cached))
+    if phase == 1:
+        logits = np.concatenate([part[0] for part in parts])
+        layers = [np.concatenate(arrays) for arrays in zip(*(part[1] for part in parts))]
+        return logits, layers
+    return np.concatenate(parts)
+
+
 def eager_phase1(model: Any, batch: "Batch") -> tuple[np.ndarray, list[np.ndarray]]:
     """Eager metadata-tower forward: ``(logits, layer_arrays)`` as arrays."""
     with no_grad():

@@ -178,9 +178,6 @@ class PoolHammerJob:
                 pass
         self.completed += 1
 
-    def infer_columns(self) -> int:
-        return 1
-
     def infer_requests(self) -> list:
         return []
 

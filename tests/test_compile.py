@@ -33,7 +33,9 @@ from repro.core import (
 )
 from repro.datagen import TableGenConfig, generate_table
 from repro.db import CloudDatabaseServer, CostModel
+from repro.core.latent_cache import CachedEncoding
 from repro.faults import FaultPlan, FaultRule
+from repro.features.encoding import collate
 from repro.nn import compile as nn_compile
 from repro.obs import MetricsRegistry, Tracer
 from repro.sched import InferenceBatcher, Phase1Request, Phase2Request, bucket_width
@@ -471,6 +473,96 @@ class TestPerShapeVerification:
             assert metrics.counter("nn.compile.builds", phase=phase).value == 1
             assert metrics.counter("nn.compile.replays", phase=phase).value > len(verifies)
         assert metrics.counter("nn.compile.fallbacks").value == 0
+
+
+def _common_width_batches(model, featurizer, tables):
+    """Phase-1 and Phase-2 batches of ``tables`` at one shared meta and
+    content width, and each row's Phase-1 latents at that meta width."""
+    encoded_p1 = [
+        featurizer.encode_offline(table, with_content=False, with_labels=False)
+        for table in tables
+    ]
+    encoded_p2 = [featurizer.encode_offline(table, with_labels=False) for table in tables]
+    meta = max(
+        bucket_width(len(encoded.meta.token_ids), 16, cap=512)
+        for encoded in encoded_p1 + encoded_p2
+    )
+    content = max(
+        bucket_width(len(encoded.content.token_ids), 16, cap=512) for encoded in encoded_p2
+    )
+    batch1 = collate(encoded_p1, meta_width=meta)
+    batch2 = collate(encoded_p2, meta_width=meta, content_width=content)
+    _, layers = nn_compile.eager_phase1(model, batch1)
+    cached = [
+        CachedEncoding([layer[row : row + 1].copy() for layer in layers])
+        for row in range(len(tables))
+    ]
+    return batch1, batch2, cached
+
+
+class TestSlicedVerification:
+    """A first-seen shape is verified against an eager reference built
+    ``VERIFY_ROWS`` rows at a time."""
+
+    @pytest.mark.parametrize("rows", [nn_compile.VERIFY_ROWS, 2])
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_sliced_reference_equals_the_whole_batch_forward(
+        self, untrained_model, featurizer, tiny_corpus, monkeypatch, size, rows
+    ):
+        monkeypatch.setattr(nn_compile, "VERIFY_ROWS", rows)
+        batch1, batch2, cached = _common_width_batches(
+            untrained_model, featurizer, tiny_corpus.tables[:size]
+        )
+        logits, layers = nn_compile.sliced_reference(untrained_model, 1, batch1, None)
+        ref_logits, ref_layers = nn_compile.eager_phase1(untrained_model, batch1)
+        assert logits.tobytes() == ref_logits.tobytes()
+        assert len(layers) == len(ref_layers)
+        for layer, ref_layer in zip(layers, ref_layers):
+            assert layer.tobytes() == ref_layer.tobytes()
+        for latents in (cached, None):
+            sliced = nn_compile.sliced_reference(untrained_model, 2, batch2, latents)
+            whole = nn_compile.eager_phase2(untrained_model, batch2, latents)
+            assert sliced.shape == whole.shape
+            assert sliced.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_a_mismatch_in_the_last_row_retires_the_shape(
+        self, untrained_model, featurizer, tiny_corpus, monkeypatch, phase
+    ):
+        """The last row of a 5-row batch lies in the reference's last
+        slice, not its first; a replay wrong only there still goes
+        unfused, then dead, and the forward hands back the correct eager
+        outputs."""
+        assert nn_compile.VERIFY_ROWS < 5
+        batch1, batch2, cached = _common_width_batches(
+            untrained_model, featurizer, tiny_corpus.tables[:5]
+        )
+        replay = nn_compile.CompiledPlan._replay
+
+        def planted(plan, batch, latents, fused):
+            outputs = replay(plan, batch, latents, fused)
+            logits = outputs[0] if plan.phase == 1 else outputs
+            logits[-1, 0, 0] = np.nextafter(logits[-1, 0, 0], np.inf)
+            return outputs
+
+        monkeypatch.setattr(nn_compile.CompiledPlan, "_replay", planted)
+        metrics = MetricsRegistry()
+        cache = nn_compile.enable(untrained_model, metrics=metrics)
+        if phase == 1:
+            expected = nn_compile.eager_phase1(untrained_model, batch1)[0]
+            with cache.phase1(batch1) as outputs:
+                got = outputs[0].copy()
+            shape = batch1.meta_ids.shape[1]
+        else:
+            expected = nn_compile.eager_phase2(untrained_model, batch2, cached)
+            with cache.phase2(batch2, cached) as outputs:
+                got = outputs.copy()
+            shape = (batch2.meta_ids.shape[1], batch2.content_ids.shape[1])
+        assert got.tobytes() == expected.tobytes()
+        plan = cache.plans[phase]
+        assert plan.unfused == {shape} and plan.dead == {shape}
+        assert not plan.verified and plan.replays == 0
+        assert metrics.counter("nn.compile.fallbacks", reason="verify").value == 1
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from repro.db import (
     Database,
     SQLSyntaxError,
 )
+from repro.db import engine
 from repro.db.cost import billed_to, total_cost
 from repro.obs import MetricsRegistry
 
@@ -70,6 +71,23 @@ class TestDatabase:
             assert column_md.data_type == column.raw_type
             non_empty = [v for v in column.values if v]
             assert column_md.num_distinct == len(set(non_empty))
+
+    def test_metadata_computes_statistics_once(self, tables, monkeypatch):
+        """Repeated ``metadata()`` calls return equal metadata, and each
+        column's statistics are computed on the first call only."""
+        computed = []
+        compute = engine._column_statistics
+
+        def counting(values):
+            computed.append(values)
+            return compute(values)
+
+        monkeypatch.setattr(engine, "_column_statistics", counting)
+        db = Database.from_tables(tables)
+        first = db.metadata(tables[0].name)
+        assert len(computed) == tables[0].num_columns
+        assert db.metadata(tables[0].name) == first
+        assert len(computed) == tables[0].num_columns
 
     def test_metadata_histogram_only_after_analyze(self, tables):
         db = Database.from_tables(tables)

@@ -3,6 +3,8 @@
 A pipelined run has no inference pool and no batcher thread: the thread
 that drives :meth:`PipelinedExecutor.run_source` — the caller of
 ``detect()``, or a service's dispatch thread — runs every forward itself.
+A round takes every table whose next stage is inference; only the
+batcher cuts it, into forwards of at most ``max_batch_cols`` columns.
 A forward that raises fails exactly the tables of its round: a direct
 ``detect()`` re-raises it, a service degrades those tables and keeps
 serving, and neither leaves a connection or latents behind.
@@ -14,10 +16,18 @@ import threading
 
 import pytest
 
-from repro.core import DetectorConfig, RuntimeConfig, TasteDetector, ThresholdPolicy
+from repro.core import (
+    BatchingConfig,
+    DetectorConfig,
+    RuntimeConfig,
+    TasteDetector,
+    ThresholdPolicy,
+)
+from repro.core.phases import TableJob
 from repro.core.pipeline import PipelinedExecutor
 from repro.db import CloudDatabaseServer, CostModel
 from repro.obs import MetricsRegistry, Tracer
+from repro.sched import Phase1Request
 from repro.sched import forward as sched_forward
 from repro.serve import DetectionService
 from tests.conftest import assert_no_leaked_connections
@@ -97,6 +107,58 @@ def test_service_runs_inference_on_its_dispatch_thread(
     assert forward_calls
     assert {thread for thread, _ in forward_calls} == {dispatch_thread}
     assert_no_removed_threads(forward_calls)
+
+
+def test_a_round_takes_every_ready_table(
+    untrained_model, featurizer, tiny_corpus, monkeypatch
+):
+    """Twelve tables are infer-ready before the loop's first take: one
+    round carries all their Phase-1 requests, and the batcher cuts each
+    width group at ``max_batch_cols`` columns."""
+    tables = tiny_corpus.tables[:12]
+    server = CloudDatabaseServer.from_tables(tables, CostModel(time_scale=0.0))
+    metrics = MetricsRegistry()
+    detector = TasteDetector(
+        untrained_model,
+        featurizer,
+        ThresholdPolicy(0.0, 1.0),
+        config=DetectorConfig(batching=BatchingConfig(max_batch_cols=8)),
+        runtime=RuntimeConfig(metrics=metrics, tracer=Tracer(enabled=False)),
+    )
+    forwards = metrics.counter("sched.forwards")
+    calls: list[tuple[list, int]] = []
+    run_inference = detector.run_inference
+
+    def recording(requests):
+        before = forwards.value
+        results = run_inference(requests)
+        calls.append((list(requests), forwards.value - before))
+        return results
+
+    monkeypatch.setattr(detector, "run_inference", recording)
+    with server.connect() as connection:
+        jobs = [TableJob(detector, connection, table.name) for table in tables]
+        for job in jobs:
+            job.run_next_stage()  # P1 prep: every table is infer-ready
+        PipelinedExecutor(2, detector=detector).run(jobs, metrics)
+    assert all(job.done and not job.result.failed for job in jobs)
+    phase1 = [call for call in calls if any(isinstance(r, Phase1Request) for r in call[0])]
+    assert len(phase1) == 1
+    requests, made = phase1[0]
+    assert [request.encoded for request in requests] == [
+        chunk.encoded_p1 for job in jobs for chunk in job.chunks
+    ]
+    expected = 0
+    for _, group in sched_forward.group_requests(requests):
+        cols = None
+        for request in group:
+            cost = sched_forward.request_cost(request)
+            if cols is None or cols + cost > 8:
+                expected, cols = expected + 1, cost
+            else:
+                cols += cost
+    assert made == expected
+    assert len(sched_forward.group_requests(requests)) < expected < len(requests)
 
 
 @pytest.fixture()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import threading
 import time
-from types import SimpleNamespace
 
 import pytest
 
@@ -17,8 +16,8 @@ class FakeJob:
     """Duck-typed stand-in for TableJob: four stages, recorded ordering.
 
     Prep stages run through ``run_next_stage``; infer stages through the
-    round protocol (``infer_columns`` / ``infer_requests`` /
-    ``apply_inference``), with the job's name as its one request."""
+    round protocol (``infer_requests`` / ``apply_inference``), with the
+    job's name as its one request."""
 
     STAGE_KINDS = ("prep", "infer", "prep", "infer")
 
@@ -51,9 +50,6 @@ class FakeJob:
         with self.lock:
             self.log.append((self.name, stage))
         self.completed_stages = stage + 1
-
-    def infer_columns(self) -> int:
-        return 1
 
     def infer_requests(self) -> list:
         stage = self.completed_stages
@@ -243,8 +239,6 @@ class TestSlotRefill:
 
         class RoundRecorder:
             """Duck-typed detector: records each round's requests."""
-
-            config = SimpleNamespace(batching=SimpleNamespace(max_batch_cols=64))
 
             def __init__(self):
                 self.rounds: list[list] = []

@@ -105,6 +105,69 @@ class TestFairness:
         assert set(dispatched) == {0, 10}
         assert all(report.ok for report in reports)
 
+    def test_priority_job_waits_at_most_for_the_round_in_flight(
+        self, detector, server, tiny_corpus, monkeypatch
+    ):
+        """Rounds have no budget, so a 40-table priority-0 job fills each
+        round with all its ready tables. A priority-10 job submitted while
+        such a round is in flight waits only for that round: its stages
+        dispatch first in the next pass, ahead of every further
+        priority-0 infer stage, and no stage of a kind dispatches past an
+        idle higher-priority one."""
+        names = [t.name for t in tiny_corpus.test]
+        low_names = names * -(-40 // len(names))
+        round_started, release = threading.Event(), threading.Event()
+        run_inference = detector.run_inference
+
+        def held(requests):
+            if not round_started.is_set():
+                round_started.set()
+                assert release.wait(timeout=60.0)
+            return run_inference(requests)
+
+        monkeypatch.setattr(detector, "run_inference", held)
+        dispatched, violations = [], []
+        with DetectionService(detector) as service:
+            source = service._source
+            note_dispatch = source.note_dispatch
+
+            def spy(table_job, kind):
+                # The dispatch loop calls this with the condition held.
+                job = source._job_of[id(table_job)]
+                dispatched.append((job.priority, kind))
+                for other in source.active:
+                    if other.priority <= job.priority:
+                        continue
+                    for waiting in other.table_jobs:
+                        if (
+                            not waiting.done
+                            and not other.is_running(waiting)
+                            and waiting.next_stage_kind() == kind
+                        ):
+                            violations.append((table_job.table_name, kind, waiting.table_name))
+                note_dispatch(table_job, kind)
+
+            monkeypatch.setattr(source, "note_dispatch", spy)
+            low = service.submit("tenant-a", server, low_names, priority=0)
+            assert round_started.wait(timeout=60.0)
+            # While the first round is held, the prep workers refill their
+            # slots until every low table is infer-ready, then go idle.
+            deadline = time.monotonic() + 60.0
+            while any(t.completed_stages < 1 for t in low._job.table_jobs):
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            with source.condition:
+                mark = len(dispatched)
+                high = service.submit("tenant-b", server, names[:2], priority=10)
+            release.set()
+            reports = [high.result(timeout=120.0), low.result(timeout=300.0)]
+        assert len(low_names) >= 40
+        assert not violations
+        after = dispatched[mark:]
+        assert after[:2] == [(10, "prep"), (10, "prep")]
+        assert (0, "infer") in after
+        assert all(report.ok for report in reports)
+
 
 class TestShedding:
     def test_bounded_queue_sheds_with_overloaded(
