@@ -110,14 +110,15 @@ class TasteDetector:
         # Compiled inference (repro.nn.compile): one plan per phase serves
         # every width bucketed_width() produces, so every execution mode
         # (sequential, unbatched, batched, served) replays the same two
-        # plans. A detector configured with compile.enabled=False leaves
-        # the model's cache alone: its batcher never looks the cache up, so
-        # *its* runs are eager while other detectors on the same model keep
-        # their plans.
+        # plans. The plans read the model's live weights, so they share
+        # the model with training and feedback without going stale, and
+        # this detector's batcher counts its own replays into
+        # self.metrics. A detector configured with compile.enabled=False
+        # leaves the model's cache alone: its batcher never looks the cache
+        # up, so *its* runs are eager while other detectors on the same
+        # model keep their plans.
         if self.config.compile.enabled:
-            nn_compile.enable(
-                model, self.config.compile, metrics=self.metrics, tracer=self.tracer
-            )
+            nn_compile.enable(model, self.config.compile)
 
     # ------------------------------------------------------------------
     # Inference dispatch (shared by the stage implementations)

@@ -121,6 +121,4 @@ def pretrain_mlm(
         history.epoch_losses.append(epoch_loss / batches)
     history.seconds = time.perf_counter() - started
     model.eval()
-    # Pre-training mutates the weights in place; drop any compiled plans.
-    nn.compile.invalidate(model)
     return history

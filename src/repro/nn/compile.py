@@ -2,26 +2,24 @@
 
 The detector's S2 stage is pure model compute, and the eager forward pays
 per-op Python dispatch, Tensor wrapping and fresh numpy allocations on
-every call. This module trades that overhead for a
-**trace-once/replay-many** scheme:
+every call. This module trades that overhead for **replays** of a
+hand-written plan:
 
 * A model's :class:`PlanCache` holds exactly two :class:`CompiledPlan`
-  objects, one per phase. A plan walks the model structure once, on its
-  first replay, prefetching every weight the forward touches. Replays
-  are straight-line numpy — zero ``Tensor``/autograd objects on the hot
-  path — and take every shape from the batch, so one plan serves every
-  width.
+  objects, one per phase. Replays are straight-line numpy — zero
+  ``Tensor``/autograd objects on the hot path — over the parameters of
+  the model they are handed, read afresh on every replay, and take every
+  shape from the batch, so one plan serves every width and every weight
+  version.
 * Both plans replay into **one workspace arena**, owned by the cache:
   named, growable buffers reused across replays, written through the
   shared ``out=`` kernels in :mod:`repro.nn.functional` (``softmax_``
   reusing the attention-score buffer, fused residual+``layer_norm_``,
   fused bias+``gelu_``). Wider forwards grow the arena to the largest
   demand per buffer name.
-* **Fused weight layouts**: the per-layer Q/K/V projections are
-  concatenated into one ``(H, 3H)`` GEMM when the plan is built, and the
-  asymmetric cross-attention's K/V pair into one ``(H, 2H)`` GEMM whose
-  input buffer is fed directly from the latents Phase 1 kept for the
-  chunk (:class:`~repro.core.latent_cache.CachedEncoding`).
+* The asymmetric cross-attention's K/V input buffer is fed directly from
+  the latents Phase 1 kept for the chunk
+  (:class:`~repro.core.latent_cache.CachedEncoding`).
 
 Bitwise safety
 --------------
@@ -31,8 +29,9 @@ call too). Two mechanisms guarantee it:
 
 1. Replays call the *same* raw-ndarray kernels the eager no-grad fast
    paths call (``softmax_``/``layer_norm_``/``gelu_``/``relu_``), and
-   every remaining op is the identical ufunc/GEMM on identical operand
-   values — only the output buffer bookkeeping differs.
+   every remaining op is the identical ufunc/GEMM — one GEMM per
+   projection, like the eager ``Linear`` — on the same live weight
+   arrays; only the output buffer bookkeeping differs.
 2. The first replay of each **shape** (the meta width, or the
    ``(meta, content)`` widths) in each latent mode is verified against the
    eager forward of the triggering batch, bit for bit on every row. The
@@ -40,12 +39,8 @@ call too). Two mechanisms guarantee it:
    padded widths and is concatenated (:func:`sliced_reference`): a row's
    arithmetic does not depend on its neighbours, so this equals the
    whole-batch forward, and the eager transient is bounded by the slice,
-   not by the batch. The one residual risk is the fused QKV/KV GEMM:
-   BLAS kernels reduce over ``K`` sequentially regardless of the output
-   width, but if a platform's blocking ever disagrees, verification
-   catches it, that shape replays unfused, and a second mismatch retires
-   the shape (permanent eager fallback, counted under
-   ``nn.compile.fallbacks{reason=verify}``).
+   not by the batch. A mismatch retires the shape (permanent eager
+   fallback, counted under ``nn.compile.fallbacks{reason=verify}``).
 
 Caches are looked up via a module-level weak registry (never stored on
 the model, so models stay picklable/deep-copyable). A width over the
@@ -55,26 +50,21 @@ to the eager forward — safe, because eager and compiled agree bitwise.
 The detector's :class:`~repro.sched.InferenceBatcher` looks the cache up
 once per run, and only when its own ``compile.enabled`` is set: a
 detector with compilation off runs eager and leaves the plans of other
-detectors on the same model alone.
-
-Weights are prefetched by reference (and by *copy* for the fused
-layouts), so any weight mutation must call :func:`invalidate`.
-:meth:`~repro.nn.Module.load_state_dict` and the training entry points
-do.
+detectors on the same model alone. The batcher also counts the replays
+and fallbacks of its own forwards, so a cache shared by several
+detectors never reports into one detector's registry for another.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import weakref
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
-from ..obs.metrics import global_registry
 from .functional import (
     additive_attention_mask,
     column_pooling_matrix,
@@ -87,7 +77,6 @@ from .tensor import Tensor, no_grad
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..features.encoding import Batch
-    from ..obs.trace import Tracer
 
 __all__ = [
     "CompileConfig",
@@ -97,9 +86,7 @@ __all__ = [
     "eager_phase2",
     "enable",
     "disable",
-    "invalidate",
     "plan_cache",
-    "weight_fingerprint",
 ]
 
 
@@ -183,73 +170,33 @@ class Arena:
         self.bytes = 0
 
 
-class _LayerWeights:
-    """Prefetched per-block weights, plus the fused QKV/KV layouts.
-
-    Unfused entries are *references* to the live parameter arrays; the
-    fused concatenations are copies made once per plan (stale weights are
-    handled by :func:`invalidate`, not by re-checking here).
-    """
-
-    __slots__ = (
-        "wq", "bq", "wk", "bk", "wv", "bv",
-        "w_qkv", "b_qkv", "w_kv", "b_kv",
-        "wo", "bo", "ln1_w", "ln1_b", "ln1_eps",
-        "w1", "b1", "w2", "b2", "ln2_w", "ln2_b", "ln2_eps",
-    )
-
-    def __init__(self, block: Any) -> None:
-        attention = block.attention
-        self.wq = attention.query_proj.weight.data
-        self.bq = attention.query_proj.bias.data
-        self.wk = attention.key_proj.weight.data
-        self.bk = attention.key_proj.bias.data
-        self.wv = attention.value_proj.weight.data
-        self.bv = attention.value_proj.bias.data
-        self.w_qkv = np.concatenate([self.wq, self.wk, self.wv], axis=1)
-        self.b_qkv = np.concatenate([self.bq, self.bk, self.bv])
-        self.w_kv = np.concatenate([self.wk, self.wv], axis=1)
-        self.b_kv = np.concatenate([self.bk, self.bv])
-        self.wo = attention.output_proj.weight.data
-        self.bo = attention.output_proj.bias.data
-        self.ln1_w = block.attention_norm.weight.data
-        self.ln1_b = block.attention_norm.bias.data
-        self.ln1_eps = block.attention_norm.eps
-        self.w1 = block.ffn_in.weight.data
-        self.b1 = block.ffn_in.bias.data
-        self.w2 = block.ffn_out.weight.data
-        self.b2 = block.ffn_out.bias.data
-        self.ln2_w = block.ffn_norm.weight.data
-        self.ln2_b = block.ffn_norm.bias.data
-        self.ln2_eps = block.ffn_norm.eps
-
-
 class CompiledPlan:
     """The replay program of one phase, for every width.
 
-    Its replays write into the owning :class:`PlanCache`'s one arena, so
-    every replay entry point assumes the caller holds that cache's replay
-    lock. The safety state is kept per *shape* — the meta width (phase 1)
-    or the ``(meta, content)`` widths (phase 2): ``verified`` holds the
-    ``(shape, mode)`` pairs checked against the eager forward, ``unfused``
-    the shapes whose fused GEMMs disagreed with it, and ``dead`` the
-    shapes that disagreed unfused too and now always run eager.
+    A plan holds no weights: every replay reads the parameters of the
+    ``model`` that :meth:`run` is handed, so an in-place update, an
+    optimiser step or a ``load_state_dict`` reaches the next replay, and
+    nothing a weight change can make stale lives here. Its replays write
+    into the owning :class:`PlanCache`'s one arena, so every replay entry
+    point assumes the caller holds that cache's replay lock.
+
+    The safety state is kept per *shape* — the meta width (phase 1) or
+    the ``(meta, content)`` widths (phase 2): ``verified`` holds the
+    ``(shape, mode)`` pairs checked against the eager forward, and
+    ``dead`` the shapes that disagreed with it and now always run eager.
+    It is per shape and not per weight version because the replay and the
+    eager forward run the same op sequence on the same live arrays: the
+    values they read cannot make them part, while the shape picks the
+    kernels (and their blocking) that could.
     """
 
-    def __init__(self, phase: int, cache: "PlanCache") -> None:
+    def __init__(self, phase: int, cache: "PlanCache", config: Any) -> None:
         self.phase = phase
         self.replays = 0
         self.verified: set[tuple] = set()
-        self.unfused: set = set()
         self.dead: set = set()
         self._cache = cache
-        self._built = False
-
-    # ------------------------------------------------------------------
-    # Build: structural trace + weight prefetch (once per plan)
-    # ------------------------------------------------------------------
-    def _build(self, model: Any) -> None:
-        encoder_config = model.config.encoder
+        encoder_config = config.encoder
         self.hidden = encoder_config.hidden_size
         self.heads = encoder_config.num_heads
         self.head_dim = self.hidden // self.heads
@@ -257,102 +204,66 @@ class CompiledPlan:
         # Matches the eager `* (1.0 / np.sqrt(head_dim))`: Tensor coerces
         # the float64 scalar to float32 before multiplying, so do we.
         self.scale = np.asarray(1.0 / np.sqrt(self.head_dim), dtype=np.float32)
-        self.max_column_id = model.config.max_column_id
-        self.token_w = model.token_embedding.weight.data
-        self.position_w = model.position_embedding.weight.data
-        self.segment_w = model.segment_embedding.weight.data
-        self.column_w = model.column_embedding.weight.data
-        self.emb_ln_w = model.embedding_norm.weight.data
-        self.emb_ln_b = model.embedding_norm.bias.data
-        self.emb_ln_eps = model.embedding_norm.eps
-        self.layers = [_LayerWeights(block) for block in model.encoder.blocks]
-        self.meta_w1 = model.meta_classifier.hidden.weight.data
-        self.meta_b1 = model.meta_classifier.hidden.bias.data
-        self.meta_w2 = model.meta_classifier.output.weight.data
-        self.meta_b2 = model.meta_classifier.output.bias.data
-        self.content_w1 = model.content_classifier.hidden.weight.data
-        self.content_b1 = model.content_classifier.hidden.bias.data
-        self.content_w2 = model.content_classifier.output.weight.data
-        self.content_b2 = model.content_classifier.output.bias.data
-        self._built = True
+        self.max_column_id = config.max_column_id
 
     # ------------------------------------------------------------------
     # Replay kernels (caller holds the cache's replay lock)
     # ------------------------------------------------------------------
-    def _embed(self, ids: np.ndarray, segments: np.ndarray, column_ids: np.ndarray, name: str) -> np.ndarray:
+    def _embed(
+        self, model: Any, ids: np.ndarray, segments: np.ndarray, column_ids: np.ndarray, name: str
+    ) -> np.ndarray:
         batch_size, seq = ids.shape
         arena = self._cache.arena
         out = arena.buf(name, (batch_size, seq, self.hidden))
         scratch = arena.buf("embed_scratch", (batch_size, seq, self.hidden))
-        np.take(self.token_w, ids, axis=0, out=out)
+        np.take(model.token_embedding.weight.data, ids, axis=0, out=out)
         # position ids are row-constant, so adding the (seq, H) table
         # broadcast is elementwise-identical to the eager (B, seq, H) gather.
-        out += self.position_w[:seq]
-        np.take(self.segment_w, segments, axis=0, out=scratch)
+        out += model.position_embedding.weight.data[:seq]
+        np.take(model.segment_embedding.weight.data, segments, axis=0, out=scratch)
         out += scratch
         clamped = arena.buf("embed_col_ids", (batch_size, seq), dtype=column_ids.dtype)
         np.minimum(column_ids, self.max_column_id - 1, out=clamped)
-        np.take(self.column_w, clamped, axis=0, out=scratch)
+        np.take(model.column_embedding.weight.data, clamped, axis=0, out=scratch)
         out += scratch
-        layer_norm_(out, self.emb_ln_w, self.emb_ln_b, self.emb_ln_eps, out=out, scratch=scratch)
+        norm = model.embedding_norm
+        layer_norm_(out, norm.weight.data, norm.bias.data, norm.eps, out=out, scratch=scratch)
         return out
 
     def _attention_block(
         self,
-        weights: _LayerWeights,
+        block: Any,
         query: np.ndarray,
         kv_input: np.ndarray,
         mask: np.ndarray,
         out: np.ndarray,
         prefix: str,
-        fused: bool,
     ) -> np.ndarray:
         """One transformer block as straight-line numpy into ``out``.
 
-        ``kv_input is query`` is the self-attention (metadata tower) form,
-        fused into one QKV GEMM; otherwise the asymmetric cross-attention
-        form, with K/V fused into one GEMM over the joint sequence.
-        ``fused=False`` runs one GEMM per projection instead.
-        ``out`` may alias ``query`` — the query buffer's last read (the
-        first residual add) happens before the first write to ``out``.
+        ``kv_input is query`` is the self-attention (metadata tower) form;
+        otherwise the asymmetric cross-attention form over the joint
+        sequence. ``out`` may alias ``query`` — the query buffer's last
+        read (the first residual add) happens before the first write to
+        ``out``.
         """
         arena = self._cache.arena
+        attention = block.attention
         batch_size, q_len, hidden = query.shape
         kv_len = kv_input.shape[1]
         heads, head_dim = self.heads, self.head_dim
-        if fused:
-            if kv_input is query:
-                qkv = arena.buf(prefix + "qkv", (batch_size, q_len, 3 * hidden))
-                np.matmul(query, weights.w_qkv, out=qkv)
-                qkv += weights.b_qkv
-                split = qkv.reshape(batch_size, q_len, 3, heads, head_dim)
-                q_heads = split[:, :, 0].swapaxes(1, 2)
-                k_heads = split[:, :, 1].swapaxes(1, 2)
-                v_heads = split[:, :, 2].swapaxes(1, 2)
-            else:
-                q_proj = arena.buf(prefix + "q", (batch_size, q_len, hidden))
-                np.matmul(query, weights.wq, out=q_proj)
-                q_proj += weights.bq
-                q_heads = q_proj.reshape(batch_size, q_len, heads, head_dim).swapaxes(1, 2)
-                kv = arena.buf(prefix + "kv_proj", (batch_size, kv_len, 2 * hidden))
-                np.matmul(kv_input, weights.w_kv, out=kv)
-                kv += weights.b_kv
-                split = kv.reshape(batch_size, kv_len, 2, heads, head_dim)
-                k_heads = split[:, :, 0].swapaxes(1, 2)
-                v_heads = split[:, :, 1].swapaxes(1, 2)
-        else:
-            q_proj = arena.buf(prefix + "q", (batch_size, q_len, hidden))
-            np.matmul(query, weights.wq, out=q_proj)
-            q_proj += weights.bq
-            k_proj = arena.buf(prefix + "k", (batch_size, kv_len, hidden))
-            np.matmul(kv_input, weights.wk, out=k_proj)
-            k_proj += weights.bk
-            v_proj = arena.buf(prefix + "v", (batch_size, kv_len, hidden))
-            np.matmul(kv_input, weights.wv, out=v_proj)
-            v_proj += weights.bv
-            q_heads = q_proj.reshape(batch_size, q_len, heads, head_dim).swapaxes(1, 2)
-            k_heads = k_proj.reshape(batch_size, kv_len, heads, head_dim).swapaxes(1, 2)
-            v_heads = v_proj.reshape(batch_size, kv_len, heads, head_dim).swapaxes(1, 2)
+        q_proj = arena.buf(prefix + "q", (batch_size, q_len, hidden))
+        np.matmul(query, attention.query_proj.weight.data, out=q_proj)
+        q_proj += attention.query_proj.bias.data
+        k_proj = arena.buf(prefix + "k", (batch_size, kv_len, hidden))
+        np.matmul(kv_input, attention.key_proj.weight.data, out=k_proj)
+        k_proj += attention.key_proj.bias.data
+        v_proj = arena.buf(prefix + "v", (batch_size, kv_len, hidden))
+        np.matmul(kv_input, attention.value_proj.weight.data, out=v_proj)
+        v_proj += attention.value_proj.bias.data
+        q_heads = q_proj.reshape(batch_size, q_len, heads, head_dim).swapaxes(1, 2)
+        k_heads = k_proj.reshape(batch_size, kv_len, heads, head_dim).swapaxes(1, 2)
+        v_heads = v_proj.reshape(batch_size, kv_len, heads, head_dim).swapaxes(1, 2)
         scores = arena.buf(prefix + "scores", (batch_size, heads, q_len, kv_len))
         np.matmul(q_heads, k_heads.swapaxes(2, 3), out=scores)
         scores *= self.scale
@@ -363,48 +274,43 @@ class CompiledPlan:
         merged = arena.buf(prefix + "merged", (batch_size, q_len, hidden))
         np.copyto(merged.reshape(batch_size, q_len, heads, head_dim), context.swapaxes(1, 2))
         attn = arena.buf(prefix + "attn", (batch_size, q_len, hidden))
-        np.matmul(merged, weights.wo, out=attn)
-        attn += weights.bo
+        np.matmul(merged, attention.output_proj.weight.data, out=attn)
+        attn += attention.output_proj.bias.data
         # Fused residual + layer_norm: `merged` is free again and serves
         # as the variance scratch.
         np.add(query, attn, out=attn)
-        layer_norm_(attn, weights.ln1_w, weights.ln1_b, weights.ln1_eps, out=attn, scratch=merged)
+        norm = block.attention_norm
+        layer_norm_(attn, norm.weight.data, norm.bias.data, norm.eps, out=attn, scratch=merged)
         ffn = arena.buf(prefix + "ffn", (batch_size, q_len, self.intermediate))
-        np.matmul(attn, weights.w1, out=ffn)
-        ffn += weights.b1
+        np.matmul(attn, block.ffn_in.weight.data, out=ffn)
+        ffn += block.ffn_in.bias.data
         # Fused bias + GELU, in place in the intermediate buffer.
         gelu_(ffn, out=ffn, scratch=arena.buf(prefix + "ffn_scratch", (batch_size, q_len, self.intermediate)))
-        np.matmul(ffn, weights.w2, out=out)
-        out += weights.b2
+        np.matmul(ffn, block.ffn_out.weight.data, out=out)
+        out += block.ffn_out.bias.data
         np.add(attn, out, out=out)
-        layer_norm_(out, weights.ln2_w, weights.ln2_b, weights.ln2_eps, out=out, scratch=merged)
+        norm = block.ffn_norm
+        layer_norm_(out, norm.weight.data, norm.bias.data, norm.eps, out=out, scratch=merged)
         return out
 
-    def _meta_tower(self, batch: "Batch", fused: bool) -> list[np.ndarray]:
+    def _meta_tower(self, model: Any, batch: "Batch") -> list[np.ndarray]:
         batch_size, meta_width = batch.meta_ids.shape
-        hidden = self._embed(batch.meta_ids, batch.meta_segments, batch.meta_column_ids, "meta_h0")
+        hidden = self._embed(model, batch.meta_ids, batch.meta_segments, batch.meta_column_ids, "meta_h0")
         mask = additive_attention_mask(batch.meta_mask)
         outputs = [hidden]
-        for index, weights in enumerate(self.layers):
+        for index, block in enumerate(model.encoder.blocks):
             out = self._cache.arena.buf(f"meta_h{index + 1}", (batch_size, meta_width, self.hidden))
-            hidden = self._attention_block(weights, hidden, hidden, mask, out, "m_", fused)
+            hidden = self._attention_block(block, hidden, hidden, mask, out, "m_")
             outputs.append(hidden)
         return outputs
 
-    def _classifier(
-        self,
-        features: np.ndarray,
-        w1: np.ndarray,
-        b1: np.ndarray,
-        w2: np.ndarray,
-        b2: np.ndarray,
-        prefix: str,
-    ) -> np.ndarray:
+    def _classifier(self, features: np.ndarray, head: Any, prefix: str) -> np.ndarray:
         arena = self._cache.arena
         batch_size, num_columns, _ = features.shape
+        w1, w2 = head.hidden.weight.data, head.output.weight.data
         hidden = arena.buf(prefix + "cls_hidden", (batch_size, num_columns, w1.shape[1]))
         np.matmul(features, w1, out=hidden)
-        hidden += b1
+        hidden += head.hidden.bias.data
         relu_(
             hidden,
             out=hidden,
@@ -412,11 +318,11 @@ class CompiledPlan:
         )
         logits = arena.buf(prefix + "logits", (batch_size, num_columns, w2.shape[1]))
         np.matmul(hidden, w2, out=logits)
-        logits += b2
+        logits += head.output.bias.data
         return logits
 
-    def _replay_phase1(self, batch: "Batch", fused: bool) -> tuple[np.ndarray, list[np.ndarray]]:
-        meta_layers = self._meta_tower(batch, fused)
+    def _replay_phase1(self, model: Any, batch: "Batch") -> tuple[np.ndarray, list[np.ndarray]]:
+        meta_layers = self._meta_tower(model, batch)
         batch_size = batch.meta_ids.shape[0]
         num_columns = batch.col_positions.shape[1]
         numeric_dim = batch.numeric.shape[-1]
@@ -424,14 +330,15 @@ class CompiledPlan:
         features = self._cache.arena.buf("p1_features", (batch_size, num_columns, self.hidden + numeric_dim))
         np.matmul(pooling, meta_layers[-1], out=features[..., : self.hidden])
         features[..., self.hidden :] = batch.numeric
-        logits = self._classifier(features, self.meta_w1, self.meta_b1, self.meta_w2, self.meta_b2, "p1_")
+        logits = self._classifier(features, model.meta_classifier, "p1_")
         return logits, meta_layers
 
-    def _replay_phase2(self, batch: "Batch", cached: "list | None", fused: bool) -> np.ndarray:
+    def _replay_phase2(self, model: Any, batch: "Batch", cached: "list | None") -> np.ndarray:
         arena = self._cache.arena
         batch_size, meta_width = batch.meta_ids.shape
         content_width = batch.content_ids.shape[1]
-        hidden_size, num_layers = self.hidden, len(self.layers)
+        blocks = model.encoder.blocks
+        hidden_size, num_layers = self.hidden, len(blocks)
         # The cross-attention KV concatenation is precomputed into one
         # contiguous buffer per layer: metadata latents land in [:M]
         # (straight from latent-cache slices when available), the content
@@ -449,22 +356,20 @@ class CompiledPlan:
             for row, encoding in enumerate(cached):
                 meta_last[row] = encoding.layer_outputs[num_layers][0]
         else:
-            meta_layers = self._meta_tower(batch, fused)
+            meta_layers = self._meta_tower(model, batch)
             for i in range(num_layers):
                 kv_bufs[i][:, :meta_width] = meta_layers[i]
             meta_last = meta_layers[num_layers]
         hidden = self._embed(
-            batch.content_ids, batch.content_segments, batch.content_column_ids, "content_h_a"
+            model, batch.content_ids, batch.content_segments, batch.content_column_ids, "content_h_a"
         )
         joint_padding = np.concatenate([batch.meta_mask, batch.content_mask], axis=1)
         joint_mask = additive_attention_mask(joint_padding)
-        for index, weights in enumerate(self.layers):
+        for index, block in enumerate(blocks):
             kv_bufs[index][:, meta_width:] = hidden
             out_name = "content_h_b" if index % 2 == 0 else "content_h_a"
             out = arena.buf(out_name, (batch_size, content_width, hidden_size))
-            hidden = self._attention_block(
-                weights, hidden, kv_bufs[index], joint_mask, out, "x_", fused
-            )
+            hidden = self._attention_block(block, hidden, kv_bufs[index], joint_mask, out, "x_")
         num_columns = batch.col_positions.shape[1]
         numeric_dim = batch.numeric.shape[-1]
         pool_meta = column_pooling_matrix(batch.meta_column_ids, batch.meta_mask, num_columns)
@@ -473,9 +378,7 @@ class CompiledPlan:
         np.matmul(pool_content, hidden, out=features[..., :hidden_size])
         np.matmul(pool_meta, meta_last, out=features[..., hidden_size : 2 * hidden_size])
         features[..., 2 * hidden_size :] = batch.numeric
-        return self._classifier(
-            features, self.content_w1, self.content_b1, self.content_w2, self.content_b2, "p2_"
-        )
+        return self._classifier(features, model.content_classifier, "p2_")
 
     def _matches(self, outputs: Any, reference: Any) -> bool:
         if self.phase == 1:
@@ -488,15 +391,15 @@ class CompiledPlan:
 
     # ------------------------------------------------------------------
     def run(self, model: Any, batch: "Batch", cached: "list | None", events: list) -> Any:
-        """Build if needed, replay, and verify first-time shapes and modes.
+        """Replay, and verify first-time shapes and modes.
 
         Returns the replay outputs (phase 1: ``(logits, layer_arrays)``,
         phase 2: ``logits``) or ``None`` when the caller must fall back to
         the eager forward. A verification mismatch still returns *valid*
         outputs — the eager reference just computed — while retiring the
-        batch's shape. The caller holds the cache's replay lock; metric
-        events are appended to ``events`` for emission after it is
-        released.
+        batch's shape. The caller holds the cache's replay lock; replay
+        and fallback events are appended to ``events`` for the caller to
+        count.
         """
         if self.phase == 1:
             shape = batch.meta_ids.shape[1]
@@ -507,27 +410,14 @@ class CompiledPlan:
         if shape in self.dead:
             events.append(("fallback", "dead"))
             return None
-        if not self._built:
-            tracer = self._cache.tracer
-            span = tracer.span("nn.compile.build", phase=self.phase) if tracer is not None else nullcontext()
-            with span:
-                self._build(model)
-            events.append(("build", self.phase))
-        fused = shape not in self.unfused
         try:
-            outputs = self._replay(batch, cached, fused)
+            outputs = self._replay(model, batch, cached)
             if (shape, mode) not in self.verified:
                 reference = sliced_reference(model, self.phase, batch, cached)
                 if not self._matches(outputs, reference):
-                    if fused:
-                        # The fused-GEMM layout disagreed on this platform;
-                        # replay this shape per-projection and re-verify.
-                        self.unfused.add(shape)
-                        outputs = self._replay(batch, cached, False)
-                    if not self._matches(outputs, reference):
-                        self.dead.add(shape)
-                        events.append(("fallback", "verify"))
-                        return reference
+                    self.dead.add(shape)
+                    events.append(("fallback", "verify"))
+                    return reference
                 self.verified.add((shape, mode))
         except ArenaLimitError:
             events.append(("fallback", "arena_limit"))
@@ -536,10 +426,10 @@ class CompiledPlan:
         events.append(("replay", self.phase))
         return outputs
 
-    def _replay(self, batch: "Batch", cached: "list | None", fused: bool) -> Any:
+    def _replay(self, model: Any, batch: "Batch", cached: "list | None") -> Any:
         if self.phase == 1:
-            return self._replay_phase1(batch, fused)
-        return self._replay_phase2(batch, cached, fused)
+            return self._replay_phase1(model, batch)
+        return self._replay_phase2(model, batch, cached)
 
 
 # ----------------------------------------------------------------------
@@ -617,65 +507,32 @@ class PlanCache:
 
     Both plans replay into the cache's one :class:`Arena`, so the arena
     holds the largest demand per buffer name over every width replayed.
+    The cache holds no weights and no metrics registry: replays read the
+    model's live parameters, and every replay or fallback is appended to
+    the ``events`` list of the call, for the calling
+    :class:`~repro.sched.InferenceBatcher` to count into its own
+    registry. So several detectors share one cache, each counting its own
+    forwards.
 
     Lock discipline: the replay lock guards the arena and the plans, so
     one replay runs at a time per model and a concurrent one falls back to
-    the (bitwise identical) eager forward with reason ``busy``.
-    :meth:`reset` swaps in fresh plans and releases the arena under the
-    replay lock, after any replay in flight has finished growing it. The
-    cache emits its own metrics strictly outside the lock (metric
-    registries have locks of their own). A replay still takes leaf locks
-    (counter, tracer) under the replay lock;
-    ``tests/test_stack_lock_order.py`` checks the observed order stays
-    acyclic.
+    the (bitwise identical) eager forward with reason ``busy``. A replay
+    takes no other lock under it; :func:`disable` releases the arena under
+    it, after any replay in flight has finished growing it.
     """
 
-    def __init__(
-        self,
-        model: Any,
-        config: CompileConfig,
-        metrics: Any,
-        tracer: "Tracer | None",
-        fingerprint: str,
-    ) -> None:
+    def __init__(self, model: Any, config: CompileConfig) -> None:
         self.config = config
-        self.metrics = metrics
-        self.tracer = tracer
-        self.fingerprint = fingerprint
         self.max_width = model.config.encoder.max_seq_len
         self._model_ref = weakref.ref(model)
         self._replay_lock = threading.Lock()
         self.arena = Arena(config.arena_bytes_limit)
-        self.plans = {1: CompiledPlan(1, self), 2: CompiledPlan(2, self)}
-        self._build_counters = {
-            1: metrics.counter("nn.compile.builds", phase="1"),
-            2: metrics.counter("nn.compile.builds", phase="2"),
-        }
-        self._replay_counters = {
-            1: metrics.counter("nn.compile.replays", phase="1"),
-            2: metrics.counter("nn.compile.replays", phase="2"),
-        }
-        self._fallback_counters = {
-            "off_ladder": metrics.counter("nn.compile.fallbacks", reason="off_ladder"),
-            "busy": metrics.counter("nn.compile.fallbacks", reason="busy"),
-            "dead": metrics.counter("nn.compile.fallbacks", reason="dead"),
-            "arena_limit": metrics.counter("nn.compile.fallbacks", reason="arena_limit"),
-            "verify": metrics.counter("nn.compile.fallbacks", reason="verify"),
-        }
-        self._arena_gauge = metrics.gauge("nn.compile.arena_bytes")
+        self.plans = {phase: CompiledPlan(phase, self, model.config) for phase in (1, 2)}
 
-    def _emit(self, events: list, arena_bytes: int) -> None:
-        for kind, arg in events:
-            if kind == "replay":
-                self._replay_counters[arg].inc()
-            elif kind == "build":
-                self._build_counters[arg].inc()
-            elif kind == "fallback":
-                self._fallback_counters[arg].inc()
-        if events:
-            self._arena_gauge.set(arena_bytes)
-
-    def _run_ctx(self, phase: int, batch: "Batch", cached: "list | None") -> Iterator[Any]:
+    def _run_ctx(
+        self, phase: int, batch: "Batch", cached: "list | None", events: "list | None"
+    ) -> Iterator[Any]:
+        events = events if events is not None else []
         model = self._model_ref()
         width = batch.meta_ids.shape[1]
         if phase == 2:
@@ -691,48 +548,40 @@ class PlanCache:
             # is bitwise identical, so just take it.
             reason = "busy"
         if reason is not None:
-            self._fallback_counters[reason].inc()
+            events.append(("fallback", reason))
             yield None
             return
-        events: list = []
         try:
             yield self.plans[phase].run(model, batch, cached, events)
         finally:
-            arena_bytes = self.arena.bytes
+            events.append(("arena_bytes", self.arena.bytes))
             self._replay_lock.release()
-            self._emit(events, arena_bytes)
 
     @contextmanager
-    def phase1(self, batch: "Batch") -> Iterator["tuple[np.ndarray, list[np.ndarray]] | None"]:
+    def phase1(
+        self, batch: "Batch", events: "list | None" = None
+    ) -> Iterator["tuple[np.ndarray, list[np.ndarray]] | None"]:
         """Compiled phase-1 outputs ``(logits, layer_arrays)`` or ``None``.
 
         Outputs are arena views, valid only inside the ``with`` block —
-        slice/copy per-request results before leaving it.
+        slice/copy per-request results before leaving it. ``events``, when
+        given, receives ``("replay", phase)`` and ``("fallback", reason)``
+        pairs, and ``("arena_bytes", n)`` with the arena's size once a
+        replay ends.
         """
-        yield from self._run_ctx(1, batch, None)
+        yield from self._run_ctx(1, batch, None, events)
 
     @contextmanager
-    def phase2(self, batch: "Batch", cached: "list | None") -> Iterator["np.ndarray | None"]:
+    def phase2(
+        self, batch: "Batch", cached: "list | None", events: "list | None" = None
+    ) -> Iterator["np.ndarray | None"]:
         """Compiled phase-2 logits or ``None`` (same contract as phase1).
 
         ``cached`` is the per-request list of latent-cache encodings when
         *all* requests have width-usable entries, else ``None`` (the plan
         then recomputes the metadata tower, like the eager path).
         """
-        yield from self._run_ctx(2, batch, cached)
-
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Drop both plans (weights changed); they rebuild on demand."""
-        # A replay in flight keeps growing the arena until it ends, so
-        # swap and release only once it has.
-        with self._replay_lock:
-            self.plans = {1: CompiledPlan(1, self), 2: CompiledPlan(2, self)}
-            self.arena.release()
-        model = self._model_ref()
-        if model is not None:
-            self.fingerprint = weight_fingerprint(model)
-        self._arena_gauge.set(0)
+        yield from self._run_ctx(2, batch, cached, events)
 
 
 # ----------------------------------------------------------------------
@@ -746,77 +595,37 @@ _CACHES: "weakref.WeakKeyDictionary[Any, PlanCache]" = weakref.WeakKeyDictionary
 _CACHES_LOCK = threading.Lock()
 
 
-def weight_fingerprint(model: Any) -> str:
-    """A digest of every parameter buffer (plan-staleness detection)."""
-    digest = hashlib.sha256()
-    for name, parameter in model.named_parameters():
-        digest.update(name.encode())
-        digest.update(np.ascontiguousarray(parameter.data).tobytes())
-    return digest.hexdigest()
-
-
-def enable(
-    model: Any,
-    config: CompileConfig | None = None,
-    *,
-    metrics: Any = None,
-    tracer: "Tracer | None" = None,
-) -> PlanCache | None:
+def enable(model: Any, config: CompileConfig | None = None) -> PlanCache | None:
     """Attach (or reuse) a plan cache for ``model``; returns it.
 
-    An existing cache is reused only when config, metrics registry *and*
-    the weight fingerprint all match — so two detectors sharing one model
-    share one pair of plans, while a fine-tuned model gets a fresh cache.
-    ``config.enabled=False`` detaches any cache (same as :func:`disable`).
+    An existing cache is reused when its config matches, so every
+    detector on one model shares one pair of plans, whatever registry it
+    counts into. ``config.enabled=False`` detaches any cache (same as
+    :func:`disable`).
     """
     config = config if config is not None else CompileConfig()
     if not config.enabled:
         disable(model)
         return None
-    registry = metrics if metrics is not None else global_registry()
-    fingerprint = weight_fingerprint(model)
     with _CACHES_LOCK:
-        existing = _CACHES.get(model)
-        if (
-            existing is not None
-            and existing.config == config
-            and existing.fingerprint == fingerprint
-            and existing.metrics is registry
-        ):
-            if tracer is not None:
-                existing.tracer = tracer
-            return existing
-    cache = PlanCache(model, config, registry, tracer, fingerprint)
-    with _CACHES_LOCK:
-        _CACHES[model] = cache
+        cache = _CACHES.get(model)
+        if cache is None or cache.config != config:
+            cache = _CACHES[model] = PlanCache(model, config)
     return cache
 
 
 def disable(model: Any) -> None:
-    """Detach ``model``'s plan cache; forwards go back to eager."""
+    """Detach ``model``'s plan cache and release its arena.
+
+    Forwards go back to eager. The arena is released under the replay
+    lock, so a replay in flight finishes growing it first and strands no
+    bytes.
+    """
     with _CACHES_LOCK:
         cache = _CACHES.pop(model, None)
     if cache is not None:
-        cache.reset()
-
-
-def invalidate(module: Any) -> None:
-    """Drop compiled plans after a weight mutation (fine-tune, load, ...).
-
-    ``module`` is a model or any submodule of one: every attached cache
-    whose model contains it (by identity) is reset. The caches stay
-    attached — fresh plans rebuild (and re-verify every shape) from the
-    new weights on the next forward. No-op when compilation is not
-    enabled.
-    """
-    with _CACHES_LOCK:
-        caches = [
-            cache
-            for model, cache in _CACHES.items()
-            if any(part is module for part in model.modules())
-        ]
-    for cache in caches:
-        cache.reset()
+        with cache._replay_lock:
+            cache.arena.release()
 
 
 def plan_cache(model: Any) -> PlanCache | None:

@@ -6,7 +6,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .compile import invalidate
 from .tensor import Tensor
 
 __all__ = ["Parameter", "Module", "ModuleList"]
@@ -98,8 +97,6 @@ class Module:
                     f"checkpoint {value.shape} vs model {param.data.shape}"
                 )
             param.data = value.astype(param.data.dtype)
-        # Compiled plans hold the old arrays (and fused copies of them).
-        invalidate(self)
 
     # ------------------------------------------------------------------
     def __call__(self, *args, **kwargs):

@@ -24,7 +24,9 @@ With ``compile.enabled`` each :meth:`run` looks up the model's live plan
 cache (:func:`repro.nn.compile.plan_cache`) once and hands it to every
 forward; otherwise the forwards run eager. A detector with compilation
 off therefore never touches the plan cache another detector on the same
-model uses.
+model uses. The cache is shared, but its counts are not: each forward
+hands back its replay and fallback events, and the batcher counts them
+into its own registry.
 """
 
 from __future__ import annotations
@@ -65,6 +67,15 @@ class InferenceBatcher:
         )
         self._forward_counter = metrics.counter("sched.forwards")
         self._request_counter = metrics.counter("sched.requests")
+        self._compile_counters = {
+            ("replay", 1): metrics.counter("nn.compile.replays", phase="1"),
+            ("replay", 2): metrics.counter("nn.compile.replays", phase="2"),
+            **{
+                ("fallback", reason): metrics.counter("nn.compile.fallbacks", reason=reason)
+                for reason in ("off_ladder", "busy", "dead", "arena_limit", "verify")
+            },
+        }
+        self._arena_gauge = metrics.gauge("nn.compile.arena_bytes")
 
     def run(self, requests: "list[Phase1Request | Phase2Request]") -> list:
         """Run ``requests`` as width-grouped forwards; results in order.
@@ -89,8 +100,22 @@ class InferenceBatcher:
                 self._forward_counter.inc()
                 self._batch_requests_hist.observe(stop - start)
                 self._batch_cols_hist.observe(cols)
-                outputs = run_group(self.model, group[start:stop], plans)
+                outputs = self._forward(group[start:stop], plans)
                 for index, result in zip(indices[start:stop], outputs):
                     results[index] = result
                 start = stop
         return results
+
+    def _forward(self, requests: list, plans: "nn_compile.PlanCache | None") -> list:
+        """One forward, counting its compiled-plan events here even when
+        it raises (a width over ``max_seq_len`` raises after its
+        ``off_ladder`` fallback)."""
+        events: list = []
+        try:
+            return run_group(self.model, requests, plans, events)
+        finally:
+            for kind, arg in events:
+                if kind == "arena_bytes":
+                    self._arena_gauge.set(arg)
+                else:
+                    self._compile_counters[kind, arg].inc()

@@ -177,14 +177,18 @@ def _phase1_results(
 
 
 def run_phase1(
-    model: ADTDModel, requests: list[Phase1Request], plans: PlanCache | None
+    model: ADTDModel,
+    requests: list[Phase1Request],
+    plans: PlanCache | None,
+    events: list | None = None,
 ) -> list[Phase1Result]:
     """One collated metadata-tower forward over same-width requests.
 
     Replays the compiled phase-1 plan from ``plans`` when given one;
     ``None`` — or any fallback: width over ``max_seq_len``, busy arena,
     arena overrun — runs the eager no-grad forward, which is bitwise
-    identical to the replay.
+    identical to the replay. The plan's replay and fallback events are
+    appended to ``events`` (see :meth:`~repro.nn.compile.PlanCache.phase1`).
     """
     if not requests:
         return []
@@ -193,16 +197,20 @@ def run_phase1(
         raise ValueError("phase-1 batch mixes meta widths; group_requests() first")
     batch = collate([r.encoded for r in requests], meta_width=meta_width)
     if plans is not None:
-        with plans.phase1(batch) as outputs:
+        with plans.phase1(batch, events) as outputs:
             if outputs is not None:
                 return _phase1_results(requests, *outputs)
     return _phase1_results(requests, *eager_phase1(model, batch))
 
 
 def run_phase2(
-    model: ADTDModel, requests: list[Phase2Request], plans: PlanCache | None
+    model: ADTDModel,
+    requests: list[Phase2Request],
+    plans: PlanCache | None,
+    events: list | None = None,
 ) -> list[Phase2Result]:
-    """One collated content-tower forward over same-width requests."""
+    """One collated content-tower forward over same-width requests
+    (``plans`` and ``events`` as in :func:`run_phase1`)."""
     if not requests:
         return []
     meta_width = requests[0].meta_width
@@ -221,7 +229,7 @@ def run_phase2(
     )
     cached = [r.cached for r in requests] if all_usable else None
     if plans is not None:
-        with plans.phase2(batch, cached) as logits_np:
+        with plans.phase2(batch, cached, events) as logits_np:
             if logits_np is not None:
                 return _phase2_results(requests, logits_np)
     return _phase2_results(requests, eager_phase2(model, batch, cached))
@@ -259,8 +267,9 @@ def run_group(
     model: ADTDModel,
     subset: list["Phase1Request | Phase2Request"],
     plans: PlanCache | None,
+    events: list | None = None,
 ) -> list["Phase1Result | Phase2Result"]:
     """Run one width-compatible group through the right forward."""
     if isinstance(subset[0], Phase1Request):
-        return run_phase1(model, subset, plans)
-    return run_phase2(model, subset, plans)
+        return run_phase1(model, subset, plans, events)
+    return run_phase2(model, subset, plans, events)

@@ -4,10 +4,10 @@ The load-bearing property is bitwise identity: a compiled replay must
 produce byte-for-byte the same outputs as the eager no-grad forward, for
 every bucket width, both phases, both phase-2 latent modes, at the
 ``detect()`` level and through ``repro.serve`` — with and without an
-active fault plan. Everything else here covers the plan-cache mechanics:
-one plan per phase, per-shape verification, arena reuse, the
-``max_seq_len`` fallback, grad-mode isolation and invalidation after
-weight mutation.
+active fault plan, and after the model's weights change under a live plan
+cache. Everything else here covers the plan-cache mechanics: one plan per
+phase, per-shape verification, arena reuse, the ``max_seq_len``
+fallback, grad-mode isolation and per-detector counting.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.core.latent_cache import CachedEncoding
 from repro.faults import FaultPlan, FaultRule
 from repro.features.encoding import collate
 from repro.nn import compile as nn_compile
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry
 from repro.sched import InferenceBatcher, Phase1Request, Phase2Request, bucket_width
 from repro.serve import DetectionService
 
@@ -54,12 +54,25 @@ def _detach_plan_caches(untrained_model, trained_model):
     nn_compile.disable(trained_model)
 
 
-def _run(model, requests, batched=False):
+def _run(model, requests, batched=False, metrics=None):
     """Requests through a compile-on batcher: replays whenever the model
     has a plan cache attached, eager otherwise; one request per forward
-    unless ``batched``."""
+    unless ``batched``. The batcher counts into ``metrics``."""
     config = DetectorConfig(batching=BatchingConfig(enabled=batched))
-    return InferenceBatcher(model, config, metrics=MetricsRegistry()).run(requests)
+    metrics = metrics if metrics is not None else MetricsRegistry()
+    return InferenceBatcher(model, config, metrics=metrics).run(requests)
+
+
+def _fresh_model(tiny_encoder, tiny_corpus):
+    return ADTDModel(
+        ADTDConfig(tiny_encoder, num_labels=tiny_corpus.registry.num_labels), seed=3
+    )
+
+
+def _replays(metrics):
+    return sum(
+        metrics.counter("nn.compile.replays", phase=phase).value for phase in ("1", "2")
+    )
 
 
 def _ladder(quantum=16, cap=512):
@@ -161,20 +174,20 @@ class TestBitwiseEquivalence:
         ]
         reference = _run(untrained_model, requests)
         metrics = MetricsRegistry()
-        nn_compile.enable(untrained_model, metrics=metrics)
+        nn_compile.enable(untrained_model)
         # Twice: the first pass verifies each width, the second replays hot.
         for _ in range(2):
-            compiled = _run(untrained_model, requests)
+            compiled = _run(untrained_model, requests, metrics=metrics)
             _assert_phase1_bitwise(reference, compiled)
         plan = nn_compile.plan_cache(untrained_model).plans[1]
         assert plan.verified == {(w, "meta") for w in widths}
         assert plan.replays == 2 * len(widths)
-        assert metrics.counter("nn.compile.builds", phase="1").value == 1
+        assert metrics.counter("nn.compile.replays", phase="1").value == 2 * len(widths)
 
     def test_phase1_batched(self, untrained_model, featurizer, tiny_corpus):
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:6])
         reference = _run(untrained_model, requests)
-        nn_compile.enable(untrained_model, metrics=MetricsRegistry())
+        nn_compile.enable(untrained_model)
         compiled = _run(untrained_model, requests, batched=True)
         _assert_phase1_bitwise(reference, compiled)
 
@@ -184,21 +197,12 @@ class TestBitwiseEquivalence:
         for cached in (None, phase1):
             requests = _phase2_requests(featurizer, tables, cached_results=cached)
             reference = _run(untrained_model, requests)
-            nn_compile.enable(untrained_model, metrics=MetricsRegistry())
+            nn_compile.enable(untrained_model)
             for _ in range(2):
                 compiled = _run(untrained_model, requests)
                 for ref, got in zip(reference, compiled):
                     assert ref.probs.tobytes() == got.probs.tobytes()
             nn_compile.disable(untrained_model)
-
-    def test_replays_and_builds_counted(self, untrained_model, featurizer, tiny_corpus):
-        metrics = MetricsRegistry()
-        requests = _phase1_requests(featurizer, tiny_corpus.tables[:2])
-        nn_compile.enable(untrained_model, metrics=metrics)
-        for _ in range(3):
-            _run(untrained_model, requests)
-        assert metrics.counter("nn.compile.builds", phase="1").value == 1
-        assert metrics.counter("nn.compile.replays", phase="1").value >= 3
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +211,7 @@ class TestBitwiseEquivalence:
 class TestPlanCache:
     def test_arena_reused_across_replays(self, untrained_model, featurizer, tiny_corpus):
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:1])
-        cache = nn_compile.enable(untrained_model, metrics=MetricsRegistry())
+        cache = nn_compile.enable(untrained_model)
         _run(untrained_model, requests)
         plan = cache.plans[1]
         backings = {name: id(buf) for name, buf in cache.arena._slots.items()}
@@ -232,8 +236,8 @@ class TestPlanCache:
             Phase1Request(encoded=encoded, meta_width=width, phase2_policy=KEEP_LATENTS)
         ]
         reference = _run(untrained_model, requests)
-        cache = nn_compile.enable(untrained_model, metrics=metrics)
-        compiled = _run(untrained_model, requests)
+        cache = nn_compile.enable(untrained_model)
+        compiled = _run(untrained_model, requests, metrics=metrics)
         _assert_phase1_bitwise(reference, compiled)
         assert cache.plans[1].verified == {(width, "meta")}
         assert metrics.counter("nn.compile.replays", phase="1").value == 1
@@ -248,9 +252,9 @@ class TestPlanCache:
         )
         width = untrained_model.config.encoder.max_seq_len + 16
         requests = [Phase1Request(encoded=encoded, meta_width=width)]
-        cache = nn_compile.enable(untrained_model, metrics=metrics)
+        cache = nn_compile.enable(untrained_model)
         with pytest.raises(ValueError, match="max_seq_len"):
-            _run(untrained_model, requests)
+            _run(untrained_model, requests, metrics=metrics)
         assert metrics.counter("nn.compile.fallbacks", reason="off_ladder").value == 1
         assert not cache.plans[1].verified and cache.arena.bytes == 0
 
@@ -258,24 +262,16 @@ class TestPlanCache:
         metrics = MetricsRegistry()
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:1])
         reference = _run(untrained_model, requests)
-        cache = nn_compile.enable(untrained_model, metrics=metrics)
+        cache = nn_compile.enable(untrained_model)
         _run(untrained_model, requests)
         with cache._replay_lock:  # simulate another thread mid-replay
-            compiled = _run(untrained_model, requests)
+            compiled = _run(untrained_model, requests, metrics=metrics)
         _assert_phase1_bitwise(reference, compiled)
         assert metrics.counter("nn.compile.fallbacks", reason="busy").value == 1
 
-    def test_build_emits_span(self, untrained_model, featurizer, tiny_corpus):
-        tracer = Tracer()
-        requests = _phase1_requests(featurizer, tiny_corpus.tables[:1])
-        nn_compile.enable(untrained_model, metrics=MetricsRegistry(), tracer=tracer)
-        _run(untrained_model, requests)
-        (span,) = tracer.find("nn.compile.build")
-        assert span.attributes == {"phase": 1}
-
     def test_disable_detaches_and_releases(self, untrained_model, featurizer, tiny_corpus):
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:1])
-        cache = nn_compile.enable(untrained_model, metrics=MetricsRegistry())
+        cache = nn_compile.enable(untrained_model)
         _run(untrained_model, requests)
         assert cache.arena.bytes > 0
         nn_compile.disable(untrained_model)
@@ -284,8 +280,8 @@ class TestPlanCache:
 
     def test_one_arena_serves_every_plan(self, untrained_model, featurizer, tiny_corpus):
         """Replays of two widths share the cache's arena: it holds the
-        largest demand per buffer name, and ``reset()`` brings it back to
-        zero."""
+        largest demand per buffer name, and ``disable()`` brings it back
+        to zero."""
         metrics = MetricsRegistry()
         encoded = featurizer.encode_offline(
             tiny_corpus.tables[0], with_content=False, with_labels=False
@@ -295,17 +291,18 @@ class TestPlanCache:
             width: [Phase1Request(encoded=encoded, meta_width=width)]
             for width in (narrow, wide)
         }
-        cache = nn_compile.enable(untrained_model, metrics=metrics)
         demand = {}
         for width in (narrow, wide):
+            cache = nn_compile.enable(untrained_model)
             _run(untrained_model, requests[width])
             demand[width] = {name: buf.nbytes for name, buf in cache.arena._slots.items()}
-            cache.reset()
+            nn_compile.disable(untrained_model)
             assert cache.arena.bytes == 0
         assert sum(demand[wide].values()) > sum(demand[narrow].values())
 
-        _run(untrained_model, requests[wide])
-        _run(untrained_model, requests[narrow])
+        cache = nn_compile.enable(untrained_model)
+        _run(untrained_model, requests[wide], metrics=metrics)
+        _run(untrained_model, requests[narrow], metrics=metrics)
         assert cache.plans[1].verified == {(narrow, "meta"), (wide, "meta")}
         largest = {
             name: max(demand[narrow].get(name, 0), demand[wide].get(name, 0))
@@ -317,9 +314,8 @@ class TestPlanCache:
         assert cache.arena.bytes < sum(demand[narrow].values()) + sum(demand[wide].values())
         assert metrics.gauge("nn.compile.arena_bytes").value == cache.arena.bytes
 
-        cache.reset()
+        nn_compile.disable(untrained_model)
         assert cache.arena.bytes == 0 and not cache.arena._slots
-        assert metrics.gauge("nn.compile.arena_bytes").value == 0
 
     def test_concurrent_replay_of_another_plan_falls_back_busy(
         self, untrained_model, featurizer, tiny_corpus, monkeypatch
@@ -334,15 +330,17 @@ class TestPlanCache:
             for width in (narrow, wide)
         }
         reference = {width: _run(untrained_model, requests[width]) for width in (narrow, wide)}
-        nn_compile.enable(untrained_model, metrics=metrics)
+        nn_compile.enable(untrained_model)
         inside, release = _block_first_classifier(monkeypatch)
         results = {}
         replay = threading.Thread(
-            target=lambda: results.update(narrow=_run(untrained_model, requests[narrow]))
+            target=lambda: results.update(
+                narrow=_run(untrained_model, requests[narrow], metrics=metrics)
+            )
         )
         replay.start()
         assert inside.wait(timeout=10.0)
-        results["wide"] = _run(untrained_model, requests[wide])
+        results["wide"] = _run(untrained_model, requests[wide], metrics=metrics)
         release.set()
         replay.join(timeout=10.0)
         assert not replay.is_alive()
@@ -350,42 +348,50 @@ class TestPlanCache:
         _assert_phase1_bitwise(reference[wide], results["wide"])
         _assert_phase1_bitwise(reference[narrow], results["narrow"])
 
-    def test_invalidate_during_replay_leaks_no_arena_bytes(
+    def test_disable_during_replay_leaks_no_arena_bytes(
         self, untrained_model, featurizer, tiny_corpus, monkeypatch
     ):
-        """An ``invalidate()`` that lands mid-replay must not strand the
-        bytes that replay grows afterwards: at quiescence the accounted
-        bytes are the bytes held, and with no live plan both are zero."""
+        """A ``disable()`` that lands mid-replay must not strand the bytes
+        that replay grows afterwards: it waits for the replay, then the
+        detached cache holds and accounts zero bytes, and a re-attached
+        cache accounts exactly what it holds."""
         metrics = MetricsRegistry()
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:1])
-        cache = nn_compile.enable(untrained_model, metrics=metrics)
+        cache = nn_compile.enable(untrained_model)
         inside, release = _block_first_classifier(monkeypatch)
         replay = threading.Thread(target=_run, args=(untrained_model, requests))
         replay.start()
         assert inside.wait(timeout=10.0)
-        invalidate = threading.Thread(target=nn_compile.invalidate, args=(untrained_model,))
-        invalidate.start()
-        invalidate.join(timeout=0.2)  # returns at once if reset ignores the replay
+        disable = threading.Thread(target=nn_compile.disable, args=(untrained_model,))
+        disable.start()
+        disable.join(timeout=0.2)  # returns at once if disable ignores the replay
+        assert disable.is_alive()
         release.set()
-        for thread in (replay, invalidate):
+        for thread in (replay, disable):
             thread.join(timeout=10.0)
             assert not thread.is_alive()
-        assert not cache.plans[1].verified and cache.plans[1].replays == 0
-        assert metrics.gauge("nn.compile.arena_bytes").value == 0
+        assert nn_compile.plan_cache(untrained_model) is None
+        assert cache.plans[1].replays == 1
         assert cache.arena.bytes == 0 and not cache.arena._slots
-        _run(untrained_model, requests)
-        held = sum(buf.nbytes for buf in cache.arena._slots.values())
-        assert metrics.gauge("nn.compile.arena_bytes").value == cache.arena.bytes == held > 0
+        fresh = nn_compile.enable(untrained_model)
+        assert fresh is not cache
+        _run(untrained_model, requests, metrics=metrics)
+        held = sum(buf.nbytes for buf in fresh.arena._slots.values())
+        assert metrics.gauge("nn.compile.arena_bytes").value == fresh.arena.bytes == held > 0
 
-    def test_enable_reuses_matching_cache(self, untrained_model):
-        metrics = MetricsRegistry()
-        first = nn_compile.enable(untrained_model, metrics=metrics)
-        again = nn_compile.enable(untrained_model, metrics=metrics)
-        assert again is first
-        other = nn_compile.enable(
-            untrained_model, CompileConfig(arena_bytes_limit=1 << 20), metrics=metrics
-        )
+    def test_enable_reuses_matching_cache(self, tiny_encoder, tiny_corpus):
+        """A cache is reused on its config alone: a weight change does not
+        replace it (plans read the live weights), and neither does the
+        registry a detector counts into (``enable`` takes none)."""
+        model = _fresh_model(tiny_encoder, tiny_corpus)
+        first = nn_compile.enable(model)
+        assert nn_compile.enable(model) is first
+        assert nn_compile.enable(model, CompileConfig()) is first
+        model.encoder.blocks[0].attention.query_proj.weight.data *= 1.5
+        assert nn_compile.enable(model) is first
+        other = nn_compile.enable(model, CompileConfig(arena_bytes_limit=1 << 20))
         assert other is not first
+        assert nn_compile.plan_cache(model) is other
 
 
 # ----------------------------------------------------------------------
@@ -420,19 +426,20 @@ class TestPerShapeVerification:
             return matches(plan, outputs, expected)
 
         monkeypatch.setattr(nn_compile.CompiledPlan, "_matches", fails_at_bad)
-        cache = nn_compile.enable(untrained_model, metrics=metrics)
+        cache = nn_compile.enable(untrained_model)
         for _ in range(2):
             for width in (bad, good):
-                _assert_phase1_bitwise(reference[width], _run(untrained_model, requests[width]))
+                compiled = _run(untrained_model, requests[width], metrics=metrics)
+                _assert_phase1_bitwise(reference[width], compiled)
         plan = cache.plans[1]
-        assert plan.dead == {bad} and plan.unfused == {bad}
+        assert plan.dead == {bad}
         assert plan.verified == {(good, "meta")}
         assert plan.replays == 2
         assert metrics.counter("nn.compile.fallbacks", reason="verify").value == 1
         assert metrics.counter("nn.compile.fallbacks", reason="dead").value == 1
         assert metrics.counter("nn.compile.replays", phase="1").value == 2
 
-    def test_one_build_per_phase_and_one_verify_per_shape(
+    def test_one_verify_per_shape(
         self, untrained_model, featurizer, tiny_corpus, monkeypatch
     ):
         tables = _spread_tables(tiny_corpus.registry)
@@ -470,7 +477,6 @@ class TestPerShapeVerification:
             (phase, shape, mode) for phase, plan in plans.items() for shape, mode in plan.verified
         }
         for phase in ("1", "2"):
-            assert metrics.counter("nn.compile.builds", phase=phase).value == 1
             assert metrics.counter("nn.compile.replays", phase=phase).value > len(verifies)
         assert metrics.counter("nn.compile.fallbacks").value == 0
 
@@ -530,87 +536,126 @@ class TestSlicedVerification:
         self, untrained_model, featurizer, tiny_corpus, monkeypatch, phase
     ):
         """The last row of a 5-row batch lies in the reference's last
-        slice, not its first; a replay wrong only there still goes
-        unfused, then dead, and the forward hands back the correct eager
-        outputs."""
+        slice, not its first; a replay wrong only there still retires its
+        shape, and the forward hands back the correct eager outputs."""
         assert nn_compile.VERIFY_ROWS < 5
         batch1, batch2, cached = _common_width_batches(
             untrained_model, featurizer, tiny_corpus.tables[:5]
         )
         replay = nn_compile.CompiledPlan._replay
 
-        def planted(plan, batch, latents, fused):
-            outputs = replay(plan, batch, latents, fused)
+        def planted(plan, *args):
+            outputs = replay(plan, *args)
             logits = outputs[0] if plan.phase == 1 else outputs
             logits[-1, 0, 0] = np.nextafter(logits[-1, 0, 0], np.inf)
             return outputs
 
         monkeypatch.setattr(nn_compile.CompiledPlan, "_replay", planted)
-        metrics = MetricsRegistry()
-        cache = nn_compile.enable(untrained_model, metrics=metrics)
+        events = []
+        cache = nn_compile.enable(untrained_model)
         if phase == 1:
             expected = nn_compile.eager_phase1(untrained_model, batch1)[0]
-            with cache.phase1(batch1) as outputs:
+            with cache.phase1(batch1, events) as outputs:
                 got = outputs[0].copy()
             shape = batch1.meta_ids.shape[1]
         else:
             expected = nn_compile.eager_phase2(untrained_model, batch2, cached)
-            with cache.phase2(batch2, cached) as outputs:
+            with cache.phase2(batch2, cached, events) as outputs:
                 got = outputs.copy()
             shape = (batch2.meta_ids.shape[1], batch2.content_ids.shape[1])
         assert got.tobytes() == expected.tobytes()
         plan = cache.plans[phase]
-        assert plan.unfused == {shape} and plan.dead == {shape}
+        assert plan.dead == {shape}
         assert not plan.verified and plan.replays == 0
-        assert metrics.counter("nn.compile.fallbacks", reason="verify").value == 1
+        assert [event for event in events if event[0] != "arena_bytes"] == [("fallback", "verify")]
 
 
 # ----------------------------------------------------------------------
-# Grad-mode isolation and invalidation
+# Grad-mode isolation and weight changes under live plans
 # ----------------------------------------------------------------------
 class TestGradIsolation:
     def test_training_never_routes_through_plans(
         self, tiny_encoder, tiny_corpus, featurizer
     ):
-        model = ADTDModel(
-            ADTDConfig(tiny_encoder, num_labels=tiny_corpus.registry.num_labels), seed=3
-        )
-        cache = nn_compile.enable(model, metrics=MetricsRegistry())
-        fingerprint = cache.fingerprint
+        """Training runs the autograd forward: it leaves the warm plans
+        alone and replays nothing, and compiled inference afterwards still
+        equals eager bit for bit."""
+        model = _fresh_model(tiny_encoder, tiny_corpus)
+        metrics = MetricsRegistry()
+        compiled = _make_detector(model, featurizer, True, metrics=metrics)
+        eager = _make_detector(model, featurizer, False)
+
+        def detect(detector):
+            return _report_bytes(
+                detector.detect(CloudDatabaseServer.from_tables(tiny_corpus.test, FAST))
+            )
+
+        before = detect(compiled)
+        cache = nn_compile.plan_cache(model)
         plans = dict(cache.plans)
+        replays = {phase: plan.replays for phase, plan in plans.items()}
+        assert all(replays.values())
         fine_tune(
             model,
             featurizer,
             tiny_corpus.train[:4],
             TrainConfig(epochs=1, batch_size=4, learning_rate=1e-3),
         )
-        # Training went through the autograd forward (plans only hook the
-        # sched no-grad entry points), and the weight mutation dropped the
-        # plans + refreshed the fingerprint.
-        assert all(plan.replays == 0 for plan in plans.values())
-        assert all(cache.plans[phase] is not plans[phase] for phase in (1, 2))
-        assert cache.fingerprint != fingerprint
         assert nn_compile.plan_cache(model) is cache
+        assert all(cache.plans[phase] is plans[phase] for phase in (1, 2))
+        assert {phase: plan.replays for phase, plan in plans.items()} == replays
+        counted = _replays(metrics)
+        after = detect(compiled)
+        assert _replays(metrics) > counted
+        assert after == detect(eager) != before
 
-    def test_invalidate_drops_plans(self, untrained_model, featurizer, tiny_corpus):
-        requests = _phase1_requests(featurizer, tiny_corpus.tables[:1])
-        cache = nn_compile.enable(untrained_model, metrics=MetricsRegistry())
-        _run(untrained_model, requests)
-        verified = {(requests[0].meta_width, "meta")}
-        assert cache.plans[1].verified == verified
-        nn_compile.invalidate(untrained_model)
-        assert not cache.plans[1].verified
-        compiled = _run(untrained_model, requests)
-        assert cache.plans[1].verified == verified and compiled[0].probs.size > 0
+    def test_weights_mutated_under_a_live_plan_cache(
+        self, tiny_encoder, featurizer, tiny_corpus
+    ):
+        """Weights changed in place after a warm compiled ``detect()`` — a
+        scaled projection, then one optimiser step outside ``train()`` —
+        reach the next replay: compiled stays bitwise equal to eager."""
+        from repro.core.training import task_losses
+
+        model = _fresh_model(tiny_encoder, tiny_corpus)
+        metrics = MetricsRegistry()
+        compiled = _make_detector(model, featurizer, True, metrics=metrics)
+        eager = _make_detector(model, featurizer, False)
+
+        def detect(detector):
+            return _report_bytes(
+                detector.detect(CloudDatabaseServer.from_tables(tiny_corpus.test, FAST))
+            )
+
+        def optimiser_step():
+            optimizer = nn.Adam(model.parameters(), lr=1e-2)
+            meta_loss, content_loss = task_losses(
+                model, collate([featurizer.encode_offline(tiny_corpus.train[0])])
+            )
+            (meta_loss + content_loss).backward()
+            optimizer.step()
+            model.zero_grad()
+
+        def scale_key_projection():
+            model.encoder.blocks[0].attention.key_proj.weight.data *= 1.5
+
+        previous = detect(eager)
+        assert detect(compiled) == previous
+        for mutate in (scale_key_projection, optimiser_step):
+            mutate()
+            counted = _replays(metrics)
+            expected = detect(eager)
+            assert expected != previous
+            assert detect(compiled) == expected
+            assert _replays(metrics) > counted
+            previous = expected
 
     def test_load_state_dict_drops_stale_plans(
         self, tiny_encoder, featurizer, tiny_corpus
     ):
         """Loading weights into a model whose warm detector replays plans
         must not leave those plans on the old weights."""
-        model = ADTDModel(
-            ADTDConfig(tiny_encoder, num_labels=tiny_corpus.registry.num_labels), seed=3
-        )
+        model = _fresh_model(tiny_encoder, tiny_corpus)
         compiled = _make_detector(model, featurizer, True)
         eager = _make_detector(model, featurizer, False)
 
@@ -628,9 +673,7 @@ class TestGradIsolation:
     ):
         """Plans are cached per model, so loading weights into one of its
         submodules must drop them too."""
-        model = ADTDModel(
-            ADTDConfig(tiny_encoder, num_labels=tiny_corpus.registry.num_labels), seed=3
-        )
+        model = _fresh_model(tiny_encoder, tiny_corpus)
         compiled = _make_detector(model, featurizer, True)
         eager = _make_detector(model, featurizer, False)
 
@@ -651,7 +694,7 @@ class TestGradIsolation:
         from repro.core.training import task_losses
         from repro.features.encoding import collate
 
-        nn_compile.enable(untrained_model, metrics=MetricsRegistry())
+        nn_compile.enable(untrained_model)
         encoded = featurizer.encode_offline(tiny_corpus.train[0])
         batch = collate([encoded])
         meta_loss, content_loss = task_losses(untrained_model, batch)
@@ -731,19 +774,28 @@ class TestEndToEnd:
         cache a default detector on the same model replays from."""
         metrics = MetricsRegistry()
 
-        def replays():
-            return sum(
-                metrics.counter("nn.compile.replays", phase=phase).value
-                for phase in ("1", "2")
-            )
-
         def detect(detector):
-            before = replays()
+            before = _replays(metrics)
             detector.detect(CloudDatabaseServer.from_tables(tiny_corpus.test, FAST))
-            return replays() - before
+            return _replays(metrics) - before
 
         compiled = _make_detector(trained_model, featurizer, True, metrics=metrics)
         eager = _make_detector(trained_model, featurizer, False, metrics=metrics)
         assert detect(compiled) > 0
         assert detect(eager) == 0
         assert detect(compiled) > 0
+
+    def test_each_detector_counts_its_own_replays(self, trained_model, featurizer, tiny_corpus):
+        """Two compiled detectors on one model share its plan cache, but
+        each counts the replays of its own runs into its own registry."""
+        registries = {"a": MetricsRegistry(), "b": MetricsRegistry()}
+        first = _make_detector(trained_model, featurizer, True, metrics=registries["a"])
+        cache = nn_compile.plan_cache(trained_model)
+        second = _make_detector(trained_model, featurizer, True, metrics=registries["b"])
+        first.detect(CloudDatabaseServer.from_tables(tiny_corpus.test, FAST))
+        ran = _replays(registries["a"])
+        assert ran > 0 and _replays(registries["b"]) == 0
+        second.detect(CloudDatabaseServer.from_tables(tiny_corpus.test, FAST))
+        assert _replays(registries["a"]) == ran
+        assert _replays(registries["b"]) > 0
+        assert nn_compile.plan_cache(trained_model) is cache

@@ -78,8 +78,6 @@ EXPECTED_EDGES = {
     # A job spends its quota only once the queue has taken it.
     ("_ServiceSource.condition", "AdmissionController._lock"),
     ("_ServiceSource.condition", "TokenBucket._lock"),
-    # A plan's first replay builds it under the cache's replay lock.
-    ("PlanCache._replay_lock", "Tracer._lock"),
 }
 
 COST_MODEL = paper_cost_model(0.05)
