@@ -367,13 +367,14 @@ def split_metadata(metadata: TableMetadata, max_columns: int) -> list[TableMetad
 
     The paper's column splitting threshold ``l``: each chunk keeps the
     table-level metadata but only a slice of the columns, bounding the
-    inter-column attention cost.
+    inter-column attention cost. A table without columns has no chunks,
+    so it is encoded and predicted for nowhere.
     """
     if max_columns <= 0:
         raise ValueError("max_columns must be positive")
     columns = metadata.columns
     if len(columns) <= max_columns:
-        return [metadata]
+        return [metadata] if columns else []
     return [
         TableMetadata(
             metadata.name,

@@ -9,6 +9,7 @@ from repro.core import DetectorConfig, TasteDetector, ThresholdPolicy
 from repro.datagen import Column, Table
 from repro.db import CloudDatabaseServer, CostModel
 from repro.features import FeatureConfig, Featurizer
+from repro.serve import DetectionService
 
 FAST = CostModel(time_scale=0.0)
 
@@ -95,6 +96,38 @@ class TestDegenerateTables:
             config=DetectorConfig(pipelined=False),
         ).detect(self.make_server(table), ["odd"])
         assert report.num_columns == 1
+
+    def test_zero_column_table_beside_a_normal_one(self, trained_model, featurizer, tiny_corpus):
+        """A table without columns reports zero predictions, neither failed
+        nor degraded, in a sequential run, a pipelined run and a service
+        job; the table beside it is bitwise what it is in a run alone."""
+        normal = tiny_corpus.test[0]
+        server = CloudDatabaseServer.from_tables([normal, Table("empty", "", [])], FAST)
+        names = [normal.name, "empty"]
+
+        def rows(result):
+            return [
+                (p.column_name, tuple(p.admitted_types), p.phase, p.probabilities.tobytes())
+                for p in result.predictions
+            ]
+
+        def check(report, expected):
+            results = {result.table_name: result for result in report.tables}
+            empty = results["empty"]
+            assert empty.predictions == []
+            assert not empty.failed and not empty.degraded and empty.error is None
+            assert rows(results[normal.name]) == expected
+
+        for pipelined in (False, True):
+            detector = TasteDetector(
+                trained_model, featurizer, ThresholdPolicy(0.1, 0.9),
+                config=DetectorConfig(pipelined=pipelined),
+            )
+            expected = rows(detector.detect(server, [normal.name]).tables[0])
+            assert expected
+            check(detector.detect(server, names), expected)
+        with DetectionService(detector) as service:
+            check(service.submit("tenant-a", server, names).result(timeout=60.0), expected)
 
     def test_very_wide_table_split_and_rejoined(self, trained_model, tokenizer, tiny_corpus):
         columns = [
