@@ -46,9 +46,9 @@ class BatchingConfig:
     ``max_batch_cols`` caps how many columns one collated forward may
     carry, and nothing else: a pipelined round takes every ready table
     and the batcher cuts each width group at this cap. The default of 32
-    keeps the workspace arena at about half its size at 64, while a
-    Phase-1 forward of 4 requests (~25 columns) already costs 0.47 ms
-    per request against 0.42 ms at 8 (DESIGN §5d).
+    bounds the buffers one forward allocates, while a Phase-1 forward of
+    4 requests (~25 columns) already costs 0.47 ms per request against
+    0.42 ms at 8 (DESIGN §5d).
     ``pad_quantum`` quantizes padded sequence widths so requests from
     different tables land in shared width buckets; both the sequential and
     the batched path pad to the same quantum, which is what makes their

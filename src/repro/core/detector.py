@@ -42,7 +42,6 @@ from ..db.server import CloudDatabaseServer
 from ..errors import RetryGiveUpError
 from ..faults.plan import FaultInjector
 from ..features.encoding import Featurizer
-from ..nn import compile as nn_compile
 from ..obs import Tracer, write_spans_jsonl
 from ..obs.metrics import MetricsRegistry, NullMetricsRegistry, global_registry
 from ..sched.batcher import InferenceBatcher
@@ -107,18 +106,6 @@ class TasteDetector:
         )
         self._width_cap = model.config.encoder.max_seq_len
         self.model.eval()
-        # Compiled inference (repro.nn.compile): one plan per phase serves
-        # every width bucketed_width() produces, so every execution mode
-        # (sequential, unbatched, batched, served) replays the same two
-        # plans. The plans read the model's live weights, so they share
-        # the model with training and feedback without going stale, and
-        # this detector's batcher counts its own replays into
-        # self.metrics. A detector configured with compile.enabled=False
-        # leaves the model's cache alone: its batcher never looks the cache
-        # up, so *its* runs are eager while other detectors on the same
-        # model keep their plans.
-        if self.config.compile.enabled:
-            nn_compile.enable(model, self.config.compile)
 
     # ------------------------------------------------------------------
     # Inference dispatch (shared by the stage implementations)

@@ -1,22 +1,21 @@
 """Compiled inference for the ADTD no-grad hot path.
 
 The detector's S2 stage is pure model compute, and the eager forward pays
-per-op Python dispatch, Tensor wrapping and fresh numpy allocations on
-every call. This module trades that overhead for **replays** of a
-hand-written plan:
+per-op Python dispatch and ``Tensor`` wrapping on every call. This module
+trades that overhead for **replays** of a hand-written plan:
 
-* A model's :class:`PlanCache` holds exactly two :class:`CompiledPlan`
-  objects, one per phase. Replays are straight-line numpy — zero
+* A model has exactly two :class:`CompiledPlan` objects, one per phase
+  (:func:`plan_cache`). Replays are straight-line numpy — zero
   ``Tensor``/autograd objects on the hot path — over the parameters of
   the model they are handed, read afresh on every replay, and take every
   shape from the batch, so one plan serves every width and every weight
   version.
-* Both plans replay into **one workspace arena**, owned by the cache:
-  named, growable buffers reused across replays, written through the
-  shared ``out=`` kernels in :mod:`repro.nn.functional` (``softmax_``
-  reusing the attention-score buffer, fused residual+``layer_norm_``,
-  fused bias+``gelu_``). Wider forwards grow the arena to the largest
-  demand per buffer name.
+* A replay allocates its own buffers and writes them through the shared
+  ``out=`` kernels in :mod:`repro.nn.functional` (``softmax_`` in place
+  in the attention scores, fused residual+``layer_norm_``, fused
+  bias+``gelu_``). It returns arrays the caller owns and takes no lock,
+  so several loops on one model (a ``detect()`` beside a service) all
+  replay at once.
 * The asymmetric cross-attention's K/V input buffer is fed directly from
   the latents Phase 1 kept for the chunk
   (:class:`~repro.core.latent_cache.CachedEncoding`).
@@ -42,26 +41,24 @@ call too). Two mechanisms guarantee it:
    not by the batch. A mismatch retires the shape (permanent eager
    fallback, counted under ``nn.compile.fallbacks{reason=verify}``).
 
-Caches are looked up via a module-level weak registry (never stored on
+Plans are looked up via a module-level weak registry (never stored on
 the model, so models stay picklable/deep-copyable). A width over the
-encoder's ``max_seq_len``, a busy arena (another thread mid-replay on the
-same model), an arena-budget overrun and a retired shape all fall back
-to the eager forward — safe, because eager and compiled agree bitwise.
-The detector's :class:`~repro.sched.InferenceBatcher` looks the cache up
-once per run, and only when its own ``compile.enabled`` is set: a
-detector with compilation off runs eager and leaves the plans of other
-detectors on the same model alone. The batcher also counts the replays
-and fallbacks of its own forwards, so a cache shared by several
-detectors never reports into one detector's registry for another.
+encoder's ``max_seq_len`` and a retired shape fall back to the eager
+forward — safe, because eager and compiled agree bitwise. The detector's
+:class:`~repro.sched.InferenceBatcher` looks the plans up once per run,
+and only when its own ``compile.enabled`` is set: a detector with
+compilation off runs eager and leaves the plans of other detectors on the
+same model alone. The batcher also counts the replays and fallbacks of
+its own forwards, so plans shared by several detectors never report into
+one detector's registry for another.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -81,104 +78,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "CompileConfig",
     "CompiledPlan",
-    "PlanCache",
     "eager_phase1",
     "eager_phase2",
-    "enable",
-    "disable",
     "plan_cache",
 ]
 
 
 @dataclass(frozen=True)
 class CompileConfig:
-    """Knobs of the inference compiler (``DetectorConfig.compile``).
-
-    ``arena_bytes_limit`` bounds the bytes of the cache's one workspace
-    arena, which both plans share — a replay whose buffers would grow it
-    past the limit falls back to the eager forward for that batch.
-    """
+    """Whether a detector's forwards replay compiled plans
+    (``DetectorConfig.compile``); ``enabled=False`` is the eager ablation."""
 
     enabled: bool = True
-    arena_bytes_limit: int = 256 * 1024 * 1024
-
-    def __post_init__(self) -> None:
-        if self.arena_bytes_limit < 1:
-            raise ValueError("arena_bytes_limit must be at least 1 byte")
-
-    def replace(self, **changes: Any) -> "CompileConfig":
-        """A modified copy (re-validated)."""
-        return replace(self, **changes)
-
-
-class ArenaLimitError(RuntimeError):
-    """A replay's workspace demand exceeded ``arena_bytes_limit``."""
-
-
-class Arena:
-    """Named, growable workspace buffers backing every replay of one plan cache.
-
-    ``buf(name, shape)`` returns a contiguous view of a flat backing
-    array, re-used across replays; the backing only reallocates when a
-    replay needs more elements than any previous one under that name.
-    Replays of every width write the same names, so the arena holds the
-    largest demand per name, not a sum over widths. Growth that
-    would take :attr:`bytes` over ``limit`` raises
-    :class:`ArenaLimitError`. The owning :class:`PlanCache`'s replay lock
-    guards every call.
-    """
-
-    def __init__(self, limit: int) -> None:
-        self._slots: dict[str, np.ndarray] = {}
-        # name -> (shape, dtype, view): the last view handed out per name.
-        # A steady batch size (the common replay regime) turns every buf()
-        # call after the first into one dict hit instead of a slice+reshape.
-        # The entry always views the *current* backing: any reallocation
-        # happens inside buf(), which overwrites the entry in the same call.
-        self._views: dict[str, tuple[tuple[int, ...], np.dtype, np.ndarray]] = {}
-        self.limit = limit
-        self.bytes = 0
-
-    def buf(self, name: str, shape: tuple[int, ...], dtype: Any = np.float32) -> np.ndarray:
-        cached = self._views.get(name)
-        if cached is not None and cached[0] == shape and cached[1] == dtype:
-            return cached[2]
-        dtype = np.dtype(dtype)
-        size = 1
-        for dim in shape:
-            size *= int(dim)
-        backing = self._slots.get(name)
-        if backing is None or backing.dtype != dtype or backing.size < size:
-            released = backing.nbytes if backing is not None else 0
-            total = self.bytes - released + size * dtype.itemsize
-            if total > self.limit:
-                raise ArenaLimitError(
-                    f"the workspace arena would use {total} bytes, "
-                    f"over the {self.limit}-byte limit"
-                )
-            backing = np.empty(size, dtype=dtype)
-            self._slots[name] = backing
-            self.bytes = total
-        view = backing[:size].reshape(shape)
-        self._views[name] = (shape, dtype, view)
-        return view
-
-    def release(self) -> None:
-        """Drop all buffers."""
-        self._slots.clear()
-        self._views.clear()
-        self.bytes = 0
 
 
 class CompiledPlan:
     """The replay program of one phase, for every width.
 
-    A plan holds no weights: every replay reads the parameters of the
-    ``model`` that :meth:`run` is handed, so an in-place update, an
-    optimiser step or a ``load_state_dict`` reaches the next replay, and
-    nothing a weight change can make stale lives here. Its replays write
-    into the owning :class:`PlanCache`'s one arena, so every replay entry
-    point assumes the caller holds that cache's replay lock.
+    A plan holds no weights and no buffers: every replay reads the
+    parameters of the ``model`` that :meth:`run` is handed, so an in-place
+    update, an optimiser step or a ``load_state_dict`` reaches the next
+    replay, and it writes into arrays it allocates itself and hands back.
+    Replays on one plan may therefore run on several threads at once.
 
     The safety state is kept per *shape* — the meta width (phase 1) or
     the ``(meta, content)`` widths (phase 2): ``verified`` holds the
@@ -187,16 +108,16 @@ class CompiledPlan:
     It is per shape and not per weight version because the replay and the
     eager forward run the same op sequence on the same live arrays: the
     values they read cannot make them part, while the shape picks the
-    kernels (and their blocking) that could.
+    kernels (and their blocking) that could. Two first replays of one
+    shape at once both verify; each records the same outcome.
     """
 
-    def __init__(self, phase: int, cache: "PlanCache", config: Any) -> None:
+    def __init__(self, phase: int, config: Any) -> None:
         self.phase = phase
-        self.replays = 0
         self.verified: set[tuple] = set()
         self.dead: set = set()
-        self._cache = cache
         encoder_config = config.encoder
+        self.max_width = encoder_config.max_seq_len
         self.hidden = encoder_config.hidden_size
         self.heads = encoder_config.num_heads
         self.head_dim = self.hidden // self.heads
@@ -207,23 +128,20 @@ class CompiledPlan:
         self.max_column_id = config.max_column_id
 
     # ------------------------------------------------------------------
-    # Replay kernels (caller holds the cache's replay lock)
+    # Replay kernels
     # ------------------------------------------------------------------
     def _embed(
-        self, model: Any, ids: np.ndarray, segments: np.ndarray, column_ids: np.ndarray, name: str
+        self, model: Any, ids: np.ndarray, segments: np.ndarray, column_ids: np.ndarray
     ) -> np.ndarray:
-        batch_size, seq = ids.shape
-        arena = self._cache.arena
-        out = arena.buf(name, (batch_size, seq, self.hidden))
-        scratch = arena.buf("embed_scratch", (batch_size, seq, self.hidden))
+        out = np.empty(ids.shape + (self.hidden,), np.float32)
+        scratch = np.empty_like(out)
         np.take(model.token_embedding.weight.data, ids, axis=0, out=out)
         # position ids are row-constant, so adding the (seq, H) table
         # broadcast is elementwise-identical to the eager (B, seq, H) gather.
-        out += model.position_embedding.weight.data[:seq]
+        out += model.position_embedding.weight.data[: ids.shape[1]]
         np.take(model.segment_embedding.weight.data, segments, axis=0, out=scratch)
         out += scratch
-        clamped = arena.buf("embed_col_ids", (batch_size, seq), dtype=column_ids.dtype)
-        np.minimum(column_ids, self.max_column_id - 1, out=clamped)
+        clamped = np.minimum(column_ids, self.max_column_id - 1)
         np.take(model.column_embedding.weight.data, clamped, axis=0, out=scratch)
         out += scratch
         norm = model.embedding_norm
@@ -231,62 +149,46 @@ class CompiledPlan:
         return out
 
     def _attention_block(
-        self,
-        block: Any,
-        query: np.ndarray,
-        kv_input: np.ndarray,
-        mask: np.ndarray,
-        out: np.ndarray,
-        prefix: str,
+        self, block: Any, query: np.ndarray, kv_input: np.ndarray, mask: np.ndarray
     ) -> np.ndarray:
-        """One transformer block as straight-line numpy into ``out``.
+        """One transformer block as straight-line numpy.
 
         ``kv_input is query`` is the self-attention (metadata tower) form;
         otherwise the asymmetric cross-attention form over the joint
-        sequence. ``out`` may alias ``query`` — the query buffer's last
-        read (the first residual add) happens before the first write to
-        ``out``.
+        sequence.
         """
-        arena = self._cache.arena
         attention = block.attention
         batch_size, q_len, hidden = query.shape
         kv_len = kv_input.shape[1]
         heads, head_dim = self.heads, self.head_dim
-        q_proj = arena.buf(prefix + "q", (batch_size, q_len, hidden))
-        np.matmul(query, attention.query_proj.weight.data, out=q_proj)
+        q_proj = np.matmul(query, attention.query_proj.weight.data)
         q_proj += attention.query_proj.bias.data
-        k_proj = arena.buf(prefix + "k", (batch_size, kv_len, hidden))
-        np.matmul(kv_input, attention.key_proj.weight.data, out=k_proj)
+        k_proj = np.matmul(kv_input, attention.key_proj.weight.data)
         k_proj += attention.key_proj.bias.data
-        v_proj = arena.buf(prefix + "v", (batch_size, kv_len, hidden))
-        np.matmul(kv_input, attention.value_proj.weight.data, out=v_proj)
+        v_proj = np.matmul(kv_input, attention.value_proj.weight.data)
         v_proj += attention.value_proj.bias.data
         q_heads = q_proj.reshape(batch_size, q_len, heads, head_dim).swapaxes(1, 2)
         k_heads = k_proj.reshape(batch_size, kv_len, heads, head_dim).swapaxes(1, 2)
         v_heads = v_proj.reshape(batch_size, kv_len, heads, head_dim).swapaxes(1, 2)
-        scores = arena.buf(prefix + "scores", (batch_size, heads, q_len, kv_len))
-        np.matmul(q_heads, k_heads.swapaxes(2, 3), out=scores)
+        scores = np.matmul(q_heads, k_heads.swapaxes(2, 3))
         scores *= self.scale
         scores += mask
         softmax_(scores, out=scores)
-        context = arena.buf(prefix + "context", (batch_size, heads, q_len, head_dim))
-        np.matmul(scores, v_heads, out=context)
-        merged = arena.buf(prefix + "merged", (batch_size, q_len, hidden))
-        np.copyto(merged.reshape(batch_size, q_len, heads, head_dim), context.swapaxes(1, 2))
-        attn = arena.buf(prefix + "attn", (batch_size, q_len, hidden))
-        np.matmul(merged, attention.output_proj.weight.data, out=attn)
+        context = np.matmul(scores, v_heads)
+        # A C-order copy: reshaping the swapped view cannot be a view.
+        merged = context.swapaxes(1, 2).reshape(batch_size, q_len, hidden)
+        attn = np.matmul(merged, attention.output_proj.weight.data)
         attn += attention.output_proj.bias.data
         # Fused residual + layer_norm: `merged` is free again and serves
         # as the variance scratch.
         np.add(query, attn, out=attn)
         norm = block.attention_norm
         layer_norm_(attn, norm.weight.data, norm.bias.data, norm.eps, out=attn, scratch=merged)
-        ffn = arena.buf(prefix + "ffn", (batch_size, q_len, self.intermediate))
-        np.matmul(attn, block.ffn_in.weight.data, out=ffn)
+        ffn = np.matmul(attn, block.ffn_in.weight.data)
         ffn += block.ffn_in.bias.data
         # Fused bias + GELU, in place in the intermediate buffer.
-        gelu_(ffn, out=ffn, scratch=arena.buf(prefix + "ffn_scratch", (batch_size, q_len, self.intermediate)))
-        np.matmul(ffn, block.ffn_out.weight.data, out=out)
+        gelu_(ffn, out=ffn)
+        out = np.matmul(ffn, block.ffn_out.weight.data)
         out += block.ffn_out.bias.data
         np.add(attn, out, out=out)
         norm = block.ffn_norm
@@ -294,30 +196,19 @@ class CompiledPlan:
         return out
 
     def _meta_tower(self, model: Any, batch: "Batch") -> list[np.ndarray]:
-        batch_size, meta_width = batch.meta_ids.shape
-        hidden = self._embed(model, batch.meta_ids, batch.meta_segments, batch.meta_column_ids, "meta_h0")
+        hidden = self._embed(model, batch.meta_ids, batch.meta_segments, batch.meta_column_ids)
         mask = additive_attention_mask(batch.meta_mask)
         outputs = [hidden]
-        for index, block in enumerate(model.encoder.blocks):
-            out = self._cache.arena.buf(f"meta_h{index + 1}", (batch_size, meta_width, self.hidden))
-            hidden = self._attention_block(block, hidden, hidden, mask, out, "m_")
+        for block in model.encoder.blocks:
+            hidden = self._attention_block(block, hidden, hidden, mask)
             outputs.append(hidden)
         return outputs
 
-    def _classifier(self, features: np.ndarray, head: Any, prefix: str) -> np.ndarray:
-        arena = self._cache.arena
-        batch_size, num_columns, _ = features.shape
-        w1, w2 = head.hidden.weight.data, head.output.weight.data
-        hidden = arena.buf(prefix + "cls_hidden", (batch_size, num_columns, w1.shape[1]))
-        np.matmul(features, w1, out=hidden)
+    def _classifier(self, features: np.ndarray, head: Any) -> np.ndarray:
+        hidden = np.matmul(features, head.hidden.weight.data)
         hidden += head.hidden.bias.data
-        relu_(
-            hidden,
-            out=hidden,
-            scratch=arena.buf(prefix + "cls_mask", (batch_size, num_columns, w1.shape[1]), dtype=np.bool_),
-        )
-        logits = arena.buf(prefix + "logits", (batch_size, num_columns, w2.shape[1]))
-        np.matmul(hidden, w2, out=logits)
+        relu_(hidden, out=hidden)
+        logits = np.matmul(hidden, head.output.weight.data)
         logits += head.output.bias.data
         return logits
 
@@ -327,14 +218,13 @@ class CompiledPlan:
         num_columns = batch.col_positions.shape[1]
         numeric_dim = batch.numeric.shape[-1]
         pooling = column_pooling_matrix(batch.meta_column_ids, batch.meta_mask, num_columns)
-        features = self._cache.arena.buf("p1_features", (batch_size, num_columns, self.hidden + numeric_dim))
+        features = np.empty((batch_size, num_columns, self.hidden + numeric_dim), np.float32)
         np.matmul(pooling, meta_layers[-1], out=features[..., : self.hidden])
         features[..., self.hidden :] = batch.numeric
-        logits = self._classifier(features, model.meta_classifier, "p1_")
+        logits = self._classifier(features, model.meta_classifier)
         return logits, meta_layers
 
     def _replay_phase2(self, model: Any, batch: "Batch", cached: "list | None") -> np.ndarray:
-        arena = self._cache.arena
         batch_size, meta_width = batch.meta_ids.shape
         content_width = batch.content_ids.shape[1]
         blocks = model.encoder.blocks
@@ -344,15 +234,15 @@ class CompiledPlan:
         # (straight from latent-cache slices when available), the content
         # stream's running hidden state in [M:].
         kv_bufs = [
-            arena.buf(f"kv{i}", (batch_size, meta_width + content_width, hidden_size))
-            for i in range(num_layers)
+            np.empty((batch_size, meta_width + content_width, hidden_size), np.float32)
+            for _ in range(num_layers)
         ]
         if cached is not None:
             for i in range(num_layers):
                 dst = kv_bufs[i]
                 for row, encoding in enumerate(cached):
                     dst[row, :meta_width] = encoding.layer_outputs[i][0]
-            meta_last = arena.buf("meta_last", (batch_size, meta_width, hidden_size))
+            meta_last = np.empty((batch_size, meta_width, hidden_size), np.float32)
             for row, encoding in enumerate(cached):
                 meta_last[row] = encoding.layer_outputs[num_layers][0]
         else:
@@ -360,25 +250,21 @@ class CompiledPlan:
             for i in range(num_layers):
                 kv_bufs[i][:, :meta_width] = meta_layers[i]
             meta_last = meta_layers[num_layers]
-        hidden = self._embed(
-            model, batch.content_ids, batch.content_segments, batch.content_column_ids, "content_h_a"
-        )
+        hidden = self._embed(model, batch.content_ids, batch.content_segments, batch.content_column_ids)
         joint_padding = np.concatenate([batch.meta_mask, batch.content_mask], axis=1)
         joint_mask = additive_attention_mask(joint_padding)
         for index, block in enumerate(blocks):
             kv_bufs[index][:, meta_width:] = hidden
-            out_name = "content_h_b" if index % 2 == 0 else "content_h_a"
-            out = arena.buf(out_name, (batch_size, content_width, hidden_size))
-            hidden = self._attention_block(block, hidden, kv_bufs[index], joint_mask, out, "x_")
+            hidden = self._attention_block(block, hidden, kv_bufs[index], joint_mask)
         num_columns = batch.col_positions.shape[1]
         numeric_dim = batch.numeric.shape[-1]
         pool_meta = column_pooling_matrix(batch.meta_column_ids, batch.meta_mask, num_columns)
         pool_content = column_pooling_matrix(batch.content_column_ids, batch.content_mask, num_columns)
-        features = arena.buf("p2_features", (batch_size, num_columns, 2 * hidden_size + numeric_dim))
+        features = np.empty((batch_size, num_columns, 2 * hidden_size + numeric_dim), np.float32)
         np.matmul(pool_content, hidden, out=features[..., :hidden_size])
         np.matmul(pool_meta, meta_last, out=features[..., hidden_size : 2 * hidden_size])
         features[..., 2 * hidden_size :] = batch.numeric
-        return self._classifier(features, model.content_classifier, "p2_")
+        return self._classifier(features, model.content_classifier)
 
     def _matches(self, outputs: Any, reference: Any) -> bool:
         if self.phase == 1:
@@ -394,35 +280,39 @@ class CompiledPlan:
         """Replay, and verify first-time shapes and modes.
 
         Returns the replay outputs (phase 1: ``(logits, layer_arrays)``,
-        phase 2: ``logits``) or ``None`` when the caller must fall back to
-        the eager forward. A verification mismatch still returns *valid*
-        outputs — the eager reference just computed — while retiring the
-        batch's shape. The caller holds the cache's replay lock; replay
-        and fallback events are appended to ``events`` for the caller to
-        count.
+        phase 2: ``logits``), which the caller owns, or ``None`` when the
+        caller must fall back to the eager forward. A verification
+        mismatch still returns *valid* outputs — the eager reference just
+        computed — while retiring the batch's shape. ``cached`` is the
+        per-request list of latent-cache encodings when *all* requests
+        have width-usable entries, else ``None`` (phase 2 then recomputes
+        the metadata tower, like the eager path). ``("replay", phase)``
+        and ``("fallback", reason)`` events are appended to ``events``
+        for the caller to count.
         """
         if self.phase == 1:
             shape = batch.meta_ids.shape[1]
             mode = "meta"
+            width = shape
         else:
             shape = (batch.meta_ids.shape[1], batch.content_ids.shape[1])
             mode = "cached" if cached is not None else "recompute"
+            width = max(shape)
+        if width > self.max_width:
+            # The eager forward raises its typed error for this width.
+            events.append(("fallback", "off_ladder"))
+            return None
         if shape in self.dead:
             events.append(("fallback", "dead"))
             return None
-        try:
-            outputs = self._replay(model, batch, cached)
-            if (shape, mode) not in self.verified:
-                reference = sliced_reference(model, self.phase, batch, cached)
-                if not self._matches(outputs, reference):
-                    self.dead.add(shape)
-                    events.append(("fallback", "verify"))
-                    return reference
-                self.verified.add((shape, mode))
-        except ArenaLimitError:
-            events.append(("fallback", "arena_limit"))
-            return None
-        self.replays += 1
+        outputs = self._replay(model, batch, cached)
+        if (shape, mode) not in self.verified:
+            reference = sliced_reference(model, self.phase, batch, cached)
+            if not self._matches(outputs, reference):
+                self.dead.add(shape)
+                events.append(("fallback", "verify"))
+                return reference
+            self.verified.add((shape, mode))
         events.append(("replay", self.phase))
         return outputs
 
@@ -502,133 +392,31 @@ def eager_phase2(model: Any, batch: "Batch", cached: "list | None") -> np.ndarra
     return logits.detach().numpy()
 
 
-class PlanCache:
-    """The two :class:`CompiledPlan` objects of one model, phase 1 and 2.
-
-    Both plans replay into the cache's one :class:`Arena`, so the arena
-    holds the largest demand per buffer name over every width replayed.
-    The cache holds no weights and no metrics registry: replays read the
-    model's live parameters, and every replay or fallback is appended to
-    the ``events`` list of the call, for the calling
-    :class:`~repro.sched.InferenceBatcher` to count into its own
-    registry. So several detectors share one cache, each counting its own
-    forwards.
-
-    Lock discipline: the replay lock guards the arena and the plans, so
-    one replay runs at a time per model and a concurrent one falls back to
-    the (bitwise identical) eager forward with reason ``busy``. A replay
-    takes no other lock under it; :func:`disable` releases the arena under
-    it, after any replay in flight has finished growing it.
-    """
-
-    def __init__(self, model: Any, config: CompileConfig) -> None:
-        self.config = config
-        self.max_width = model.config.encoder.max_seq_len
-        self._model_ref = weakref.ref(model)
-        self._replay_lock = threading.Lock()
-        self.arena = Arena(config.arena_bytes_limit)
-        self.plans = {phase: CompiledPlan(phase, self, model.config) for phase in (1, 2)}
-
-    def _run_ctx(
-        self, phase: int, batch: "Batch", cached: "list | None", events: "list | None"
-    ) -> Iterator[Any]:
-        events = events if events is not None else []
-        model = self._model_ref()
-        width = batch.meta_ids.shape[1]
-        if phase == 2:
-            width = max(width, batch.content_ids.shape[1])
-        reason = None
-        if model is None:
-            reason = "dead"
-        elif width > self.max_width:
-            # The eager forward raises its typed error for this width.
-            reason = "off_ladder"
-        elif not self._replay_lock.acquire(blocking=False):
-            # Another thread is mid-replay in the arena; the eager forward
-            # is bitwise identical, so just take it.
-            reason = "busy"
-        if reason is not None:
-            events.append(("fallback", reason))
-            yield None
-            return
-        try:
-            yield self.plans[phase].run(model, batch, cached, events)
-        finally:
-            events.append(("arena_bytes", self.arena.bytes))
-            self._replay_lock.release()
-
-    @contextmanager
-    def phase1(
-        self, batch: "Batch", events: "list | None" = None
-    ) -> Iterator["tuple[np.ndarray, list[np.ndarray]] | None"]:
-        """Compiled phase-1 outputs ``(logits, layer_arrays)`` or ``None``.
-
-        Outputs are arena views, valid only inside the ``with`` block —
-        slice/copy per-request results before leaving it. ``events``, when
-        given, receives ``("replay", phase)`` and ``("fallback", reason)``
-        pairs, and ``("arena_bytes", n)`` with the arena's size once a
-        replay ends.
-        """
-        yield from self._run_ctx(1, batch, None, events)
-
-    @contextmanager
-    def phase2(
-        self, batch: "Batch", cached: "list | None", events: "list | None" = None
-    ) -> Iterator["np.ndarray | None"]:
-        """Compiled phase-2 logits or ``None`` (same contract as phase1).
-
-        ``cached`` is the per-request list of latent-cache encodings when
-        *all* requests have width-usable entries, else ``None`` (the plan
-        then recomputes the metadata tower, like the eager path).
-        """
-        yield from self._run_ctx(2, batch, cached, events)
-
-
 # ----------------------------------------------------------------------
-# Module-level registry: model -> PlanCache.
+# Module-level registry: model -> its two plans.
 #
-# Weak keys, so a cache never outlives (or pins) its model, and nothing
+# Weak keys, so the plans never outlive (or pin) their model, and nothing
 # is stored on the model itself — models stay deep-copyable and
 # serializable exactly as before.
 # ----------------------------------------------------------------------
-_CACHES: "weakref.WeakKeyDictionary[Any, PlanCache]" = weakref.WeakKeyDictionary()
+_CACHES: "weakref.WeakKeyDictionary[Any, dict[int, CompiledPlan]]" = weakref.WeakKeyDictionary()
 _CACHES_LOCK = threading.Lock()
 
 
-def enable(model: Any, config: CompileConfig | None = None) -> PlanCache | None:
-    """Attach (or reuse) a plan cache for ``model``; returns it.
+def plan_cache(model: Any) -> "dict[int, CompiledPlan]":
+    """``model``'s two :class:`CompiledPlan` objects, keyed by phase.
 
-    An existing cache is reused when its config matches, so every
-    detector on one model shares one pair of plans, whatever registry it
-    counts into. ``config.enabled=False`` detaches any cache (same as
-    :func:`disable`).
-    """
-    config = config if config is not None else CompileConfig()
-    if not config.enabled:
-        disable(model)
-        return None
-    with _CACHES_LOCK:
-        cache = _CACHES.get(model)
-        if cache is None or cache.config != config:
-            cache = _CACHES[model] = PlanCache(model, config)
-    return cache
-
-
-def disable(model: Any) -> None:
-    """Detach ``model``'s plan cache and release its arena.
-
-    Forwards go back to eager. The arena is released under the replay
-    lock, so a replay in flight finishes growing it first and strands no
-    bytes.
+    Made on first use and shared from then on by every detector on the
+    model, so a shape one detector verified (or retired) is verified (or
+    retired) for all. The plans hold no weights and no metrics registry:
+    every replay or fallback is appended to the ``events`` list of the
+    call, for the calling :class:`~repro.sched.InferenceBatcher` to count
+    into its own registry.
     """
     with _CACHES_LOCK:
-        cache = _CACHES.pop(model, None)
-    if cache is not None:
-        with cache._replay_lock:
-            cache.arena.release()
-
-
-def plan_cache(model: Any) -> PlanCache | None:
-    """The live :class:`PlanCache` for ``model``, if compilation is on."""
-    with _CACHES_LOCK:
-        return _CACHES.get(model)
+        plans = _CACHES.get(model)
+        if plans is None:
+            plans = _CACHES[model] = {
+                phase: CompiledPlan(phase, model.config) for phase in (1, 2)
+            }
+        return plans

@@ -18,9 +18,9 @@ so these paths are the hot ones.
 The no-grad arithmetic lives in raw-ndarray kernels (``softmax_``,
 ``layer_norm_``, ``gelu_``, ``relu_``) with optional ``out=``/``scratch=``
 buffers. The eager fast paths call them with fresh buffers; the compiled
-replay paths (:mod:`repro.nn.compile`) call the *same* kernels with
-workspace-arena buffers — one implementation, so compiled and eager
-outputs are bitwise identical by construction. ``scratch`` must never
+replay paths (:mod:`repro.nn.compile`) call the *same* kernels in place
+in the buffers a replay allocates — one implementation, so compiled and
+eager outputs are bitwise identical by construction. ``scratch`` must never
 alias ``x`` or ``out``; ``out`` may alias ``x`` (every kernel reads ``x``
 before, or in the same ufunc call as, the write).
 """

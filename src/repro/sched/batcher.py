@@ -20,13 +20,14 @@ and the prep workers for that lock, slowing forwards down instead of
 overlapping them. The batcher holds no lock either; several loops (a
 direct ``detect()`` beside a service) may call :meth:`run` at once.
 
-With ``compile.enabled`` each :meth:`run` looks up the model's live plan
-cache (:func:`repro.nn.compile.plan_cache`) once and hands it to every
-forward; otherwise the forwards run eager. A detector with compilation
-off therefore never touches the plan cache another detector on the same
-model uses. The cache is shared, but its counts are not: each forward
-hands back its replay and fallback events, and the batcher counts them
-into its own registry.
+With ``compile.enabled`` each :meth:`run` looks up the model's two
+compiled plans (:func:`repro.nn.compile.plan_cache`) once and hands them
+to every forward; otherwise the forwards run eager. A detector with
+compilation off therefore never touches the plans another detector on
+the same model uses. Replays take no lock, so loops that share the plans
+all replay at once. The plans are shared, but their counts are not: each
+forward hands back its replay and fallback events, and the batcher counts
+them into its own registry.
 """
 
 from __future__ import annotations
@@ -72,10 +73,9 @@ class InferenceBatcher:
             ("replay", 2): metrics.counter("nn.compile.replays", phase="2"),
             **{
                 ("fallback", reason): metrics.counter("nn.compile.fallbacks", reason=reason)
-                for reason in ("off_ladder", "busy", "dead", "arena_limit", "verify")
+                for reason in ("off_ladder", "dead", "verify")
             },
         }
-        self._arena_gauge = metrics.gauge("nn.compile.arena_bytes")
 
     def run(self, requests: "list[Phase1Request | Phase2Request]") -> list:
         """Run ``requests`` as width-grouped forwards; results in order.
@@ -106,7 +106,7 @@ class InferenceBatcher:
                 start = stop
         return results
 
-    def _forward(self, requests: list, plans: "nn_compile.PlanCache | None") -> list:
+    def _forward(self, requests: list, plans: "dict[int, nn_compile.CompiledPlan] | None") -> list:
         """One forward, counting its compiled-plan events here even when
         it raises (a width over ``max_seq_len`` raises after its
         ``off_ladder`` fallback)."""
@@ -114,8 +114,5 @@ class InferenceBatcher:
         try:
             return run_group(self.model, requests, plans, events)
         finally:
-            for kind, arg in events:
-                if kind == "arena_bytes":
-                    self._arena_gauge.set(arg)
-                else:
-                    self._compile_counters[kind, arg].inc()
+            for event in events:
+                self._compile_counters[event].inc()

@@ -20,7 +20,8 @@ Adding *rows* is free: extra tables in the batch dimension and extra
 padded columns in the column dimension never change a real row's
 arithmetic (each row's reductions run over its own axis), which is what
 makes cross-table batching exact. Forwards run under ``no_grad`` on
-whatever thread calls them; per-request results are sliced back out as
+whatever thread calls them, and a compiled replay, like an eager forward,
+returns arrays of its own; per-request results are sliced back out as
 contiguous copies so a request never pins its whole batch in memory.
 Phase-1 latents are copied into a
 :class:`~repro.core.latent_cache.CachedEncoding` only for the chunks
@@ -38,7 +39,7 @@ from ..core.adtd import ADTDModel
 from ..core.latent_cache import CachedEncoding
 from ..core.thresholds import ThresholdPolicy
 from ..features.encoding import EncodedTable, collate
-from ..nn.compile import PlanCache, eager_phase1, eager_phase2
+from ..nn.compile import CompiledPlan, eager_phase1, eager_phase2
 from ..nn.functional import stable_sigmoid
 
 __all__ = [
@@ -153,9 +154,7 @@ def _phase1_results(
 ) -> list[Phase1Result]:
     """Slice per-request results (contiguous copies) out of batch outputs.
 
-    Shared by the eager and the compiled path; for the latter the inputs
-    are workspace-arena views, so every copy here must happen before the
-    plan's replay lock is released (the caller guarantees that).
+    Shared by the eager and the compiled path.
     """
     probs = stable_sigmoid(logits_np)
     results: list[Phase1Result] = []
@@ -166,9 +165,7 @@ def _phase1_results(
         if policy is not None and policy.uncertain_columns(row_probs).size:
             # Real copies, not np.ascontiguousarray: a single-row slice of
             # a C-contiguous batch output is already contiguous, so that
-            # would return a *view* — pinning the whole batch in the eager
-            # case and, in the compiled case, aliasing arena buffers the
-            # next replay overwrites.
+            # would return a *view*, pinning the whole batch in memory.
             encoding = CachedEncoding(
                 [array[row : row + 1].copy() for array in layer_arrays]
             )
@@ -179,16 +176,17 @@ def _phase1_results(
 def run_phase1(
     model: ADTDModel,
     requests: list[Phase1Request],
-    plans: PlanCache | None,
+    plans: "dict[int, CompiledPlan] | None",
     events: list | None = None,
 ) -> list[Phase1Result]:
     """One collated metadata-tower forward over same-width requests.
 
-    Replays the compiled phase-1 plan from ``plans`` when given one;
-    ``None`` — or any fallback: width over ``max_seq_len``, busy arena,
-    arena overrun — runs the eager no-grad forward, which is bitwise
-    identical to the replay. The plan's replay and fallback events are
-    appended to ``events`` (see :meth:`~repro.nn.compile.PlanCache.phase1`).
+    Replays the compiled phase-1 plan from ``plans`` (the model's
+    :func:`~repro.nn.compile.plan_cache`) when given them; ``None`` — or
+    a fallback: width over ``max_seq_len``, a retired shape — runs the
+    eager no-grad forward, which is bitwise identical to the replay. The
+    plan's replay and fallback events are appended to ``events`` (see
+    :meth:`~repro.nn.compile.CompiledPlan.run`).
     """
     if not requests:
         return []
@@ -196,17 +194,18 @@ def run_phase1(
     if any(r.meta_width != meta_width for r in requests):
         raise ValueError("phase-1 batch mixes meta widths; group_requests() first")
     batch = collate([r.encoded for r in requests], meta_width=meta_width)
+    outputs = None
     if plans is not None:
-        with plans.phase1(batch, events) as outputs:
-            if outputs is not None:
-                return _phase1_results(requests, *outputs)
-    return _phase1_results(requests, *eager_phase1(model, batch))
+        outputs = plans[1].run(model, batch, None, [] if events is None else events)
+    if outputs is None:
+        outputs = eager_phase1(model, batch)
+    return _phase1_results(requests, *outputs)
 
 
 def run_phase2(
     model: ADTDModel,
     requests: list[Phase2Request],
-    plans: PlanCache | None,
+    plans: "dict[int, CompiledPlan] | None",
     events: list | None = None,
 ) -> list[Phase2Result]:
     """One collated content-tower forward over same-width requests
@@ -228,11 +227,12 @@ def run_phase2(
         r.cached is not None and r.cached.usable_at(meta_width) for r in requests
     )
     cached = [r.cached for r in requests] if all_usable else None
+    logits = None
     if plans is not None:
-        with plans.phase2(batch, cached, events) as logits_np:
-            if logits_np is not None:
-                return _phase2_results(requests, logits_np)
-    return _phase2_results(requests, eager_phase2(model, batch, cached))
+        logits = plans[2].run(model, batch, cached, [] if events is None else events)
+    if logits is None:
+        logits = eager_phase2(model, batch, cached)
+    return _phase2_results(requests, logits)
 
 
 def _phase2_results(
@@ -266,7 +266,7 @@ def group_requests(
 def run_group(
     model: ADTDModel,
     subset: list["Phase1Request | Phase2Request"],
-    plans: PlanCache | None,
+    plans: "dict[int, CompiledPlan] | None",
     events: list | None = None,
 ) -> list["Phase1Result | Phase2Result"]:
     """Run one width-compatible group through the right forward."""

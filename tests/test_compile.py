@@ -4,14 +4,15 @@ The load-bearing property is bitwise identity: a compiled replay must
 produce byte-for-byte the same outputs as the eager no-grad forward, for
 every bucket width, both phases, both phase-2 latent modes, at the
 ``detect()`` level and through ``repro.serve`` — with and without an
-active fault plan, and after the model's weights change under a live plan
-cache. Everything else here covers the plan-cache mechanics: one plan per
-phase, per-shape verification, arena reuse, the ``max_seq_len``
-fallback, grad-mode isolation and per-detector counting.
+active fault plan, and after the model's weights change under live
+plans. Everything else here covers the plan mechanics: one plan per phase
+and model, per-shape verification, concurrent replays, the
+``max_seq_len`` fallback, grad-mode isolation and per-detector counting.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -38,7 +39,13 @@ from repro.faults import FaultPlan, FaultRule
 from repro.features.encoding import collate
 from repro.nn import compile as nn_compile
 from repro.obs import MetricsRegistry
-from repro.sched import InferenceBatcher, Phase1Request, Phase2Request, bucket_width
+from repro.sched import (
+    InferenceBatcher,
+    Phase1Request,
+    Phase1Result,
+    Phase2Request,
+    bucket_width,
+)
 from repro.serve import DetectionService
 
 FAST = CostModel(time_scale=0.0)
@@ -46,32 +53,43 @@ FAST = CostModel(time_scale=0.0)
 KEEP_LATENTS = ThresholdPolicy(0.0, 1.0)
 
 
-@pytest.fixture(autouse=True)
-def _detach_plan_caches(untrained_model, trained_model):
-    """The models are session-scoped; never leak a plan cache to others."""
-    yield
-    nn_compile.disable(untrained_model)
-    nn_compile.disable(trained_model)
+def _fresh_model(tiny_encoder, tiny_corpus, seed=3):
+    return ADTDModel(
+        ADTDConfig(tiny_encoder, num_labels=tiny_corpus.registry.num_labels), seed=seed
+    )
 
 
-def _run(model, requests, batched=False, metrics=None):
-    """Requests through a compile-on batcher: replays whenever the model
-    has a plan cache attached, eager otherwise; one request per forward
-    unless ``batched``. The batcher counts into ``metrics``."""
-    config = DetectorConfig(batching=BatchingConfig(enabled=batched))
+@pytest.fixture()
+def untrained_model(tiny_encoder, tiny_corpus):
+    """The session model's twin (seed 0), made per test: a model's plans
+    keep their verified and retired shapes for its lifetime."""
+    return _fresh_model(tiny_encoder, tiny_corpus, seed=0)
+
+
+def _run(model, requests, batched=False, metrics=None, compiled=True):
+    """Requests through one batcher: replays of the model's plans when
+    ``compiled``, eager otherwise; one request per forward unless
+    ``batched``. The batcher counts into ``metrics``."""
+    config = DetectorConfig(
+        batching=BatchingConfig(enabled=batched), compile=CompileConfig(enabled=compiled)
+    )
     metrics = metrics if metrics is not None else MetricsRegistry()
     return InferenceBatcher(model, config, metrics=metrics).run(requests)
-
-
-def _fresh_model(tiny_encoder, tiny_corpus):
-    return ADTDModel(
-        ADTDConfig(tiny_encoder, num_labels=tiny_corpus.registry.num_labels), seed=3
-    )
 
 
 def _replays(metrics):
     return sum(
         metrics.counter("nn.compile.replays", phase=phase).value for phase in ("1", "2")
+    )
+
+
+def _fallbacks(metrics):
+    """Fallbacks of every reason (``counter(name)`` alone reads the
+    unlabelled series, which nothing increments)."""
+    return sum(
+        state["value"]
+        for key, state in metrics.snapshot().items()
+        if key.startswith("nn.compile.fallbacks{")
     )
 
 
@@ -111,9 +129,8 @@ def _phase2_requests(featurizer, tables, cached_results=None):
 
 
 def _block_first_classifier(monkeypatch):
-    """Park the first compiled replay that reaches its classifier (its
-    last arena growth) until ``release`` is set; ``inside`` is set once
-    it is parked."""
+    """Park the first compiled replay that reaches its classifier until
+    ``release`` is set; ``inside`` is set once it is parked."""
     inside, release = threading.Event(), threading.Event()
     classifier = nn_compile.CompiledPlan._classifier
 
@@ -137,23 +154,22 @@ def _assert_phase1_bitwise(reference, compiled):
             assert ref_layer.tobytes() == got_layer.tobytes()
 
 
+def _assert_bitwise(reference, compiled):
+    """Probabilities, and each Phase-1 result's kept latents, bit for bit."""
+    assert len(reference) == len(compiled)
+    for ref, got in zip(reference, compiled):
+        if isinstance(ref, Phase1Result):
+            _assert_phase1_bitwise([ref], [got])
+        else:
+            assert ref.probs.tobytes() == got.probs.tobytes()
+
+
 # ----------------------------------------------------------------------
 # CompileConfig
 # ----------------------------------------------------------------------
 class TestCompileConfig:
     def test_defaults(self):
-        config = CompileConfig()
-        assert config.enabled and config.arena_bytes_limit == 256 * 1024 * 1024
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="arena_bytes_limit"):
-            CompileConfig(arena_bytes_limit=0)
-
-    def test_replace_revalidates(self):
-        config = CompileConfig()
-        assert config.replace(arena_bytes_limit=4096).arena_bytes_limit == 4096
-        with pytest.raises(ValueError):
-            config.replace(arena_bytes_limit=-1)
+        assert CompileConfig().enabled
 
 
 # ----------------------------------------------------------------------
@@ -172,56 +188,38 @@ class TestBitwiseEquivalence:
             Phase1Request(encoded=encoded, meta_width=w, phase2_policy=KEEP_LATENTS)
             for w in widths
         ]
-        reference = _run(untrained_model, requests)
+        reference = _run(untrained_model, requests, compiled=False)
         metrics = MetricsRegistry()
-        nn_compile.enable(untrained_model)
         # Twice: the first pass verifies each width, the second replays hot.
         for _ in range(2):
             compiled = _run(untrained_model, requests, metrics=metrics)
             _assert_phase1_bitwise(reference, compiled)
-        plan = nn_compile.plan_cache(untrained_model).plans[1]
+        plan = nn_compile.plan_cache(untrained_model)[1]
         assert plan.verified == {(w, "meta") for w in widths}
-        assert plan.replays == 2 * len(widths)
         assert metrics.counter("nn.compile.replays", phase="1").value == 2 * len(widths)
 
     def test_phase1_batched(self, untrained_model, featurizer, tiny_corpus):
         requests = _phase1_requests(featurizer, tiny_corpus.tables[:6])
-        reference = _run(untrained_model, requests)
-        nn_compile.enable(untrained_model)
+        reference = _run(untrained_model, requests, compiled=False)
         compiled = _run(untrained_model, requests, batched=True)
         _assert_phase1_bitwise(reference, compiled)
 
     def test_phase2_cached_and_recompute(self, untrained_model, featurizer, tiny_corpus):
         tables = tiny_corpus.tables[:4]
-        phase1 = _run(untrained_model, _phase1_requests(featurizer, tables))
+        phase1 = _run(untrained_model, _phase1_requests(featurizer, tables), compiled=False)
         for cached in (None, phase1):
             requests = _phase2_requests(featurizer, tables, cached_results=cached)
-            reference = _run(untrained_model, requests)
-            nn_compile.enable(untrained_model)
+            reference = _run(untrained_model, requests, compiled=False)
             for _ in range(2):
                 compiled = _run(untrained_model, requests)
                 for ref, got in zip(reference, compiled):
                     assert ref.probs.tobytes() == got.probs.tobytes()
-            nn_compile.disable(untrained_model)
 
 
 # ----------------------------------------------------------------------
 # Plan-cache mechanics
 # ----------------------------------------------------------------------
 class TestPlanCache:
-    def test_arena_reused_across_replays(self, untrained_model, featurizer, tiny_corpus):
-        requests = _phase1_requests(featurizer, tiny_corpus.tables[:1])
-        cache = nn_compile.enable(untrained_model)
-        _run(untrained_model, requests)
-        plan = cache.plans[1]
-        backings = {name: id(buf) for name, buf in cache.arena._slots.items()}
-        bytes_before = cache.arena.bytes
-        for _ in range(3):
-            _run(untrained_model, requests)
-        assert plan.replays >= 4
-        assert cache.arena.bytes == bytes_before
-        assert {name: id(buf) for name, buf in cache.arena._slots.items()} == backings
-
     def test_any_width_under_the_cap_replays_bitwise(
         self, untrained_model, featurizer, tiny_corpus
     ):
@@ -235,11 +233,10 @@ class TestPlanCache:
         requests = [
             Phase1Request(encoded=encoded, meta_width=width, phase2_policy=KEEP_LATENTS)
         ]
-        reference = _run(untrained_model, requests)
-        cache = nn_compile.enable(untrained_model)
+        reference = _run(untrained_model, requests, compiled=False)
         compiled = _run(untrained_model, requests, metrics=metrics)
         _assert_phase1_bitwise(reference, compiled)
-        assert cache.plans[1].verified == {(width, "meta")}
+        assert nn_compile.plan_cache(untrained_model)[1].verified == {(width, "meta")}
         assert metrics.counter("nn.compile.replays", phase="1").value == 1
         assert metrics.counter("nn.compile.fallbacks", reason="off_ladder").value == 0
 
@@ -252,74 +249,17 @@ class TestPlanCache:
         )
         width = untrained_model.config.encoder.max_seq_len + 16
         requests = [Phase1Request(encoded=encoded, meta_width=width)]
-        cache = nn_compile.enable(untrained_model)
         with pytest.raises(ValueError, match="max_seq_len"):
             _run(untrained_model, requests, metrics=metrics)
         assert metrics.counter("nn.compile.fallbacks", reason="off_ladder").value == 1
-        assert not cache.plans[1].verified and cache.arena.bytes == 0
+        assert not nn_compile.plan_cache(untrained_model)[1].verified
 
-    def test_busy_plan_falls_back_bitwise(self, untrained_model, featurizer, tiny_corpus):
-        metrics = MetricsRegistry()
-        requests = _phase1_requests(featurizer, tiny_corpus.tables[:1])
-        reference = _run(untrained_model, requests)
-        cache = nn_compile.enable(untrained_model)
-        _run(untrained_model, requests)
-        with cache._replay_lock:  # simulate another thread mid-replay
-            compiled = _run(untrained_model, requests, metrics=metrics)
-        _assert_phase1_bitwise(reference, compiled)
-        assert metrics.counter("nn.compile.fallbacks", reason="busy").value == 1
-
-    def test_disable_detaches_and_releases(self, untrained_model, featurizer, tiny_corpus):
-        requests = _phase1_requests(featurizer, tiny_corpus.tables[:1])
-        cache = nn_compile.enable(untrained_model)
-        _run(untrained_model, requests)
-        assert cache.arena.bytes > 0
-        nn_compile.disable(untrained_model)
-        assert nn_compile.plan_cache(untrained_model) is None
-        assert cache.arena.bytes == 0
-
-    def test_one_arena_serves_every_plan(self, untrained_model, featurizer, tiny_corpus):
-        """Replays of two widths share the cache's arena: it holds the
-        largest demand per buffer name, and ``disable()`` brings it back
-        to zero."""
-        metrics = MetricsRegistry()
-        encoded = featurizer.encode_offline(
-            tiny_corpus.tables[0], with_content=False, with_labels=False
-        )
-        narrow, wide = [w for w in _ladder() if w >= len(encoded.meta.token_ids)][:2]
-        requests = {
-            width: [Phase1Request(encoded=encoded, meta_width=width)]
-            for width in (narrow, wide)
-        }
-        demand = {}
-        for width in (narrow, wide):
-            cache = nn_compile.enable(untrained_model)
-            _run(untrained_model, requests[width])
-            demand[width] = {name: buf.nbytes for name, buf in cache.arena._slots.items()}
-            nn_compile.disable(untrained_model)
-            assert cache.arena.bytes == 0
-        assert sum(demand[wide].values()) > sum(demand[narrow].values())
-
-        cache = nn_compile.enable(untrained_model)
-        _run(untrained_model, requests[wide], metrics=metrics)
-        _run(untrained_model, requests[narrow], metrics=metrics)
-        assert cache.plans[1].verified == {(narrow, "meta"), (wide, "meta")}
-        largest = {
-            name: max(demand[narrow].get(name, 0), demand[wide].get(name, 0))
-            for name in demand[narrow].keys() | demand[wide].keys()
-        }
-        held = {name: buf.nbytes for name, buf in cache.arena._slots.items()}
-        assert held == largest
-        assert cache.arena.bytes == sum(held.values())
-        assert cache.arena.bytes < sum(demand[narrow].values()) + sum(demand[wide].values())
-        assert metrics.gauge("nn.compile.arena_bytes").value == cache.arena.bytes
-
-        nn_compile.disable(untrained_model)
-        assert cache.arena.bytes == 0 and not cache.arena._slots
-
-    def test_concurrent_replay_of_another_plan_falls_back_busy(
+    def test_concurrent_replays_on_one_model_both_replay_bitwise(
         self, untrained_model, featurizer, tiny_corpus, monkeypatch
     ):
+        """A replay parked mid-forward does not hold the model's plans:
+        a second thread's replay on the same model runs to the end beside
+        it, both count as replays and both equal the eager forward."""
         metrics = MetricsRegistry()
         encoded = featurizer.encode_offline(
             tiny_corpus.tables[0], with_content=False, with_labels=False
@@ -329,8 +269,10 @@ class TestPlanCache:
             width: [Phase1Request(encoded=encoded, meta_width=width, phase2_policy=KEEP_LATENTS)]
             for width in (narrow, wide)
         }
-        reference = {width: _run(untrained_model, requests[width]) for width in (narrow, wide)}
-        nn_compile.enable(untrained_model)
+        reference = {
+            width: _run(untrained_model, requests[width], compiled=False)
+            for width in (narrow, wide)
+        }
         inside, release = _block_first_classifier(monkeypatch)
         results = {}
         replay = threading.Thread(
@@ -339,59 +281,78 @@ class TestPlanCache:
             )
         )
         replay.start()
-        assert inside.wait(timeout=10.0)
-        results["wide"] = _run(untrained_model, requests[wide], metrics=metrics)
-        release.set()
-        replay.join(timeout=10.0)
+        try:
+            assert inside.wait(timeout=10.0)
+            results["wide"] = _run(untrained_model, requests[wide], metrics=metrics)
+            assert "narrow" not in results  # the parked replay is still running
+        finally:
+            release.set()
+            replay.join(timeout=10.0)
         assert not replay.is_alive()
-        assert metrics.counter("nn.compile.fallbacks", reason="busy").value == 1
+        assert metrics.counter("nn.compile.replays", phase="1").value == 2
+        assert _fallbacks(metrics) == 0
+        assert nn_compile.plan_cache(untrained_model)[1].verified == {
+            (narrow, "meta"),
+            (wide, "meta"),
+        }
         _assert_phase1_bitwise(reference[wide], results["wide"])
         _assert_phase1_bitwise(reference[narrow], results["narrow"])
 
-    def test_disable_during_replay_leaks_no_arena_bytes(
-        self, untrained_model, featurizer, tiny_corpus, monkeypatch
+    def test_replays_on_more_threads_than_cores_stay_bitwise(
+        self, untrained_model, featurizer, tiny_corpus
     ):
-        """A ``disable()`` that lands mid-replay must not strand the bytes
-        that replay grows afterwards: it waits for the replay, then the
-        detached cache holds and accounts zero bytes, and a re-attached
-        cache accounts exactly what it holds."""
+        """Four threads replay both phases (and both latent modes) on one
+        model at once, switching every microsecond: every forward is a
+        replay, none falls back, and each equals the eager forward."""
+        tables = tiny_corpus.tables[:4]
+        phase1 = _run(untrained_model, _phase1_requests(featurizer, tables), compiled=False)
+        requests = (
+            _phase1_requests(featurizer, tables)
+            + _phase2_requests(featurizer, tables, cached_results=phase1)
+            + _phase2_requests(featurizer, tables)
+        )
+        reference = _run(untrained_model, requests, compiled=False)
         metrics = MetricsRegistry()
-        requests = _phase1_requests(featurizer, tiny_corpus.tables[:1])
-        cache = nn_compile.enable(untrained_model)
-        inside, release = _block_first_classifier(monkeypatch)
-        replay = threading.Thread(target=_run, args=(untrained_model, requests))
-        replay.start()
-        assert inside.wait(timeout=10.0)
-        disable = threading.Thread(target=nn_compile.disable, args=(untrained_model,))
-        disable.start()
-        disable.join(timeout=0.2)  # returns at once if disable ignores the replay
-        assert disable.is_alive()
-        release.set()
-        for thread in (replay, disable):
-            thread.join(timeout=10.0)
-            assert not thread.is_alive()
-        assert nn_compile.plan_cache(untrained_model) is None
-        assert cache.plans[1].replays == 1
-        assert cache.arena.bytes == 0 and not cache.arena._slots
-        fresh = nn_compile.enable(untrained_model)
-        assert fresh is not cache
-        _run(untrained_model, requests, metrics=metrics)
-        held = sum(buf.nbytes for buf in fresh.arena._slots.values())
-        assert metrics.gauge("nn.compile.arena_bytes").value == fresh.arena.bytes == held > 0
+        results, errors = [], []
 
-    def test_enable_reuses_matching_cache(self, tiny_encoder, tiny_corpus):
-        """A cache is reused on its config alone: a weight change does not
-        replace it (plans read the live weights), and neither does the
-        registry a detector counts into (``enable`` takes none)."""
+        def worker():
+            try:
+                for _ in range(3):
+                    results.append(_run(untrained_model, requests, metrics=metrics))
+            except BaseException as error:
+                errors.append(error)
+                raise
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(results) == 12
+        for result in results:
+            _assert_bitwise(reference, result)
+        assert _replays(metrics) == 12 * len(requests)
+        assert _fallbacks(metrics) == 0
+
+    def test_plan_cache_is_made_once_per_model(self, tiny_encoder, tiny_corpus):
+        """A model's two plans are made on first use and kept: a weight
+        change does not replace them (plans read the live weights), and
+        another model gets plans of its own."""
         model = _fresh_model(tiny_encoder, tiny_corpus)
-        first = nn_compile.enable(model)
-        assert nn_compile.enable(model) is first
-        assert nn_compile.enable(model, CompileConfig()) is first
+        plans = nn_compile.plan_cache(model)
+        assert {phase: plan.phase for phase, plan in plans.items()} == {1: 1, 2: 2}
+        assert nn_compile.plan_cache(model) is plans
         model.encoder.blocks[0].attention.query_proj.weight.data *= 1.5
-        assert nn_compile.enable(model) is first
-        other = nn_compile.enable(model, CompileConfig(arena_bytes_limit=1 << 20))
-        assert other is not first
-        assert nn_compile.plan_cache(model) is other
+        assert nn_compile.plan_cache(model) is plans
+        other = nn_compile.plan_cache(_fresh_model(tiny_encoder, tiny_corpus))
+        assert other is not plans
+        assert all(other[phase] is not plans[phase] for phase in (1, 2))
 
 
 # ----------------------------------------------------------------------
@@ -417,7 +378,9 @@ class TestPerShapeVerification:
             width: [Phase1Request(encoded=encoded, meta_width=width, phase2_policy=KEEP_LATENTS)]
             for width in (bad, good)
         }
-        reference = {width: _run(untrained_model, requests[width]) for width in (bad, good)}
+        reference = {
+            width: _run(untrained_model, requests[width], compiled=False) for width in (bad, good)
+        }
         matches = nn_compile.CompiledPlan._matches
 
         def fails_at_bad(plan, outputs, expected):
@@ -426,15 +389,13 @@ class TestPerShapeVerification:
             return matches(plan, outputs, expected)
 
         monkeypatch.setattr(nn_compile.CompiledPlan, "_matches", fails_at_bad)
-        cache = nn_compile.enable(untrained_model)
         for _ in range(2):
             for width in (bad, good):
                 compiled = _run(untrained_model, requests[width], metrics=metrics)
                 _assert_phase1_bitwise(reference[width], compiled)
-        plan = cache.plans[1]
+        plan = nn_compile.plan_cache(untrained_model)[1]
         assert plan.dead == {bad}
         assert plan.verified == {(good, "meta")}
-        assert plan.replays == 2
         assert metrics.counter("nn.compile.fallbacks", reason="verify").value == 1
         assert metrics.counter("nn.compile.fallbacks", reason="dead").value == 1
         assert metrics.counter("nn.compile.replays", phase="1").value == 2
@@ -469,7 +430,7 @@ class TestPerShapeVerification:
         )
         for _ in range(2):
             detector.detect(CloudDatabaseServer.from_tables(tables, FAST))
-        plans = nn_compile.plan_cache(untrained_model).plans
+        plans = nn_compile.plan_cache(untrained_model)
         assert len({shape for _, shape, _ in verifies if isinstance(shape, int)}) >= 3
         assert len({shape for _, shape, _ in verifies if isinstance(shape, tuple)}) >= 3
         assert len(verifies) == len(set(verifies))
@@ -478,7 +439,7 @@ class TestPerShapeVerification:
         }
         for phase in ("1", "2"):
             assert metrics.counter("nn.compile.replays", phase=phase).value > len(verifies)
-        assert metrics.counter("nn.compile.fallbacks").value == 0
+        assert _fallbacks(metrics) == 0
 
 
 def _common_width_batches(model, featurizer, tables):
@@ -552,22 +513,19 @@ class TestSlicedVerification:
 
         monkeypatch.setattr(nn_compile.CompiledPlan, "_replay", planted)
         events = []
-        cache = nn_compile.enable(untrained_model)
+        plan = nn_compile.plan_cache(untrained_model)[phase]
         if phase == 1:
             expected = nn_compile.eager_phase1(untrained_model, batch1)[0]
-            with cache.phase1(batch1, events) as outputs:
-                got = outputs[0].copy()
+            got = plan.run(untrained_model, batch1, None, events)[0]
             shape = batch1.meta_ids.shape[1]
         else:
             expected = nn_compile.eager_phase2(untrained_model, batch2, cached)
-            with cache.phase2(batch2, cached, events) as outputs:
-                got = outputs.copy()
+            got = plan.run(untrained_model, batch2, cached, events)
             shape = (batch2.meta_ids.shape[1], batch2.content_ids.shape[1])
         assert got.tobytes() == expected.tobytes()
-        plan = cache.plans[phase]
         assert plan.dead == {shape}
-        assert not plan.verified and plan.replays == 0
-        assert [event for event in events if event[0] != "arena_bytes"] == [("fallback", "verify")]
+        assert not plan.verified
+        assert events == [("fallback", "verify")]
 
 
 # ----------------------------------------------------------------------
@@ -575,7 +533,7 @@ class TestSlicedVerification:
 # ----------------------------------------------------------------------
 class TestGradIsolation:
     def test_training_never_routes_through_plans(
-        self, tiny_encoder, tiny_corpus, featurizer
+        self, tiny_encoder, tiny_corpus, featurizer, monkeypatch
     ):
         """Training runs the autograd forward: it leaves the warm plans
         alone and replays nothing, and compiled inference afterwards still
@@ -591,19 +549,25 @@ class TestGradIsolation:
             )
 
         before = detect(compiled)
-        cache = nn_compile.plan_cache(model)
-        plans = dict(cache.plans)
-        replays = {phase: plan.replays for phase, plan in plans.items()}
-        assert all(replays.values())
+        plans = nn_compile.plan_cache(model)
+        verified = {phase: set(plan.verified) for phase, plan in plans.items()}
+        assert all(verified.values())
+        replayed = []
+        run = nn_compile.CompiledPlan.run
+        monkeypatch.setattr(
+            nn_compile.CompiledPlan,
+            "run",
+            lambda plan, *args: replayed.append(plan.phase) or run(plan, *args),
+        )
         fine_tune(
             model,
             featurizer,
             tiny_corpus.train[:4],
             TrainConfig(epochs=1, batch_size=4, learning_rate=1e-3),
         )
-        assert nn_compile.plan_cache(model) is cache
-        assert all(cache.plans[phase] is plans[phase] for phase in (1, 2))
-        assert {phase: plan.replays for phase, plan in plans.items()} == replays
+        assert replayed == []
+        assert nn_compile.plan_cache(model) is plans
+        assert {phase: plan.verified for phase, plan in plans.items()} == verified
         counted = _replays(metrics)
         after = detect(compiled)
         assert _replays(metrics) > counted
@@ -694,7 +658,7 @@ class TestGradIsolation:
         from repro.core.training import task_losses
         from repro.features.encoding import collate
 
-        nn_compile.enable(untrained_model)
+        nn_compile.plan_cache(untrained_model)
         encoded = featurizer.encode_offline(tiny_corpus.train[0])
         batch = collate([encoded])
         meta_loss, content_loss = task_losses(untrained_model, batch)

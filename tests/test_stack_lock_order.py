@@ -37,7 +37,6 @@ from repro.faults import FaultPlan, FaultRule
 from repro.faults.plan import FaultInjector
 from repro.features import FeatureConfig, Featurizer
 from repro.features.encoding import TokenEncodeCache
-from repro.nn.compile import PlanCache
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.metrics import Counter, Gauge, Histogram
 from repro.sched import forward as sched_forward
@@ -57,7 +56,6 @@ LOCK_OWNERS = (
     DetectionService,
     TokenBucket,
     AdmissionController,
-    PlanCache,
     TokenEncodeCache,
     Tracer,
     MetricsRegistry,
