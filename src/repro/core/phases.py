@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from ..db.connection import Connection
-from ..db.cost import CostLedger, billed_to
+from ..db.cost import CostLedger, billed_to, owed
 from ..db.schema import TableMetadata
 from ..errors import RetryDeadlineError, RetryGiveUpError
 from ..features.encoding import EncodedTable, split_metadata
@@ -55,8 +55,8 @@ class ChunkState:
     """Per-chunk intermediate state between phases.
 
     Featurization happens in the *prep* stages (it is pure CPU work that
-    belongs on TP1 and must be redone if a retried fetch returns different
-    data); the infer stages only see ready-to-collate encodings.
+    belongs on TP1, run once the fetch it reads has succeeded); the infer
+    stages only see ready-to-collate encodings.
     """
 
     metadata: TableMetadata
@@ -101,6 +101,9 @@ class TableJob:
         self.content_by_column: dict[int, list[str]] = {}
         self.result = TableResult(table_name, predictions=[])
         self.completed_stages = 0
+        self._prep_started = 0.0  # clock at a prep stage's fetch start
+        # A prep stage's featurize part, while its fetch's waits are owed.
+        self._featurize: Callable[[], None] | None = None
         self._infer_started = 0.0  # clock at infer_requests(), for apply_inference()
 
     # ------------------------------------------------------------------
@@ -117,52 +120,52 @@ class TableJob:
             return None
         return STAGE_KINDS[self.completed_stages]
 
-    def run_next_stage(self) -> None:
-        """Run the next stage; stages must execute in order per table.
+    def run_next_stage(self) -> bool:
+        """Run the next stage, or the rest of a stage a round trip left owing.
 
         An inference stage runs as :meth:`infer_phase1` /
         :meth:`infer_phase2`: the same request build, forward and readout
         a pipelined round makes, recorded by :meth:`apply_inference`.
 
         A data-preparation stage (the only kind that touches the
-        connection) runs inside a tracer span carrying the table name, the
-        stage name and its resource kind; :class:`TableResult`'s per-stage
-        seconds are populated from the span (or from a bare clock pair when
-        tracing is disabled). It runs under the detector's
-        :class:`~repro.faults.RetryPolicy`: a retryable fault is retried
-        with backoff, and exhausted retries either degrade the table
-        (``runtime.degrade=True``, the default) or re-raise.
+        connection) is a *fetch* part, :meth:`prepare_phase1` /
+        :meth:`prepare_phase2`, run under the detector's
+        :class:`~repro.faults.RetryPolicy` (a retryable fault is retried
+        with backoff, and exhausted retries either degrade the table,
+        ``runtime.degrade=True``, the default, or re-raise), then a pure
+        CPU *featurize* part, :meth:`featurize_phase1` /
+        :meth:`featurize_phase2`, that reads what the fetch returned.
+        Inside a :func:`~repro.db.cost.deferring` block the fetch's waits
+        are owed, not slept: the call then stops after the fetch and
+        returns ``True``, and the caller makes the next call, which
+        featurizes, no earlier than the owed seconds from now. Otherwise
+        both parts run at once and ``False`` is returned.
+
+        A prep stage's span and :class:`TableResult` seconds run from the
+        fetch start to the featurize end, owed waits included.
         """
         stage = self.completed_stages
-        runner = (
-            self.prepare_phase1,
-            self.infer_phase1,
-            self.prepare_phase2,
-            self.infer_phase2,
-        )[stage]
         if STAGE_KINDS[stage] == "infer":
-            runner()
-            return
-        tracer = self._tracer()
+            (self.infer_phase1 if stage == 1 else self.infer_phase2)()
+            return False
         metrics = self._metrics()
-        name = STAGE_NAMES[stage]
-        if tracer.enabled:
-            with tracer.span(
-                f"stage.{name}",
-                table=self.table_name,
-                stage=name,
-                kind="prep",
-                index=stage,
-                **self.span_attrs,
-            ) as span:
-                self._run_prep_stage(runner, name, stage, metrics)
-                span.set(**self._outcome_attrs())
-            elapsed = span.duration
-        else:
-            started = time.perf_counter()
-            self._run_prep_stage(runner, name, stage, metrics)
-            elapsed = time.perf_counter() - started
-        self._finish_stage(stage, elapsed, metrics)
+        featurize, self._featurize = self._featurize, None
+        try:
+            if featurize is None:
+                self._prep_started = time.perf_counter()
+                featurize = self._fetch(stage, metrics)
+                if featurize is None:  # gave up: the stage ends when its waits do
+                    self._end_prep_stage(stage, time.perf_counter() + owed(), metrics)
+                    return False
+                if owed() > 0:
+                    self._featurize = featurize
+                    return True
+            featurize()
+        except BaseException as error:
+            self._end_prep_stage(stage, time.perf_counter() + owed(), metrics, error)
+            raise
+        self._end_prep_stage(stage, time.perf_counter(), metrics)
+        return False
 
     def infer_requests(self) -> "list[Phase1Request | Phase2Request]":
         """Start the next (infer) stage: the chunk requests it runs."""
@@ -223,22 +226,57 @@ class TableJob:
         setattr(self.result, attr, elapsed)
         self.completed_stages = max(self.completed_stages, stage + 1)
 
+    def _end_prep_stage(
+        self, stage: int, ended: float, metrics, error: BaseException | None = None
+    ) -> None:
+        """Record prep stage ``stage``, which began at ``_prep_started``.
+
+        Its span parents to the caller's current span, which on a prep
+        worker is the dispatcher's; a stage that raised gets no seconds.
+        """
+        name = STAGE_NAMES[stage]
+        attrs = self._outcome_attrs()
+        if error is not None:
+            attrs["error"] = repr(error)
+        self._tracer().interval(
+            f"stage.{name}",
+            self._prep_started,
+            ended,
+            parent=current_span(),
+            table=self.table_name,
+            stage=name,
+            kind="prep",
+            index=stage,
+            **self.span_attrs,
+            **attrs,
+        )
+        if error is None:
+            self._finish_stage(stage, ended - self._prep_started, metrics)
+
     # ------------------------------------------------------------------
     # Resilience: retries and graceful degradation for prep stages
     # ------------------------------------------------------------------
-    def _run_prep_stage(self, runner, name: str, stage: int, metrics) -> None:
-        """Run an I/O stage under the detector's retry policy.
+    def _fetch(self, stage: int, metrics) -> Callable[[], None] | None:
+        """Run prep stage ``stage``'s fetch part under the detector's retry
+        policy, billed to the job; its featurize part, or ``None`` when the
+        stage gave up.
 
         Only *fault-class* errors (see ``RetryPolicy.retryable``) are
         retried and, on give-up, degraded; anything else — unknown table,
         SQL error, model bug — propagates unchanged on first occurrence.
         """
+        fetch, featurize = (
+            (self.prepare_phase1, self.featurize_phase1)
+            if stage == 0
+            else (self.prepare_phase2, self.featurize_phase2)
+        )
+        name = STAGE_NAMES[stage]
         detector = self.detector
         policy = getattr(detector, "retry_policy", None)
         with billed_to(self.cost):
             if policy is None:
-                runner()
-                return
+                fetch()
+                return featurize
             retry_counter = metrics.counter("faults.retries", stage=name)
 
             def on_retry(error: BaseException, attempt: int, delay: float) -> None:
@@ -246,7 +284,7 @@ class TableJob:
                 self.result.retries += 1
 
             try:
-                policy.run(runner, label=f"{name}[{self.table_name}]", on_retry=on_retry)
+                policy.run(fetch, label=f"{name}[{self.table_name}]", on_retry=on_retry)
             except RetryGiveUpError as error:
                 metrics.counter("faults.giveups", stage=name).inc()
                 if isinstance(error, RetryDeadlineError):
@@ -254,6 +292,8 @@ class TableJob:
                 if not getattr(detector, "degrade", True):
                     raise
                 self._give_up(stage, error, metrics)
+                return None
+        return featurize
 
     def _give_up(self, stage: int, error: RetryGiveUpError, metrics) -> None:
         """Record a permanent stage failure and degrade gracefully.
@@ -285,18 +325,19 @@ class TableJob:
     # Stage 1: P1 data preparation (I/O)
     # ------------------------------------------------------------------
     def prepare_phase1(self) -> None:
-        # Reset chunk state first: a retried attempt must not duplicate
-        # the chunks a half-failed earlier attempt may have appended.
-        self.chunks = []
+        """Stage 1's fetch part: the table's metadata, one round trip."""
         self.metadata = self.connection.fetch_metadata(self.table_name)
+
+    def featurize_phase1(self) -> None:
+        """Stage 1's featurize part: split the metadata into chunks and
+        encode them here, on TP1, so the infer stage's critical path is
+        pure model compute (which the batcher can batch across tables)."""
         featurizer = self.detector.featurizer
         threshold = featurizer.config.column_split_threshold
+        self.chunks = []
         offset = 0
         for chunk_md in split_metadata(self.metadata, threshold):
             chunk = ChunkState(chunk_md, column_offset=offset)
-            # Featurize here, on TP1: encoding is CPU prep work, and doing
-            # it now keeps the infer stage's critical path to pure model
-            # compute (which the batcher can batch across tables).
             chunk.encoded_p1 = featurizer.encode(chunk_md)
             self.chunks.append(chunk)
             offset += len(chunk_md.columns)
@@ -357,6 +398,9 @@ class TableJob:
     # Stage 3: P2 data preparation (I/O)
     # ------------------------------------------------------------------
     def prepare_phase2(self) -> None:
+        """Stage 3's fetch part: one content scan of every uncertain
+        column, none when Phase 1 was certain about all of them. A retried
+        attempt overwrites the content map."""
         detector = self.detector
         uncertain_names: list[str] = []
         uncertain_global: list[int] = []
@@ -376,9 +420,11 @@ class TableJob:
         )
         for global_index, name in zip(uncertain_global, uncertain_names):
             self.content_by_column[global_index] = values[name]
-        # Featurize the content encodings now (TP1 work), so the infer
-        # stage is pure model compute. A retried attempt overwrites both
-        # the content map and the encodings — no duplicate state.
+
+    def featurize_phase2(self) -> None:
+        """Stage 3's featurize part: the content encodings (TP1 work), so
+        the infer stage is pure model compute."""
+        featurizer = self.detector.featurizer
         for chunk in self.chunks:
             chunk.local_content = {
                 int(local): self.content_by_column[chunk.column_offset + int(local)]
@@ -386,7 +432,7 @@ class TableJob:
                 if (chunk.column_offset + int(local)) in self.content_by_column
             }
             chunk.encoded_p2 = (
-                detector.featurizer.encode(chunk.metadata, chunk.local_content)
+                featurizer.encode(chunk.metadata, chunk.local_content)
                 if chunk.local_content
                 else None
             )

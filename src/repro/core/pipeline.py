@@ -23,20 +23,30 @@ from the prep queue, so the next round carries every table prepared
 during this one, and a stage that becomes ready during a round waits at
 most for that round (DESIGN §5d).
 
-``prep_workers`` counts prep stages *on the CPU*: while a stage sits in
-a real wait (:func:`repro.db.cost.wait` — a charged round trip, an
-injected fault delay, a retry backoff) it gives its slot back, and on
-waking takes it back without blocking (briefly over the limit).
-:data:`PREP_THREADS` caps CPU slots plus overlapped waits. With
-``time_scale=0`` only retry backoffs wait, so a run without retries runs
-at most ``prep_workers`` prep stages, as a fixed-size pool would.
+``prep_workers`` counts prep stages on the CPU, and TP1 has exactly that
+many threads: no thread ever sits in a database wait. A prep stage runs
+inside :func:`repro.db.cost.deferring`, so its waits (a charged round
+trip, an injected fault delay, a retry backoff) are owed, not slept. A
+:class:`~repro.core.phases.TableJob` stage whose fetch owes time stops
+there and its worker takes the next ready stage; the loop parks the job
+on a heap keyed by its due time (the fetch's end plus what it owes) and,
+at that time, files it as ready for ``prep`` again, so the next worker
+runs the stage's featurize part. No CPU that reads a round trip's result
+runs before that round trip's due time, so a stage completes no earlier
+than it would have sleeping. A stage machine without a second part is
+reported at its due time, and so is an error raised after owed waits.
+Parked jobs count as in flight; an aborted run drops them. With
+``time_scale=0`` only retry backoffs are owed, so a run without retries
+never parks.
 
 The loop is event-driven: workers ``notify_all()`` the condition on
-completion, and the loop waits on it when nothing is ready (a firing of
-the long ``wait_timeout`` safety net is counted in
-``pipeline.wait_timeouts``; a healthy run records zero). Prep stages run
-in a copy of the dispatcher's :mod:`contextvars` context and rounds in
-its own, so tracer spans of either kind parent to the run's root span.
+completion, and the loop waits on it when nothing is ready, until the
+next parked job's due time at the latest. A firing of the long
+``wait_timeout`` safety net with stages on the CPU is counted in
+``pipeline.wait_timeouts`` (a healthy run records zero); a timer wakeup
+is not. Prep stages run in a copy of the dispatcher's :mod:`contextvars`
+context and rounds in its own, so tracer spans of either kind parent to
+the run's root span.
 The same loop serves the one-shot :meth:`PipelinedExecutor.run` and the
 long-lived :class:`~repro.serve.DetectionService`, through their sources.
 
@@ -46,29 +56,22 @@ one, stages strictly in order, no overlap.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import heapq
+import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Iterator, Protocol
+from typing import TYPE_CHECKING, Protocol
 
-from ..db.cost import WAIT_SCOPE
+from ..db.cost import deferring
 from ..obs.metrics import MetricsRegistry, NullMetricsRegistry, global_registry
 from .phases import TableJob
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .detector import TasteDetector
 
-__all__ = ["JobSource", "PipelinedExecutor", "SequentialExecutor", "PREP_THREADS"]
-
-# TP1's thread count (or ``prep_workers``, if larger): the ceiling on prep
-# stages in flight, on the CPU or in a database wait. On the ``wiki_netio``
-# benchmark workload (5 ms round trips, 2 vCPUs) throughput is flat from 8
-# to 32 threads and about half that at 4; 16 leaves headroom for slower
-# round trips, which need more waits in flight for the same rate.
-PREP_THREADS = 16
+__all__ = ["JobSource", "PipelinedExecutor", "SequentialExecutor"]
 
 
 class SequentialExecutor:
@@ -180,15 +183,14 @@ class PipelinedExecutor:
     """Algorithm 1: prep stages on TP1, inference in rounds on the loop.
 
     Ready stages are taken from the source's queues in its order (see the
-    module docstring); TP1 has ``max(prep_workers, PREP_THREADS)``
-    threads, and inference runs on the thread that calls
-    :meth:`run_source`, one round per pass holding every infer stage
-    ready at its start.
+    module docstring); TP1 has ``prep_workers`` threads, and inference
+    runs on the thread that calls :meth:`run_source`, one round per pass
+    holding every infer stage ready at its start.
 
     Parameters
     ----------
     prep_workers:
-        Prep stages on the CPU at once (TP1's slots).
+        Prep stages on the CPU at once (TP1's threads).
     detector:
         The :class:`~repro.core.TasteDetector` whose tables run: a round
         runs through its :meth:`~repro.core.TasteDetector.run_inference`.
@@ -196,13 +198,14 @@ class PipelinedExecutor:
         machines whose infer stages need no model.
     wait_timeout:
         Safety-net timeout for the dispatch loop's ``condition.wait``.
-        Workers always notify on completion, so a firing with stages in
-        flight is a stall and increments ``pipeline.wait_timeouts`` (an
+        Workers always notify on completion, so a firing with prep stages
+        on the CPU is a stall and increments ``pipeline.wait_timeouts`` (an
         idle long-lived source times out routinely and is not counted).
 
     A stage machine the loop drives has ``done``, ``next_stage_kind()``
-    and ``run_next_stage()`` (prep stages), and for its infer stages
-    ``infer_requests()`` and ``apply_inference(results)``, as
+    and ``run_next_stage()`` (prep stages; a true result means the stage
+    stopped owing time and the next call finishes it), and for its infer
+    stages ``infer_requests()`` and ``apply_inference(results)``, as
     :class:`~repro.core.phases.TableJob`.
     """
 
@@ -270,8 +273,9 @@ class PipelinedExecutor:
 
         The long-lived entry point: the loop keeps waiting on the
         source's condition while ``finished()`` is false, so a service
-        can keep enqueuing jobs. The loop's own state is its in-flight
-        counts; which jobs are ready, and since when, is the source's.
+        can keep enqueuing jobs. The loop's own state is its prep stages
+        on the CPU and its parked jobs; which jobs are ready, and since
+        when, is the source's.
         The only shared lock is ``source.condition``.
         """
         metrics = metrics if metrics is not None else global_registry()
@@ -294,32 +298,12 @@ class PipelinedExecutor:
         dispatch_seconds = metrics.histogram("pipeline.dispatch_seconds")
 
         condition = source.condition
-        # ``prep_in_flight`` counts prep stages on the CPU; ``waiting``
-        # those blocked in a real wait, which hold a thread but no slot.
+        # Prep stages on the CPU, and those parked until the due time of
+        # the waits they owe: ``(due, seq, job, error, left)``, where
+        # ``left`` says the stage has a part left to run.
         prep_in_flight = 0
-        waiting = 0
-
-        @contextlib.contextmanager
-        def slot_released() -> Iterator[None]:
-            # Entered by every real wait of a prep stage. Re-entry never
-            # blocks: a stage that waited for a free slot here would park a
-            # TP1 thread that a dispatched stage may be queued behind.
-            nonlocal prep_in_flight, waiting
-            with condition:
-                prep_in_flight -= 1
-                waiting += 1
-                in_flight_gauges["prep"].set(prep_in_flight)
-                waiting_gauge.set(waiting)
-                db_waits.inc()
-                condition.notify_all()
-            try:
-                yield
-            finally:
-                with condition:
-                    waiting -= 1
-                    prep_in_flight += 1
-                    in_flight_gauges["prep"].set(prep_in_flight)
-                    waiting_gauge.set(waiting)
+        parked: list[tuple[float, int, TableJob, BaseException | None, bool]] = []
+        park_seq = itertools.count()
 
         def report(job: TableJob, error: BaseException | None) -> None:
             # Condition held: the job's stage is over; report it, then its
@@ -331,6 +315,23 @@ class PipelinedExecutor:
             if not job.done:
                 source.ready(job, time.perf_counter())
 
+        def resume(job: TableJob, error: BaseException | None, left: bool) -> None:
+            # Condition held: the rest of the stage is ready, or it is over.
+            if left and error is None:
+                source.ready(job, time.perf_counter())
+            else:
+                report(job, error)
+
+        def release_due() -> None:
+            # Condition held: resume every parked job whose due time came.
+            if not parked:
+                return
+            now = time.monotonic()
+            while parked and parked[0][0] <= now:
+                _, _, job, error, left = heapq.heappop(parked)
+                resume(job, error, left)
+            waiting_gauge.set(len(parked))
+
         def dispatch(kind: str, taken: tuple[TableJob, float]) -> TableJob:
             job, since = taken
             queue_wait[kind].observe(time.perf_counter() - since)
@@ -340,23 +341,26 @@ class PipelinedExecutor:
 
         def prep_worker(job: TableJob | None) -> None:
             nonlocal prep_in_flight
-            # Scoped to this dispatch's context copy; gone when it ends.
-            WAIT_SCOPE.set(slot_released)
             while job is not None:
                 error: BaseException | None = None
-                try:
-                    job.run_next_stage()
-                except BaseException as stage_error:  # routed to the source
-                    error = stage_error
+                left = False
+                with deferring() as deferred:
+                    try:
+                        left = bool(job.run_next_stage())
+                    except BaseException as stage_error:  # routed to the source
+                        error = stage_error
+                due = time.monotonic() + deferred.seconds
                 with condition:
-                    report(job, error)
+                    if deferred.seconds > 0:
+                        db_waits.inc(deferred.waits)
+                        heapq.heappush(parked, (due, next(park_seq), job, error, left))
+                        waiting_gauge.set(len(parked))
+                    else:
+                        resume(job, error, left)
                     # Refill the slot here, not on the loop's next pass, so
-                    # prep keeps flowing while the loop runs a round; unless
-                    # the run aborted or a waking stage pushed the slots
-                    # over the limit.
-                    taken = None
-                    if not source.aborted() and prep_in_flight <= self.prep_workers:
-                        taken = source.take("prep")
+                    # prep keeps flowing while the loop runs a round.
+                    release_due()
+                    taken = None if source.aborted() else source.take("prep")
                     if taken is None:
                         job = None
                         prep_in_flight -= 1
@@ -365,18 +369,17 @@ class PipelinedExecutor:
                         job = dispatch("prep", taken)
                     condition.notify_all()
 
-        prep_threads = max(self.prep_workers, PREP_THREADS)
-        with ThreadPoolExecutor(prep_threads, thread_name_prefix="taste-prep") as tp1:
+        with ThreadPoolExecutor(self.prep_workers, thread_name_prefix="taste-prep") as tp1:
             with condition:
                 while not source.aborted():
                     pass_started = time.perf_counter()
+                    release_due()
                     # Algorithm 1 lines 8-19, from the heads of the ready
-                    # queues: every prep stage a TP1 slot and thread can
-                    # take, then this pass's inference round.
+                    # queues: every prep stage a TP1 thread can take, then
+                    # this pass's inference round.
                     dispatched = False
                     while (
                         prep_in_flight < self.prep_workers
-                        and prep_in_flight + waiting < prep_threads
                         and (taken := source.take("prep")) is not None
                     ):
                         job = dispatch("prep", taken)
@@ -407,14 +410,18 @@ class PipelinedExecutor:
                         continue
                     # Nothing was taken. With nothing in flight, every slot
                     # was free, so both queues answered ``None``: drained.
-                    in_flight = prep_in_flight + waiting
-                    if not in_flight and source.finished():
+                    if not prep_in_flight and not parked and source.finished():
                         break
-                    # Event-driven wait: workers notify on completion, so
-                    # a timeout with work in flight is a stall. An idle
+                    # Event-driven wait: workers notify on completion, and
+                    # the next due time ends the wait as a timer would. A
+                    # timeout with stages on the CPU is a stall; an idle
                     # long-lived source (waiting for submissions) times out
                     # as a matter of course and is not counted.
-                    notified = condition.wait(timeout=self.wait_timeout)
+                    timeout = self.wait_timeout
+                    timer = bool(parked) and parked[0][0] - time.monotonic() < timeout
+                    if timer:
+                        timeout = max(parked[0][0] - time.monotonic(), 0.0)
+                    notified = condition.wait(timeout=timeout)
                     wakeups.inc()
-                    if not notified and in_flight:
+                    if not notified and not timer and prep_in_flight:
                         wait_timeouts.inc()

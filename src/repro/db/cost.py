@@ -10,49 +10,85 @@ are measured per run: :func:`charge` bills each round trip to the
 :class:`CostModel` holds the latency constants the simulated database
 charges for each operation.
 
-Two clocks are kept: *wall time* (real ``time.sleep`` is issued so that
-pipelining genuinely overlaps I/O with compute) and *simulated time* (the
-deterministic sum of the charged latencies, independent of scheduling),
-which tests assert on without flakiness.
+Two clocks are kept: *wall time* (each charged latency is really waited
+for, so pipelining genuinely overlaps I/O with compute) and *simulated
+time* (the deterministic sum of the charged latencies, independent of
+scheduling), which tests assert on without flakiness.
 
-Every real wait of the database layer — a charged latency, an injected
-fault delay, a retry backoff — goes through :func:`wait`, so a scheduler
-can learn when the calling thread is blocked rather than computing: it
-sets :data:`WAIT_SCOPE` for the work it runs, and each wait runs inside
-that scope (see :class:`~repro.core.pipeline.PipelinedExecutor`).
+Every wait of the database layer — a charged latency, an injected fault
+delay, a retry backoff — goes through :func:`wait`. Outside a
+:func:`deferring` block it sleeps. Inside one it does not: a simulated
+round trip's latency is known when the request is issued, so the wait is
+added to the block's owed seconds, as an asynchronous client would hold
+an in-flight request with a due time instead of a parked thread. The
+caller then runs nothing that reads the result before the block's due
+time (see :class:`~repro.core.pipeline.PipelinedExecutor`). :func:`clock`
+is the caller's virtual clock, real time plus what it owes, so a deadline
+counts deferred waits as a sleeping caller counts slept ones.
 """
 
 from __future__ import annotations
 
 import contextvars
 import time
-from contextlib import AbstractContextManager, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..obs.metrics import MetricsRegistry, NullMetricsRegistry
 
 __all__ = [
-    "CostModel", "CostLedger", "PAYER", "billed_to", "charge", "total_cost", "WAIT_SCOPE", "wait"
+    "CostModel", "CostLedger", "PAYER", "billed_to", "charge", "total_cost",
+    "Deferred", "deferring", "wait", "owed", "clock",
 ]
 
-# A factory of the context every real wait of the current task runs in;
-# ``None`` (the default) waits with nothing around it.
-WAIT_SCOPE: contextvars.ContextVar[
-    Callable[[], AbstractContextManager[None]] | None
-] = contextvars.ContextVar("repro_wait_scope", default=None)
+
+@dataclass
+class Deferred:
+    """The waits a :func:`deferring` block owes instead of sleeping them."""
+
+    seconds: float = 0.0
+    waits: int = 0
+
+
+# The owed waits of the current task; ``None`` (the default) sleeps them.
+_DEFERRED: contextvars.ContextVar[Deferred | None] = contextvars.ContextVar(
+    "repro_deferred", default=None
+)
+
+
+@contextmanager
+def deferring() -> Iterator[Deferred]:
+    """Owe every :func:`wait` made inside the block instead of sleeping it."""
+    deferred = Deferred()
+    token = _DEFERRED.set(deferred)
+    try:
+        yield deferred
+    finally:
+        _DEFERRED.reset(token)
 
 
 def wait(seconds: float) -> None:
-    """Block for ``seconds`` of real time inside the current :data:`WAIT_SCOPE`."""
+    """Wait ``seconds``: sleep, or owe them inside a :func:`deferring` block."""
     if seconds <= 0:
         return
-    scope = WAIT_SCOPE.get()
-    if scope is None:
+    deferred = _DEFERRED.get()
+    if deferred is None:
         time.sleep(seconds)
         return
-    with scope():
-        time.sleep(seconds)
+    deferred.seconds += seconds
+    deferred.waits += 1
+
+
+def owed() -> float:
+    """The seconds the current task owes (0 outside a :func:`deferring` block)."""
+    deferred = _DEFERRED.get()
+    return 0.0 if deferred is None else deferred.seconds
+
+
+def clock() -> float:
+    """The current task's virtual clock: ``time.monotonic()`` plus :func:`owed`."""
+    return time.monotonic() + owed()
 
 
 @dataclass(frozen=True)
@@ -62,8 +98,8 @@ class CostModel:
     The defaults keep the paper's *ratios* (content scans are an order of
     magnitude more expensive than metadata fetches, which are more expensive
     than nothing) while letting a full experiment run in seconds on CPU.
-    ``time_scale`` multiplies the actual ``sleep`` issued; set it to 0 to
-    keep the deterministic accounting but skip real waiting.
+    ``time_scale`` multiplies the real wait issued; set it to 0 to keep
+    the deterministic accounting but skip real waiting.
     """
 
     connect_latency: float = 4e-3

@@ -27,7 +27,9 @@ def _column_statistics(values: list[str]) -> tuple[int, float, float, int]:
     null_fraction = 1.0 - len(non_null) / total if total else 0.0
     if non_null:
         lengths = [len(value) for value in non_null]
-        avg_length = float(np.mean(lengths))
+        # The correctly rounded quotient of an exact integer sum, as
+        # ``float(np.mean(lengths))`` is, at a fraction of its cost.
+        avg_length = sum(lengths) / len(lengths)
         max_length = int(max(lengths))
     else:
         avg_length, max_length = 0.0, 0

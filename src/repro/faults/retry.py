@@ -10,19 +10,20 @@ simulation.
 
 The policy is deliberately synchronous: the detector applies it around
 data-preparation stages (which block on simulated network I/O anyway),
-and the connection pool applies it around connection creation. Backoff
-sleeps are real waits like any database latency (:func:`repro.db.cost.wait`),
-so a pipelined prep stage that backs off holds no prep slot meanwhile.
+and the connection pool applies it around connection creation. A backoff
+is a wait like any database latency (:func:`repro.db.cost.wait`), so a
+pipelined prep stage owes it instead of sleeping, and the default clock
+is :func:`repro.db.cost.clock`: a deadline counts owed round trips and
+backoffs exactly as a sleeping caller counts slept ones.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
-from ..db.cost import wait
+from ..db.cost import clock as virtual_clock, wait
 from ..errors import (
     ConnectionDroppedError,
     RetryDeadlineError,
@@ -107,7 +108,7 @@ class RetryPolicy:
         on_retry: RetryCallback | None = None,
         on_giveup: GiveUpCallback | None = None,
         sleep: Callable[[float], None] = wait,
-        clock: Callable[[], float] = time.monotonic,
+        clock: Callable[[], float] = virtual_clock,
     ) -> Any:
         """Call ``fn`` until it succeeds, retries run out, or the deadline hits.
 

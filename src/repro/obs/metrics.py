@@ -158,11 +158,17 @@ def _series_key(name: str, labels: dict[str, Any]) -> str:
 
 
 class MetricsRegistry:
-    """Get-or-create home of labeled instrument series (thread-safe)."""
+    """Get-or-create home of labeled instrument series (thread-safe).
+
+    A name has one set of label keys: looking it up with another (say,
+    without the labels it was emitted with) raises :class:`ValueError`
+    instead of making a series nothing else writes to.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._series: dict[str, Counter | Gauge | Histogram] = {}
+        self._label_keys: dict[str, frozenset[str]] = {}  # name -> its label keys
 
     # ------------------------------------------------------------------
     def _get_or_create(self, cls, name: str, labels: dict[str, Any], **kwargs):
@@ -170,6 +176,12 @@ class MetricsRegistry:
         with self._lock:
             instrument = self._series.get(key)
             if instrument is None:
+                keys = self._label_keys.setdefault(name, frozenset(labels))
+                if keys != frozenset(labels):
+                    raise ValueError(
+                        f"metric {name!r} has label keys {sorted(keys)}, "
+                        f"not {sorted(labels)}"
+                    )
                 instrument = cls(**kwargs)
                 self._series[key] = instrument
             elif not isinstance(instrument, cls):

@@ -29,9 +29,9 @@ detection report.
 Everything mutable synchronizes on **one** condition —
 ``_ServiceSource.condition`` — shared by the dispatch loop, the worker
 completion callbacks, submitters, cancellers and result waiters. The
-connection pools' internal locks nest strictly inside it. No lock is held
-across a real database wait: a prep stage's wait takes the condition to
-give its pipeline slot back (see :mod:`repro.core.pipeline`).
+connection pools' internal locks nest strictly inside it. A prep stage's
+database waits are owed, not slept (see :mod:`repro.core.pipeline`), so
+no thread, and no lock, is held across one.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from ..core.phases import TableJob
 from ..core.pipeline import PipelinedExecutor
 from ..core.results import DetectionReport
 from ..db.connection import Connection
-from ..db.cost import total_cost
+from ..db.cost import clock, total_cost, wait
 from ..db.pool import ConnectionPool
 from ..db.server import CloudDatabaseServer
 from ..errors import Overloaded, RetryGiveUpError, ServiceError
@@ -71,6 +71,12 @@ class _JobConnection:
     and get a dedicated fault-wrapped connection (fault rules are
     per-job; a pooled connection shared with other jobs must not inherit
     them).
+
+    The connect's wait is owed by the stage that connects, like any round
+    trip. The facade records the virtual time (:func:`repro.db.cost.clock`)
+    at which the connection is open, and a request through it first owes
+    whatever is left of that, so none of the job's tables finishes a
+    stage before its connection was open.
     """
 
     def __init__(
@@ -88,6 +94,7 @@ class _JobConnection:
         self._acquire_timeout = acquire_timeout
         self._connection: Connection | None = None
         self._pooled = False
+        self._open_at = 0.0  # virtual time the connection is open
         self._lock = threading.Lock()
         self._connect_lock = threading.Lock()
 
@@ -107,19 +114,23 @@ class _JobConnection:
 
     def _ensure(self) -> Connection:
         # ``_connect_lock`` makes a job connect once, however many of its
-        # tables are dispatched meanwhile. It is held across the connect, a
-        # real wait that takes the dispatch condition; ``_lock`` is not,
-        # because finalize() callers hold that condition while taking it.
-        # Nothing takes ``_connect_lock`` with the condition held.
+        # tables are dispatched meanwhile; the connect itself owes its wait,
+        # so the lock is held only while the request is issued. ``_lock``
+        # is not held across it, because finalize() callers hold the
+        # dispatch condition while taking it. Nothing takes
+        # ``_connect_lock`` with the condition held.
         with self._connect_lock:
             with self._lock:
-                if self._connection is not None:
-                    return self._connection
-            connection = self._acquire()
-            with self._lock:
-                self._connection = connection
-                self._pooled = self._injector is None
-            return connection
+                connection = self._connection
+            if connection is None:
+                connection = self._acquire()
+                self._open_at = clock()
+                with self._lock:
+                    self._connection = connection
+                    self._pooled = self._injector is None
+            open_at = self._open_at
+        wait(open_at - clock())
+        return connection
 
     # ------------------------------------------------------------------
     # The Connection surface the stage machines use.

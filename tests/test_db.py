@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.results import DetectionReport
 from repro.datagen import TableGenConfig, default_registry, generate_table
@@ -88,6 +90,13 @@ class TestDatabase:
         assert len(computed) == tables[0].num_columns
         assert db.metadata(tables[0].name) == first
         assert len(computed) == tables[0].num_columns
+
+    @given(st.lists(st.text(max_size=40), max_size=300))
+    def test_average_length_is_numpys_mean_bit_for_bit(self, values):
+        _, _, avg_length, _ = engine._column_statistics(values)
+        lengths = [len(value) for value in values if value]
+        expected = float(np.mean(lengths)) if lengths else 0.0
+        assert avg_length.hex() == expected.hex()
 
     def test_metadata_histogram_only_after_analyze(self, tables):
         db = Database.from_tables(tables)

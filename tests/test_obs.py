@@ -158,6 +158,23 @@ class TestMetrics:
         with pytest.raises(TypeError):
             registry.gauge("x")
 
+    def test_label_keys_conflict_raises(self):
+        """A name emitted with labels cannot be read without them (or with
+        other keys): that lookup would make a series nothing writes to."""
+        registry = MetricsRegistry()
+        registry.counter("nn.compile.fallbacks", reason="verify").inc()
+        with pytest.raises(ValueError, match="label keys"):
+            registry.counter("nn.compile.fallbacks")
+        with pytest.raises(ValueError, match="label keys"):
+            registry.counter("nn.compile.fallbacks", phase="1")
+        registry.counter("pipeline.wakeups")
+        with pytest.raises(ValueError, match="label keys"):
+            registry.counter("pipeline.wakeups", pool="prep")
+        # Other values of the same keys are other series of the same name.
+        registry.counter("nn.compile.fallbacks", reason="build").inc(2)
+        assert registry.counter("nn.compile.fallbacks", reason="verify").value == 1
+        assert "nn.compile.fallbacks" not in registry.snapshot()
+
     def test_null_registry_records_nothing(self):
         NULL_METRICS.counter("c").inc()
         NULL_METRICS.gauge("g").set(5)

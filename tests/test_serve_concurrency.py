@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.core import DetectorConfig, RuntimeConfig, TasteDetector, ThresholdPolicy
 from repro.db import CloudDatabaseServer, CostModel
 from repro.errors import Cancelled, Overloaded
+from repro.faults import FaultPlan, FaultRule
 from repro.obs import MetricsRegistry
 from repro.serve import DetectionService, ServiceConfig, TenantQuota
 from repro.serve import job as job_module
@@ -384,13 +385,33 @@ class TestReadyQueues:
         """Tables a cancellation or an expiry skips never run again, so the
         source must drop them from its queues and forget their jobs."""
         names = [t.name for t in tiny_corpus.test]
+        # Every table but the first name's copies owes a half-second delay
+        # on its first fetch, so when a cancelled job streams its first
+        # table, the others are still mid-stage however fast the rest runs.
+        slow_server = CloudDatabaseServer.from_tables(
+            tiny_corpus.test,
+            CostModel(
+                connect_latency=0.0,
+                round_trip_latency=0.0,
+                metadata_per_table=0.0,
+                scan_fixed=0.0,
+                scan_per_row=0.0,
+                sampling_overhead=0.0,
+                time_scale=1.0,
+            ),
+        )
+        gate = FaultPlan(
+            seed=0,
+            rules=(FaultRule("fetch_metadata", "latency", delay=0.5, tables=tuple(names[1:])),),
+        )
         with DetectionService(detector) as service:
             source = service._source
             cancelled = [
-                service.submit(f"tenant-{i}", server, names * 4) for i in range(2)
+                service.submit(f"tenant-{i}", slow_server, names * 4, fault_plan=gate)
+                for i in range(2)
             ]
             for handle in cancelled:
-                next(handle.stream())  # under way, with tables still queued
+                next(handle.stream())  # under way, with tables still to finish
                 handle.cancel()
             expired = [
                 service.submit("tenant-c", server, names * 4, deadline=deadline)

@@ -1,11 +1,12 @@
-"""No lock is held across a real database wait in the service.
+"""No lock is held across a database wait in the service.
 
-A prep stage's wait takes the service's dispatch condition to give its
-pipeline slot back, and job finalization takes a job connection's lock
-(and the pool's) while holding that condition. So a lock held across a
-connect or a fetch closes a cycle. The wait reaches the condition through
-a context variable, which no reading of the source follows, so this drives
-a real sleeping service under the lockset monitor and checks the observed
+On a sleeping server a prep stage owes its database waits: its worker
+parks the job under the service's dispatch condition, and job
+finalization takes a job connection's lock (and the pool's) while
+holding that condition. So a connection lock held while a stage reaches
+the condition closes a cycle. The owed waits travel through a context
+variable, which no reading of the source follows, so this drives a real
+sleeping service under the lockset monitor and checks the observed
 order; ``test_stack_lock_order.py`` does the same for the whole stack.
 """
 
@@ -85,7 +86,7 @@ def test_sleeping_service_lock_order_is_acyclic(
         waits = detector.metrics.counter("pipeline.db_waits", pool="prep").value
 
     assert monitor.order_cycle() is None, monitor.order_edges()
-    assert waits > 0  # the stages really did wait with the hook set
+    assert waits > 0  # the stages really did owe waits
     if plan is None:
         # One pooled connection per tenant's server, however many of the
         # job's tables were dispatched while it connected.

@@ -2,8 +2,8 @@
 
 Every class under ``src/`` that owns a threading lock is instrumented with
 :class:`LocksetMonitor` while three runs drive it: a pipelined
-``detect()`` on a sleeping server under a fault plan (so prep stages give
-their slot back in real waits and retry backoffs), a sequential
+``detect()`` on a sleeping server under a fault plan (so prep stages owe
+round trips, fault delays and retry backoffs and are parked), a sequential
 ``detect()`` (once cleanly, once with a forward that raises), and a
 three-tenant :class:`DetectionService`. The lock order
 observed across all three must be acyclic and must include the edges the
@@ -82,8 +82,8 @@ COST_MODEL = paper_cost_model(0.05)
 
 
 def detect_faults(give_up_table: str) -> FaultPlan:
-    """Transient faults are retried with real backoff sleeps and latency
-    faults sleep, so prep stages wait (and give their slot back) often;
+    """Transient faults are retried with backoff and latency faults delay,
+    so prep stages owe waits (and are parked) often;
     one table's content fetch always fails, so it gives up holding
     Phase-1 latents."""
     return FaultPlan(
