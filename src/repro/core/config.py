@@ -43,27 +43,23 @@ _SCAN_METHODS = ("first", "sample")
 class BatchingConfig:
     """Policy knobs of the cross-table inference batcher (``repro.sched``).
 
-    ``max_batch_cols`` caps how many columns one collated forward may
-    carry, and nothing else: a pipelined round takes every ready table
-    and the batcher cuts each width group at this cap. The default of 32
+    ``enabled`` lets one forward carry many requests; off, each request
+    is a forward of its own. Either way every table is computed at its
+    own real widths, so the setting never changes an output bit.
+    ``max_batch_cols`` caps how many columns one forward may carry, and
+    nothing else: a pipelined round takes every ready table and the
+    batcher cuts each phase's requests at this cap. The default of 32
     bounds the buffers one forward allocates, while a Phase-1 forward of
     4 requests (~25 columns) already costs 0.47 ms per request against
     0.42 ms at 8 (DESIGN §5d).
-    ``pad_quantum`` quantizes padded sequence widths so requests from
-    different tables land in shared width buckets; both the sequential and
-    the batched path pad to the same quantum, which is what makes their
-    float32 results bitwise identical (summation order never changes).
     """
 
     enabled: bool = True
     max_batch_cols: int = 32
-    pad_quantum: int = 16
 
     def __post_init__(self) -> None:
         if self.max_batch_cols < 1:
             raise ValueError("max_batch_cols must be at least 1")
-        if self.pad_quantum < 1:
-            raise ValueError("pad_quantum must be at least 1")
 
     def replace(self, **changes: Any) -> "BatchingConfig":
         """A modified copy (re-validated)."""

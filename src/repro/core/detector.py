@@ -37,7 +37,7 @@ import time
 from pathlib import Path
 
 from ..core.adtd import ADTDModel
-from ..db.cost import CostLedger, billed_to, total_cost
+from ..db.cost import CostLedger, billed_to
 from ..db.server import CloudDatabaseServer
 from ..errors import RetryGiveUpError
 from ..faults.plan import FaultInjector
@@ -45,9 +45,9 @@ from ..features.encoding import Featurizer
 from ..obs import Tracer, write_spans_jsonl
 from ..obs.metrics import MetricsRegistry, NullMetricsRegistry, global_registry
 from ..sched.batcher import InferenceBatcher
-from ..sched.forward import Phase1Request, Phase1Result, Phase2Request, Phase2Result, bucket_width
+from ..sched.forward import Phase1Request, Phase1Result, Phase2Request, Phase2Result
 from .config import DetectOptions, DetectorConfig, RuntimeConfig
-from .phases import TableJob
+from .phases import TableJob, build_report
 from .pipeline import PipelinedExecutor, SequentialExecutor
 from .results import DetectionReport
 from .thresholds import ThresholdPolicy
@@ -104,21 +104,11 @@ class TasteDetector:
             if self.config.pipelined
             else SequentialExecutor()
         )
-        self._width_cap = model.config.encoder.max_seq_len
         self.model.eval()
 
     # ------------------------------------------------------------------
     # Inference dispatch (shared by the stage implementations)
     # ------------------------------------------------------------------
-    def bucketed_width(self, length: int) -> int:
-        """Quantized padded width for a sequence of ``length`` tokens.
-
-        Every execution mode pads to the same quantized widths, which is
-        what keeps sequential, pipelined-unbatched and batched runs
-        bitwise identical (see :mod:`repro.sched.forward`).
-        """
-        return bucket_width(length, self.config.batching.pad_quantum, self._width_cap)
-
     def run_inference(
         self, requests: "list[Phase1Request | Phase2Request]"
     ) -> "list[Phase1Result | Phase2Result]":
@@ -127,9 +117,9 @@ class TasteDetector:
 
         Every mode takes this route: a pipelined round passes many
         tables' requests at once, a sequential run one table's stage.
-        The batcher runs them as width-grouped forwards on the calling
+        The batcher runs them as exact-width forwards on the calling
         thread, one request per forward when ``batching.enabled`` is
-        false (the unbatched reference).
+        false.
         """
         return self.batcher.run(requests)
 
@@ -187,18 +177,7 @@ class TasteDetector:
         wall = time.perf_counter() - started
         if options.trace_out is not None:
             write_spans_jsonl(self.tracer.spans(), options.trace_out)
-        results = [job.result for job in jobs]
-        return DetectionReport(
-            tables=results,
-            wall_seconds=wall,
-            cost=total_cost([run_cost, *(job.cost for job in jobs)]),
-            cache_hits=sum(job.latents.hits for job in jobs),
-            cache_misses=sum(job.latents.misses for job in jobs),
-            cache_disabled_lookups=sum(job.latents.disabled_lookups for job in jobs),
-            retries=sum(result.retries for result in results),
-            giveups=sum(1 for result in results if result.degraded or result.failed),
-            faults_injected=injector.total_fired if injector is not None else 0,
-        )
+        return build_report(jobs, wall, injector, [run_cost])
 
     def detect_table(self, server: CloudDatabaseServer, table_name: str) -> DetectionReport:
         """Convenience wrapper for a single table."""

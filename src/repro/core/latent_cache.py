@@ -42,11 +42,10 @@ class CachedEncoding:
     def usable_at(self, meta_width: int) -> bool:
         """Whether these latents can stand in for a fresh metadata forward.
 
-        Reuse is only bitwise-safe when the cached padded width equals the
-        width the current batch will collate to: a different width regroups
-        the float32 reductions inside attention and shifts results by ~1e-6.
-        The batched scheduler checks this per request before stacking
-        cached latents into a shared Phase-2 forward.
+        Phase 1 keeps a chunk's latents at its real metadata length, and
+        they stand in for the tower only for a Phase-2 encoding of that
+        same length: the forward checks this per request, and a request
+        whose latents do not fit recomputes its own metadata tower.
         """
         return bool(self.layer_outputs) and self.layer_outputs[0].shape[1] == meta_width
 

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from ..db.connection import Connection
-from ..db.cost import CostLedger, billed_to, owed
+from ..db.cost import CostLedger, billed_to, owed, total_cost
 from ..db.schema import TableMetadata
 from ..errors import RetryDeadlineError, RetryGiveUpError
 from ..features.encoding import EncodedTable, split_metadata
@@ -30,12 +30,13 @@ from ..nn.functional import stable_sigmoid
 from ..obs import NULL_METRICS, NULL_TRACER, current_span
 from ..sched.forward import Phase1Request, Phase2Request
 from .latent_cache import LatentCache
-from .results import ColumnPrediction, TableResult
+from .results import ColumnPrediction, DetectionReport, TableResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..faults.plan import FaultInjector
     from .detector import TasteDetector
 
-__all__ = ["ChunkState", "TableJob", "STAGE_KINDS", "STAGE_NAMES"]
+__all__ = ["ChunkState", "TableJob", "STAGE_KINDS", "STAGE_NAMES", "build_report"]
 
 # Stage index -> resource class. "prep" stages go to thread pool TP1;
 # "infer" stages run in rounds on the dispatch loop's thread (Algorithm 1's
@@ -349,17 +350,12 @@ class TableJob:
         self.apply_inference(self.detector.run_inference(self.infer_requests()))
 
     def _phase1_requests(self) -> list[Phase1Request]:
-        detector = self.detector
-        policy = detector.thresholds
+        policy = self.detector.thresholds
         # The batcher keeps a chunk's latents only when this policy sends
         # one of its columns to Phase 2, i.e. only when stage 4 reads them.
         keep_latents = policy if self.latents.enabled and policy.phase2_enabled else None
         return [
-            Phase1Request(
-                encoded=chunk.encoded_p1,
-                meta_width=detector.bucketed_width(len(chunk.encoded_p1.meta.token_ids)),
-                phase2_policy=keep_latents,
-            )
+            Phase1Request(encoded=chunk.encoded_p1, phase2_policy=keep_latents)
             for chunk in self.chunks
         ]
 
@@ -454,14 +450,8 @@ class TableJob:
         ]
 
     def _phase2_requests(self, chunks: list[tuple[int, ChunkState]]) -> list[Phase2Request]:
-        bucketed_width = self.detector.bucketed_width
         return [
-            Phase2Request(
-                encoded=chunk.encoded_p2,
-                meta_width=bucketed_width(len(chunk.encoded_p2.meta.token_ids)),
-                content_width=bucketed_width(len(chunk.encoded_p2.content.token_ids)),
-                cached=self.latents.get(index),
-            )
+            Phase2Request(encoded=chunk.encoded_p2, cached=self.latents.get(index))
             for index, chunk in chunks
         ]
 
@@ -480,3 +470,28 @@ class TableJob:
                     probs[local], threshold=policy.phase2_admit
                 )
                 prediction.phase = 2
+
+
+def build_report(
+    jobs: "list[TableJob]",
+    wall_seconds: float,
+    injector: "FaultInjector | None",
+    costs: "list[CostLedger] | None" = None,
+) -> DetectionReport:
+    """The report of a run of ``jobs``: a ``detect()`` or a service job.
+
+    ``cost`` adds ``costs`` (a run's own round trips, such as its batch
+    connect), then each job's, in order.
+    """
+    results = [job.result for job in jobs]
+    return DetectionReport(
+        tables=results,
+        wall_seconds=wall_seconds,
+        cost=total_cost([*(costs or []), *(job.cost for job in jobs)]),
+        cache_hits=sum(job.latents.hits for job in jobs),
+        cache_misses=sum(job.latents.misses for job in jobs),
+        cache_disabled_lookups=sum(job.latents.disabled_lookups for job in jobs),
+        retries=sum(result.retries for result in results),
+        giveups=sum(1 for result in results if result.degraded or result.failed),
+        faults_injected=injector.total_fired if injector is not None else 0,
+    )

@@ -14,9 +14,9 @@ Prep stages run on thread pool ``TP1``. Algorithm 1's inference pool
 GIL, and forwards on threads of their own only compete with the loop for
 that lock. So the loop runs inference in *rounds*: it takes every ready
 infer stage in the source's order, releases the source's condition, runs
-their requests through one width-grouped
-:meth:`~repro.sched.InferenceBatcher.run` (which cuts each width group
-into forwards of at most ``max_batch_cols`` columns), applies each
+their requests through one
+:meth:`~repro.sched.InferenceBatcher.run` (which cuts each phase's
+requests into forwards of at most ``max_batch_cols`` columns), applies each
 table's readout and reports each table back. Nothing waits for a batch to
 fill. Meanwhile a prep worker that finishes a stage refills its own slot
 from the prep queue, so the next round carries every table prepared
@@ -30,8 +30,9 @@ trip, an injected fault delay, a retry backoff) are owed, not slept. A
 :class:`~repro.core.phases.TableJob` stage whose fetch owes time stops
 there and its worker takes the next ready stage; the loop parks the job
 on a heap keyed by its due time (the fetch's end plus what it owes) and,
-at that time, files it as ready for ``prep`` again, so the next worker
-runs the stage's featurize part. No CPU that reads a round trip's result
+at that time, hands the stage's featurize part to the next free worker,
+ahead of any new prep stage. That part finishes a stage already
+dispatched: it is not dispatched, or counted, again. No CPU that reads a round trip's result
 runs before that round trip's due time, so a stage completes no earlier
 than it would have sleeping. A stage machine without a second part is
 reported at its due time, and so is an error raised after owed waits.
@@ -304,6 +305,9 @@ class PipelinedExecutor:
         prep_in_flight = 0
         parked: list[tuple[float, int, TableJob, BaseException | None, bool]] = []
         park_seq = itertools.count()
+        # Parked stages whose due time came, with a part left to run: the
+        # rest of a stage already dispatched, taken before any new one.
+        resumed: list[TableJob] = []
 
         def report(job: TableJob, error: BaseException | None) -> None:
             # Condition held: the job's stage is over; report it, then its
@@ -318,7 +322,7 @@ class PipelinedExecutor:
         def resume(job: TableJob, error: BaseException | None, left: bool) -> None:
             # Condition held: the rest of the stage is ready, or it is over.
             if left and error is None:
-                source.ready(job, time.perf_counter())
+                resumed.append(job)
             else:
                 report(job, error)
 
@@ -338,6 +342,16 @@ class PipelinedExecutor:
             dispatch_counters[kind].inc()
             source.note_dispatch(job, kind)
             return job
+
+        def take_prep() -> TableJob | None:
+            # Condition held: a resumed stage's rest first (it was
+            # dispatched and counted once, at its start), then a new one.
+            if source.aborted():
+                return None
+            if resumed:
+                return resumed.pop(0)
+            taken = source.take("prep")
+            return None if taken is None else dispatch("prep", taken)
 
         def prep_worker(job: TableJob | None) -> None:
             nonlocal prep_in_flight
@@ -360,13 +374,10 @@ class PipelinedExecutor:
                     # Refill the slot here, not on the loop's next pass, so
                     # prep keeps flowing while the loop runs a round.
                     release_due()
-                    taken = None if source.aborted() else source.take("prep")
-                    if taken is None:
-                        job = None
+                    job = take_prep()
+                    if job is None:
                         prep_in_flight -= 1
                         in_flight_gauges["prep"].set(prep_in_flight)
-                    else:
-                        job = dispatch("prep", taken)
                     condition.notify_all()
 
         with ThreadPoolExecutor(self.prep_workers, thread_name_prefix="taste-prep") as tp1:
@@ -380,9 +391,8 @@ class PipelinedExecutor:
                     dispatched = False
                     while (
                         prep_in_flight < self.prep_workers
-                        and (taken := source.take("prep")) is not None
+                        and (job := take_prep()) is not None
                     ):
-                        job = dispatch("prep", taken)
                         prep_in_flight += 1
                         in_flight_gauges["prep"].set(prep_in_flight)
                         # Run the stage inside the dispatcher's context so
@@ -410,7 +420,7 @@ class PipelinedExecutor:
                         continue
                     # Nothing was taken. With nothing in flight, every slot
                     # was free, so both queues answered ``None``: drained.
-                    if not prep_in_flight and not parked and source.finished():
+                    if not prep_in_flight and not parked and not resumed and source.finished():
                         break
                     # Event-driven wait: workers notify on completion, and
                     # the next due time ends the wait as a timer would. A

@@ -12,10 +12,10 @@ metadata Phase 1 already saw), so the featurizer routes ``tokenizer.encode``
 through a bounded LRU (:class:`TokenEncodeCache`) whose hit/miss totals are
 exported as ``featurizer.encode_cache.{hits,misses}`` counters.
 
-:func:`collate` accepts explicit ``meta_width``/``content_width`` targets so
-callers can pad different batches to a *shared* quantized width — the
-cross-table batcher (:mod:`repro.sched`) relies on this to keep batched and
-unbatched float32 forwards bitwise identical.
+:func:`collate` pads to the batch's longest row; :meth:`Batch.row` cuts one
+row back to what ``collate`` makes of that table alone, its real widths —
+the eager reference every inference forward (:mod:`repro.sched`) equals
+bit for bit.
 """
 
 from __future__ import annotations
@@ -126,14 +126,27 @@ class Batch:
     def size(self) -> int:
         return self.meta_ids.shape[0]
 
+    def row(self, index: int) -> "Batch":
+        """Row ``index`` as :func:`collate` makes its table alone: each
+        token stream at its real length, the column axis at the table's
+        columns (at least 2)."""
+        widths = {
+            "meta": max(int(self.meta_mask[index].sum()), 1),
+            "content": max(int(self.content_mask[index].sum()), 1),
+        }
+        columns = max(int(self.column_mask[index].sum()), 2)
+        return Batch(
+            **{
+                name: None
+                if value is None
+                else value[index : index + 1, : widths.get(name.split("_")[0], columns)]
+                for name, value in vars(self).items()
+            }
+        )
 
-def _pad_stack(arrays: list[np.ndarray], fill: int, width: int | None = None) -> np.ndarray:
-    longest = max((len(a) for a in arrays), default=0)
-    if width is None:
-        width = longest
-    elif width < longest:
-        raise ValueError(f"requested width {width} < longest row {longest}")
-    width = max(width, 1)
+
+def _pad_stack(arrays: list[np.ndarray], fill: int, width: int = 1) -> np.ndarray:
+    width = max(max((len(a) for a in arrays), default=0), width)
     out = np.full((len(arrays), width), fill, dtype=np.int64)
     for row, array in enumerate(arrays):
         out[row, : len(array)] = array
@@ -280,44 +293,32 @@ class Featurizer:
         return self.encode(metadata, content, labels)
 
 
-def collate(
-    tables: list[EncodedTable],
-    pad_id: int = 0,
-    meta_width: int | None = None,
-    content_width: int | None = None,
-) -> Batch:
-    """Pad encoded tables into one batch.
+def collate(tables: list[EncodedTable], pad_id: int = 0) -> Batch:
+    """Pad encoded tables into one batch, to its longest row.
 
-    ``meta_width``/``content_width`` force the padded sequence widths
-    (must be >= the longest row). Fixing widths lets separate collate
-    calls produce slice-compatible batches — padding only *appends*
-    masked tokens, so a table's forward-pass results do not depend on
-    which batch it rode in.
+    Padding only *appends* masked tokens and columns; :meth:`Batch.row`
+    recovers each table as ``collate`` makes it alone.
     """
     if not tables:
         raise ValueError("cannot collate an empty batch")
-    meta_ids = _pad_stack([t.meta.token_ids for t in tables], pad_id, meta_width)
-    meta_segments = _pad_stack([t.meta.segment_ids for t in tables], 0, meta_width)
-    meta_column_ids = _pad_stack([t.meta.column_ids for t in tables], 0, meta_width)
+    meta_ids = _pad_stack([t.meta.token_ids for t in tables], pad_id)
+    meta_segments = _pad_stack([t.meta.segment_ids for t in tables], 0)
+    meta_column_ids = _pad_stack([t.meta.column_ids for t in tables], 0)
     meta_mask = _pad_stack(
-        [np.ones(len(t.meta.token_ids), dtype=np.int64) for t in tables], 0, meta_width
+        [np.ones(len(t.meta.token_ids), dtype=np.int64) for t in tables], 0
     ).astype(bool)
 
-    content_ids = _pad_stack([t.content.token_ids for t in tables], pad_id, content_width)
-    content_segments = _pad_stack([t.content.segment_ids for t in tables], 0, content_width)
-    content_column_ids = _pad_stack([t.content.column_ids for t in tables], 0, content_width)
+    content_ids = _pad_stack([t.content.token_ids for t in tables], pad_id)
+    content_segments = _pad_stack([t.content.segment_ids for t in tables], 0)
+    content_column_ids = _pad_stack([t.content.column_ids for t in tables], 0)
     content_mask = _pad_stack(
-        [np.ones(len(t.content.token_ids), dtype=np.int64) for t in tables], 0, content_width
+        [np.ones(len(t.content.token_ids), dtype=np.int64) for t in tables], 0
     ).astype(bool)
 
-    # Pad the column axis to >= 2 so the per-column matmuls downstream
-    # (pooling, classifier heads) never run a single-row BLAS call: the
-    # M=1 GEMV kernel accumulates in a different order than the M>=2 GEMM
-    # kernels, so a one-column chunk would produce last-bit-different
-    # logits depending on whether it rode alone or batched with wider
-    # chunks. GEMM results are row-stable for every M >= 2, so a phantom
-    # masked column (zero pooling row, zero numeric features) makes
-    # batched, unbatched and compiled paths bitwise identical again.
+    # Pad the column axis to >= 2 so the per-column products (pooling,
+    # classifier heads) are never one-row BLAS calls, whose kernel sums in
+    # another order than a row of a larger product: a one-column chunk
+    # then computes alike alone and beside wider chunks.
     max_cols = max(max(t.num_columns for t in tables), 2)
     col_positions = _pad_stack([t.meta.col_positions for t in tables], -1, max_cols)
     val_positions = _pad_stack([t.content.val_positions for t in tables], -1, max_cols)

@@ -3,10 +3,10 @@
 Every detector sends its inference through :class:`InferenceBatcher`.
 The pipelined executor's dispatch loop gathers the chunk requests of
 every table ready for inference into one round and hands them over at
-once, so chunks from different tables share collated ADTD forwards on
-the loop's own thread; a sequential run hands over one table's stage at
-a time. Width bucketing (:func:`bucket_width`) keeps batched and
-unbatched runs bitwise identical; see :mod:`repro.sched.forward` for why.
+once, so chunks from different tables share ADTD forwards on the loop's
+own thread; a sequential run hands over one table's stage at a time.
+Each forward computes every table at its own real widths, so batched and
+unbatched runs are bitwise identical; see :mod:`repro.sched.forward`.
 """
 
 from .batcher import InferenceBatcher
@@ -15,8 +15,6 @@ from .forward import (
     Phase1Result,
     Phase2Request,
     Phase2Result,
-    bucket_width,
-    group_requests,
     run_phase1,
     run_phase2,
 )
@@ -27,8 +25,6 @@ __all__ = [
     "Phase1Result",
     "Phase2Request",
     "Phase2Result",
-    "bucket_width",
-    "group_requests",
     "run_phase1",
     "run_phase2",
 ]

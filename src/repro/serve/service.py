@@ -43,11 +43,10 @@ import time
 
 from ..core.config import DetectOptions
 from ..core.detector import TasteDetector
-from ..core.phases import TableJob
+from ..core.phases import TableJob, build_report
 from ..core.pipeline import PipelinedExecutor
-from ..core.results import DetectionReport
 from ..db.connection import Connection
-from ..db.cost import clock, total_cost, wait
+from ..db.cost import clock, wait
 from ..db.pool import ConnectionPool
 from ..db.server import CloudDatabaseServer
 from ..errors import Overloaded, RetryGiveUpError, ServiceError
@@ -601,7 +600,11 @@ class DetectionService:
             job.status = JobStatus.CANCELLED
         else:
             job.status = JobStatus.COMPLETED
-            job.report = self._build_report(job)
+            job.report = build_report(
+                job.table_jobs,
+                (job.finished_perf or job.submitted_perf) - job.submitted_perf,
+                job.injector,
+            )
         self.metrics.histogram("serve.job_seconds", tenant=job.tenant).observe(
             job.finished_perf - job.submitted_perf
         )
@@ -613,24 +616,4 @@ class DetectionService:
             tenant=job.tenant,
             job=job.job_id,
             status=job.status,
-        )
-
-    def _build_report(self, job: Job) -> DetectionReport:
-        table_jobs = job.table_jobs
-        results = [table_job.result for table_job in table_jobs]
-        return DetectionReport(
-            tables=results,
-            wall_seconds=(job.finished_perf or job.submitted_perf)
-            - job.submitted_perf,
-            cost=total_cost(t.cost for t in table_jobs),
-            cache_hits=sum(t.latents.hits for t in table_jobs),
-            cache_misses=sum(t.latents.misses for t in table_jobs),
-            cache_disabled_lookups=sum(t.latents.disabled_lookups for t in table_jobs),
-            retries=sum(result.retries for result in results),
-            giveups=sum(
-                1 for result in results if result.degraded or result.failed
-            ),
-            faults_injected=(
-                job.injector.total_fired if job.injector is not None else 0
-            ),
         )

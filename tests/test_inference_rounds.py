@@ -113,8 +113,8 @@ def test_a_round_takes_every_ready_table(
     untrained_model, featurizer, tiny_corpus, monkeypatch
 ):
     """Twelve tables are infer-ready before the loop's first take: one
-    round carries all their Phase-1 requests, and the batcher cuts each
-    width group at ``max_batch_cols`` columns."""
+    round carries all their Phase-1 requests, and the batcher cuts them,
+    in order and whatever their lengths, at ``max_batch_cols`` columns."""
     tables = tiny_corpus.tables[:12]
     server = CloudDatabaseServer.from_tables(tables, CostModel(time_scale=0.0))
     metrics = MetricsRegistry()
@@ -148,17 +148,17 @@ def test_a_round_takes_every_ready_table(
     assert [request.encoded for request in requests] == [
         chunk.encoded_p1 for job in jobs for chunk in job.chunks
     ]
-    expected = 0
-    for _, group in sched_forward.group_requests(requests):
-        cols = None
-        for request in group:
-            cost = sched_forward.request_cost(request)
-            if cols is None or cols + cost > 8:
-                expected, cols = expected + 1, cost
-            else:
-                cols += cost
+    # Cut in order at 8 columns, lengths mixed freely: no width groups.
+    expected, cols = 0, None
+    for request in requests:
+        cost = sched_forward.request_cost(request)
+        if cols is None or cols + cost > 8:
+            expected, cols = expected + 1, cost
+        else:
+            cols += cost
     assert made == expected
-    assert len(sched_forward.group_requests(requests)) < expected < len(requests)
+    assert len({request.meta_width for request in requests}) > 1
+    assert 1 < expected < len(requests)
 
 
 @pytest.fixture()

@@ -294,6 +294,36 @@ def test_service_tables_wait_for_their_connect(
         assert span.end >= connected[id(servers[span.attributes["tenant"]])]
 
 
+def test_a_parked_stage_is_dispatched_and_served_once(untrained_model, featurizer, tables):
+    """On a sleeping server every prep stage parks on its round trip, and
+    its featurize part runs later: the rest of the same stage. A job's
+    ``served`` count and ``pipeline.dispatches`` count each stage its
+    tables ran once."""
+    tracer = Tracer()
+    metrics = MetricsRegistry()
+    detector = TasteDetector(
+        untrained_model,
+        featurizer,
+        ThresholdPolicy(0.1, 0.9),
+        config=DetectorConfig(pipelined=True),
+        runtime=RuntimeConfig(metrics=metrics, tracer=tracer),
+    )
+    server = CloudDatabaseServer.from_tables(tables, SLEEPING)
+    with DetectionService(detector) as service:
+        report = service.submit("tenant-a", server, [t.name for t in tables]).result(timeout=60.0)
+        served = service._source._tenant_served["tenant-a"]
+    assert report.ok
+    stages = {kind: 0 for kind in ("prep", "infer")}
+    for span in tracer.spans():
+        if span.name.startswith("stage."):
+            stages[span.attributes["kind"]] += 1
+    assert stages["prep"] > len(tables)  # both phases fetched
+    assert metrics.counter("pipeline.db_waits", pool="prep").value >= stages["prep"]
+    for kind, count in stages.items():
+        assert metrics.counter("pipeline.dispatches", pool=kind).value == count
+    assert served == sum(stages.values())
+
+
 class SleepyJob:
     """One prep stage: a wait, then a little bookkeeping, and no second part."""
 

@@ -16,7 +16,9 @@ from repro.features import (
     FeatureConfig,
     Featurizer,
     collate,
+    first_non_empty,
     offline_metadata,
+    split_metadata,
 )
 from repro.nn import EncoderConfig
 from repro.nn import compile as nn_compile
@@ -150,45 +152,77 @@ def _same_bits(*arrays):
     return all(array.tobytes() == first for array in arrays[1:])
 
 
-@given(
-    adtd_configs,
+# Batch-mates: one to five columns, cells often empty (a content stream
+# can be one [VAL] token), split into chunks of one to three columns.
+chunked_tables = st.tuples(
+    st.builds(
+        TableGenConfig,
+        min_columns=st.just(1),
+        max_columns=st.integers(1, 5),
+        min_rows=st.just(5),
+        max_rows=st.integers(5, 15),
+        empty_cell_prob=st.sampled_from([0.0, 0.5, 1.0]),
+    ),
     st.integers(0, 10_000),
-    st.lists(st.tuples(table_configs, st.integers(0, 10_000)), min_size=1, max_size=3),
+    st.integers(1, 3),
 )
+
+
+def _chunks(index, spec):
+    """The Phase-2 encodings of one generated table's column chunks."""
+    table_config, seed, size = spec
+    table = generate_table(REGISTRY, table_config, np.random.default_rng(seed), index)
+    content = [first_non_empty(column.values[:50], 10) for column in table.columns]
+    return [
+        FEATURIZER.encode(
+            chunk, {local: content[start * size + local] for local in range(len(chunk.columns))}
+        )
+        for start, chunk in enumerate(split_metadata(offline_metadata(table), size))
+    ]
+
+
+@given(adtd_configs, st.integers(0, 10_000), st.lists(chunked_tables, min_size=1, max_size=3))
 @settings(max_examples=40, deadline=None)
 def test_grad_eager_and_compiled_forwards_agree_bitwise(config, model_seed, specs):
-    """The autograd forward, the no-grad eager forward and the compiled
-    replay compute the same logits and per-layer latents bit for bit:
-    the no-grad kernels of ``nn.functional`` (shared by the last two) must
-    repeat the recording path's arithmetic exactly."""
+    """The autograd forward of each chunk alone, at its real widths, the
+    no-grad eager forward and the compiled replay compute the same logits
+    and per-layer latents bit for bit, and so does every row of one
+    replay over all the chunks: beside batch-mates of other lengths,
+    one-column chunks and one-token content streams among them."""
     model = ADTDModel(config, seed=model_seed)
-    tables = [
-        generate_table(REGISTRY, table_config, np.random.default_rng(seed), index)
-        for index, (table_config, seed) in enumerate(specs)
-    ]
-    batch = collate([FEATURIZER.encode_offline(table, with_labels=False) for table in tables])
+    chunks = [chunk for index, spec in enumerate(specs) for chunk in _chunks(index, spec)]
+    batch = collate(chunks)
     assume(max(batch.meta_ids.shape[1], batch.content_ids.shape[1]) <= 512)
-
-    grad_layers = model.encode_metadata(batch)
-    grad_p1 = model.meta_logits(batch, grad_layers)
-    grad_p2 = model.content_logits(batch, grad_layers, model.encode_content(batch, grad_layers))
-    assert grad_p1.requires_grad and grad_p2.requires_grad
-
-    eager_p1, eager_layers = nn_compile.eager_phase1(model, batch)
-    compiled_p1, compiled_layers = _compiled(model, 1, batch)
-    assert _same_bits(grad_p1.data, eager_p1, compiled_p1)
-    assert len(grad_layers) == len(eager_layers) == len(compiled_layers) == config.encoder.num_layers + 1
-    for layers in zip(grad_layers, eager_layers, compiled_layers):
-        assert _same_bits(layers[0].data, *layers[1:])
-
-    cached = [
-        CachedEncoding([layer[row : row + 1].copy() for layer in eager_layers])
-        for row in range(batch.size)
+    mates_p1 = _compiled(model, 1, batch)
+    eager_cached = [
+        CachedEncoding([layer[None].copy() for layer in layers]) for _, layers in mates_p1
     ]
-    assert _same_bits(
-        grad_p2.data,
-        nn_compile.eager_phase2(model, batch, cached),
-        nn_compile.eager_phase2(model, batch, None),
-        _compiled(model, 2, batch, cached),
-        _compiled(model, 2, batch, None),
-    )
+    mates_p2 = {
+        mode: _compiled(model, 2, batch, latents)
+        for mode, latents in (("cached", eager_cached), ("recompute", [None] * len(chunks)))
+    }
+    for row, chunk in enumerate(chunks):
+        alone = collate([chunk])
+        columns = chunk.num_columns
+        grad_layers = model.encode_metadata(alone)
+        grad_p1 = model.meta_logits(alone, grad_layers)
+        grad_p2 = model.content_logits(alone, grad_layers, model.encode_content(alone, grad_layers))
+        assert grad_p1.requires_grad and grad_p2.requires_grad
+
+        eager_p1, eager_layers = nn_compile.eager_phase1(model, alone)
+        compiled_p1, compiled_layers = _compiled(model, 1, alone)[0]
+        assert _same_bits(grad_p1.data[0, :columns], eager_p1[0, :columns], compiled_p1, mates_p1[row][0])
+        assert len(grad_layers) == len(eager_layers) == len(compiled_layers) == config.encoder.num_layers + 1
+        for layers in zip(grad_layers, eager_layers, compiled_layers, mates_p1[row][1]):
+            assert _same_bits(layers[0].data[0], layers[1][0], *layers[2:])
+
+        cached = [CachedEncoding([layer.copy() for layer in eager_layers])]
+        assert _same_bits(
+            grad_p2.data[0, :columns],
+            nn_compile.eager_phase2(model, alone, cached)[0, :columns],
+            nn_compile.eager_phase2(model, alone, None)[0, :columns],
+            _compiled(model, 2, alone, cached)[0],
+            _compiled(model, 2, alone, [None])[0],
+            mates_p2["cached"][row],
+            mates_p2["recompute"][row],
+        )

@@ -1,6 +1,6 @@
-"""Tests for repro.sched: width bucketing, the cross-table inference
-batcher, the featurizer's token-id memo, and — the load-bearing property —
-that every execution mode forwards through the batcher and produces
+"""Tests for repro.sched: the cross-table inference batcher, the
+featurizer's token-id memo, and — the load-bearing property — that every
+execution mode forwards through the batcher and produces
 bitwise-identical reports."""
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from repro.sched import (
     InferenceBatcher,
     Phase1Request,
     Phase1Result,
-    bucket_width,
-    group_requests,
+    Phase2Request,
     run_phase1,
 )
 from repro.serve import DetectionService
@@ -36,44 +35,19 @@ KEEP_LATENTS = ThresholdPolicy(0.0, 1.0)
 
 
 # ----------------------------------------------------------------------
-# Width bucketing + config validation
+# Config validation
 # ----------------------------------------------------------------------
-class TestBucketWidth:
-    def test_rounds_up_to_quantum(self):
-        assert bucket_width(0, 16) == 16
-        assert bucket_width(1, 16) == 16
-        assert bucket_width(16, 16) == 16
-        assert bucket_width(17, 16) == 32
-        assert bucket_width(129, 64) == 192
-
-    def test_cap_never_truncates_real_length(self):
-        # Under the cap: normal quantization, clipped to the cap.
-        assert bucket_width(90, 16, cap=96) == 96
-        # Over the cap the exact length survives (the encoder itself
-        # decides whether to reject it; bucketing must not lie about it).
-        assert bucket_width(100, 16, cap=96) == 100
-
-    def test_monotonic_in_length(self):
-        widths = [bucket_width(n, 16, cap=512) for n in range(0, 600, 7)]
-        assert widths == sorted(widths)
-
-    def test_negative_length_rejected(self):
-        with pytest.raises(ValueError):
-            bucket_width(-1, 16)
-
-
 class TestBatchingConfig:
     def test_defaults_valid(self):
         config = BatchingConfig()
         assert config.enabled
-        assert config.max_batch_cols >= 1 and config.pad_quantum >= 1
+        assert config.max_batch_cols >= 1
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"max_batch_cols": 0},
             {"max_batch_cols": -1},
-            {"pad_quantum": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -84,7 +58,7 @@ class TestBatchingConfig:
         config = BatchingConfig()
         assert config.replace(max_batch_cols=8).max_batch_cols == 8
         with pytest.raises(ValueError):
-            config.replace(pad_quantum=-2)
+            config.replace(max_batch_cols=-2)
 
 
 # ----------------------------------------------------------------------
@@ -124,15 +98,14 @@ class TestTokenEncodeCache:
 # ----------------------------------------------------------------------
 # Batcher mechanics (driven directly, no executor)
 # ----------------------------------------------------------------------
-def _phase1_requests(featurizer, tables, quantum=16):
-    requests = []
-    for table in tables:
-        encoded = featurizer.encode_offline(table, with_content=False, with_labels=False)
-        width = bucket_width(len(encoded.meta.token_ids), quantum, cap=512)
-        requests.append(
-            Phase1Request(encoded=encoded, meta_width=width, phase2_policy=KEEP_LATENTS)
+def _phase1_requests(featurizer, tables):
+    return [
+        Phase1Request(
+            encoded=featurizer.encode_offline(table, with_content=False, with_labels=False),
+            phase2_policy=KEEP_LATENTS,
         )
-    return requests
+        for table in tables
+    ]
 
 
 def _one_per_forward(model, requests):
@@ -161,9 +134,9 @@ class TestInferenceBatcher:
     def test_full_flush_when_cols_exceed_budget(
         self, untrained_model, featurizer, tiny_corpus
     ):
-        """A width group wider than ``max_batch_cols`` is cut, in order,
-        into several forwards: with a 2-column budget and tables of at
-        least 2 columns, every request rides alone."""
+        """A phase's requests wider than ``max_batch_cols`` are cut, in
+        order, into several forwards: with a 2-column budget and tables of
+        at least 2 columns, every request rides alone."""
         metrics = MetricsRegistry()
         config = DetectorConfig(batching=BatchingConfig(max_batch_cols=2))
         batcher = InferenceBatcher(untrained_model, config, metrics=metrics)
@@ -184,7 +157,7 @@ class TestInferenceBatcher:
         batcher = InferenceBatcher(
             untrained_model, DetectorConfig(), metrics=MetricsRegistry()
         )
-        bad = Phase1Request(encoded=None, meta_width=16)  # forward will raise
+        bad = Phase1Request(encoded=None)  # forward will raise
         good = _phase1_requests(featurizer, tiny_corpus.tables[:1])
         with pytest.raises(Exception):
             batcher.run([bad])
@@ -192,20 +165,33 @@ class TestInferenceBatcher:
         results = batcher.run(good)
         assert len(results) == 1 and isinstance(results[0], Phase1Result)
 
-    def test_group_requests_partitions_by_width(self, featurizer, tiny_corpus):
-        requests = _phase1_requests(featurizer, tiny_corpus.tables[:6])
-        groups = group_requests(requests)
-        recovered = [None] * len(requests)
-        for indices, subset in groups:
-            widths = {r.meta_width for r in subset}
-            assert len(widths) == 1
-            for index, request in zip(indices, subset):
-                recovered[index] = request
-        assert recovered == requests
+    def test_any_lengths_share_a_forward_and_phases_never_do(
+        self, untrained_model, featurizer, tiny_corpus
+    ):
+        """Requests of one phase share a forward whatever their lengths,
+        the two phases never share one, and results come back in request
+        order, each equal to its table's own forward."""
+        tables = tiny_corpus.tables[:6]
+        phase1 = _phase1_requests(featurizer, tables)
+        assert len({request.meta_width for request in phase1}) > 1
+        phase2 = [
+            Phase2Request(encoded=featurizer.encode_offline(table, with_labels=False))
+            for table in tables
+        ]
+        requests = [r for pair in zip(phase1, phase2) for r in pair]  # interleaved
+        metrics = MetricsRegistry()
+        config = DetectorConfig(batching=BatchingConfig(max_batch_cols=10**6))
+        results = InferenceBatcher(untrained_model, config, metrics=metrics).run(requests)
+        assert metrics.counter("sched.forwards").value == 2
+        unbatched = InferenceBatcher(
+            untrained_model, DetectorConfig(batching=UNBATCHED), metrics=MetricsRegistry()
+        ).run(requests)
+        assert [r.probs.tobytes() for r in results] == [r.probs.tobytes() for r in unbatched]
+        assert [type(r) for r in results] == [type(r) for r in unbatched]
 
 
 # ----------------------------------------------------------------------
-# End-to-end equivalence: the whole point of width bucketing
+# End-to-end equivalence: a table's outputs depend on the table alone
 # ----------------------------------------------------------------------
 def _detect(model, featurizer, tables, config, options=None):
     server = CloudDatabaseServer.from_tables(tables, FAST)
