@@ -8,12 +8,13 @@ not only on its own fixtures.
   experiment code silently detaches the graph.
 * **RPR3xx — observability hygiene.** Metric handles must be hoisted out
   of loops (``registry.counter(...)`` takes the registry lock per call).
-* **RPR5xx — inference throughput.** The model forward amortizes its
-  fixed cost (layer setup, padding, pooling-matrix construction) over
-  the batch dimension; ``collate([one_table])`` inside a loop runs a
-  batch-of-1 forward per iteration and forfeits that amortization.
-  Loops over tables should collect encodings and collate once, or route
-  through :class:`repro.sched.InferenceBatcher`.
+* **RPR5xx — inference throughput.** An inference forward packs the
+  real tokens of all its tables into one stream, so its token-wise GEMMs
+  (embedding, Q/K/V/output projections, FFN) run once over every row;
+  ``collate([one_table])`` inside a loop runs a one-table forward per
+  iteration and gives up those packed GEMMs. Loops over tables should
+  route through :class:`repro.sched.InferenceBatcher` (or, in training,
+  collect encodings and collate once).
 
 The metric contract is :mod:`repro.analysis.contracts`' job (RPR604);
 shared writes with no common lock and the lock-acquisition order are the
@@ -131,9 +132,9 @@ class SingleItemCollateInLoop(Rule):
     id = "RPR501"
     name = "sched-single-item-collate-in-loop"
     description = (
-        "collate([<one item>]) inside a loop runs a batch-of-1 forward per "
-        "iteration; collect encodings and collate once, or submit the chunks "
-        "to repro.sched.InferenceBatcher"
+        "collate([<one item>]) inside a loop runs a one-table forward per "
+        "iteration and gives up the packed token-wise GEMMs; submit the "
+        "chunks to repro.sched.InferenceBatcher, or collate them once"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -165,9 +166,9 @@ class SingleItemCollateInLoop(Rule):
                     self,
                     node,
                     f"{ast.unparse(node.func)}([...]) with a single element "
-                    "inside a loop runs one forward per item; batch the "
-                    "encodings into a single collate() call (or use "
-                    "repro.sched.InferenceBatcher) to amortize the forward",
+                    "inside a loop runs one forward per item, each without "
+                    "the packed token-wise GEMMs; submit the encodings to "
+                    "repro.sched.InferenceBatcher (or collate them once)",
                 )
 
 

@@ -43,9 +43,10 @@ class CachedEncoding:
         """Whether these latents can stand in for a fresh metadata forward.
 
         Phase 1 keeps a chunk's latents at its real metadata length, and
-        they stand in for the tower only for a Phase-2 encoding of that
-        same length: the forward checks this per request, and a request
-        whose latents do not fit recomputes its own metadata tower.
+        the chunk's Phase-2 encoding shares its Phase-1 metadata tokens,
+        so a table job's latents always fit. The forward still checks
+        this per request: a request built with latents of another length
+        recomputes its own metadata tower.
         """
         return bool(self.layer_outputs) and self.layer_outputs[0].shape[1] == meta_width
 

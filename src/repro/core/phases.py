@@ -57,7 +57,7 @@ class ChunkState:
 
     Featurization happens in the *prep* stages (it is pure CPU work that
     belongs on TP1, run once the fetch it reads has succeeded); the infer
-    stages only see ready-to-collate encodings.
+    stages only see ready-to-run encodings.
     """
 
     metadata: TableMetadata
@@ -419,7 +419,9 @@ class TableJob:
 
     def featurize_phase2(self) -> None:
         """Stage 3's featurize part: the content encodings (TP1 work), so
-        the infer stage is pure model compute."""
+        the infer stage is pure model compute. Each reuses its chunk's
+        Phase-1 metadata tokens and numeric features; only the fetched
+        content is tokenized."""
         featurizer = self.detector.featurizer
         for chunk in self.chunks:
             chunk.local_content = {
@@ -428,7 +430,7 @@ class TableJob:
                 if (chunk.column_offset + int(local)) in self.content_by_column
             }
             chunk.encoded_p2 = (
-                featurizer.encode(chunk.metadata, chunk.local_content)
+                featurizer.with_content(chunk.encoded_p1, chunk.local_content)
                 if chunk.local_content
                 else None
             )

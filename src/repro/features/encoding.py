@@ -1,28 +1,30 @@
-"""End-to-end featurization: tables -> padded model batches.
+"""End-to-end featurization: tables -> model inputs.
 
 The :class:`Featurizer` bundles a tokenizer with the sequence budgets and
-produces :class:`EncodedTable` objects; :func:`collate` pads a list of them
-into one :class:`Batch` with attention masks. It also provides the offline
+produces one :class:`EncodedTable` per (chunk of a) table: its metadata
+tokens, content tokens and numeric features, each at its real length.
+Phase 2 builds its encoding from Phase 1's (:meth:`Featurizer.with_content`):
+the metadata tokens and numeric features are the same objects, and only
+the fetched content is tokenized. Inference forwards read the encodings as
+they are (:mod:`repro.sched.forward`). :func:`collate` pads a list of them
+into one :class:`Batch` with attention masks, for training and for the
+eager forward of one table alone. The module also provides the offline
 adapter used at training time (when tables are local and no database is
 involved) and the column-splitting threshold ``l`` (paper Sec. 6.1.2).
 
-Detection workloads re-encode the same column-name/cell strings over and
-over (chunked wide tables repeat the table text; Phase 2 re-encodes the
-metadata Phase 1 already saw), so the featurizer routes ``tokenizer.encode``
-through a bounded LRU (:class:`TokenEncodeCache`) whose hit/miss totals are
-exported as ``featurizer.encode_cache.{hits,misses}`` counters.
-
-:func:`collate` pads to the batch's longest row; :meth:`Batch.row` cuts one
-row back to what ``collate`` makes of that table alone, its real widths —
-the eager reference every inference forward (:mod:`repro.sched`) equals
-bit for bit.
+Detection workloads tokenize the same column-name/cell strings over and
+over (chunked wide tables repeat the table text per chunk), so the
+featurizer routes ``tokenizer.encode`` through a bounded LRU
+(:class:`TokenEncodeCache`, :data:`ENCODE_CACHE_SIZE` entries) whose
+hit/miss totals are exported as ``featurizer.encode_cache.{hits,misses}``
+counters.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,6 +55,9 @@ __all__ = [
     "corpus_texts",
 ]
 
+# Entries of a featurizer's token-encode LRU.
+ENCODE_CACHE_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class FeatureConfig:
@@ -71,7 +76,6 @@ class FeatureConfig:
     column_split_threshold: int = 20
     use_histogram: bool = False
     max_column_id: int = 64  # size of the column-id embedding table
-    encode_cache_size: int = 4096  # LRU entries for repeated-string token ids (0 = off)
 
 
 @dataclass
@@ -126,24 +130,6 @@ class Batch:
     def size(self) -> int:
         return self.meta_ids.shape[0]
 
-    def row(self, index: int) -> "Batch":
-        """Row ``index`` as :func:`collate` makes its table alone: each
-        token stream at its real length, the column axis at the table's
-        columns (at least 2)."""
-        widths = {
-            "meta": max(int(self.meta_mask[index].sum()), 1),
-            "content": max(int(self.content_mask[index].sum()), 1),
-        }
-        columns = max(int(self.column_mask[index].sum()), 2)
-        return Batch(
-            **{
-                name: None
-                if value is None
-                else value[index : index + 1, : widths.get(name.split("_")[0], columns)]
-                for name, value in vars(self).items()
-            }
-        )
-
 
 def _pad_stack(arrays: list[np.ndarray], fill: int, width: int = 1) -> np.ndarray:
     width = max(max((len(a) for a in arrays), default=0), width)
@@ -157,9 +143,9 @@ class TokenEncodeCache:
     """Bounded, thread-safe LRU over :meth:`Tokenizer.encode`.
 
     Detection re-tokenizes the same strings constantly — a chunked wide
-    table repeats its table text per chunk, Phase 2 re-encodes Phase 1's
-    metadata, and real schemas reuse column names (``id``, ``name``,
-    ``created_at``) across tables. Keyed on the full call signature
+    table repeats its table text per chunk, and real schemas reuse column
+    names (``id``, ``name``, ``created_at``) and cell values across
+    tables. Keyed on the full call signature
     ``(text, max_len, keep_punct)``; stores immutable tuples and hands
     out fresh lists so callers may mutate their copy. Exposes ``vocab``
     and ``__len__`` so it can stand in for the wrapped tokenizer inside
@@ -220,11 +206,7 @@ class Featurizer:
         self.tokenizer = tokenizer
         self.registry = registry
         self.config = config
-        self.encode_cache: TokenEncodeCache | None = (
-            TokenEncodeCache(tokenizer, config.encode_cache_size)
-            if config.encode_cache_size > 0
-            else None
-        )
+        self.encode_cache = TokenEncodeCache(tokenizer, ENCODE_CACHE_SIZE)
 
     # ------------------------------------------------------------------
     def encode(
@@ -240,20 +222,11 @@ class Featurizer:
         ``labels`` is one list of type names per column (training only).
         """
         config = self.config
-        tokenizer = self.encode_cache if self.encode_cache is not None else self.tokenizer
         meta = tokenize_metadata(
             metadata,
-            tokenizer,
+            self.encode_cache,
             table_token_budget=config.table_token_budget,
             column_token_budget=config.column_token_budget,
-        )
-        content = tokenize_content(
-            content_by_column or {},
-            num_table_columns=len(metadata.columns),
-            tokenizer=tokenizer,
-            cells_per_column=config.cells_per_column,
-            cell_token_budget=config.cell_token_budget,
-            max_tokens_per_column=config.max_tokens_per_column,
         )
         numeric = np.stack(
             [numeric_features(column, config.use_histogram) for column in metadata.columns]
@@ -269,11 +242,36 @@ class Featurizer:
             )
         return EncodedTable(
             meta=meta,
-            content=content,
+            content=self._content(content_by_column or {}, len(metadata.columns)),
             numeric=numeric,
             labels=label_array,
             table_name=metadata.name,
             column_names=[column.column_name for column in metadata.columns],
+        )
+
+    def with_content(
+        self, encoded: EncodedTable, content_by_column: dict[int, list[str]]
+    ) -> EncodedTable:
+        """``encoded``'s table with ``content_by_column`` as its content.
+
+        The Phase-2 encoding of a chunk: it shares the metadata tokens and
+        numeric features of the chunk's Phase-1 encoding, so it equals
+        :meth:`encode` of the same metadata and content, and the latents
+        Phase 1 kept always fit it. Only the content is tokenized.
+        """
+        return replace(
+            encoded, content=self._content(content_by_column, encoded.num_columns)
+        )
+
+    def _content(self, content_by_column: dict[int, list[str]], num_columns: int) -> ContentTokens:
+        config = self.config
+        return tokenize_content(
+            content_by_column,
+            num_table_columns=num_columns,
+            tokenizer=self.encode_cache,
+            cells_per_column=config.cells_per_column,
+            cell_token_budget=config.cell_token_budget,
+            max_tokens_per_column=config.max_tokens_per_column,
         )
 
     def encode_offline(
@@ -296,8 +294,9 @@ class Featurizer:
 def collate(tables: list[EncodedTable], pad_id: int = 0) -> Batch:
     """Pad encoded tables into one batch, to its longest row.
 
-    Padding only *appends* masked tokens and columns; :meth:`Batch.row`
-    recovers each table as ``collate`` makes it alone.
+    Padding only *appends* masked tokens and columns. Training batches
+    many tables; inference collates one table alone, for its eager
+    forward.
     """
     if not tables:
         raise ValueError("cannot collate an empty batch")

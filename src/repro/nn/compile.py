@@ -8,14 +8,17 @@ trades that overhead for **replays** of a hand-written plan:
   (:func:`plan_cache`). Replays are straight-line numpy — zero
   ``Tensor``/autograd objects on the hot path — over the parameters of
   the model they are handed, read afresh on every replay, and take every
-  shape from the batch, so one plan serves every table and every weight
-  version.
-* A replay computes every table of its batch at the table's own real
-  widths, with nothing padded and no attention mask. The token-wise ops
+  shape from the encodings, so one plan serves every table and every
+  weight version.
+* A replay reads its tables' encodings
+  (:class:`~repro.features.encoding.EncodedTable`) as they are and
+  computes every table at its own real widths, with nothing padded and no
+  attention mask. The token arrays of all rows are concatenated into one
+  packed ``(N, H)`` stream per tower, on which the token-wise ops
   (embedding, the Q/K/V/output projections, the FFN, layer norm, GELU)
-  run once over the real tokens of all rows, packed as one ``(N, H)``
-  matrix; the attention core and the column pooling run per row, at that
-  row's real lengths.
+  run once; the attention core and the column pooling run per row, at
+  that row's real lengths. Only the classifier input is zero-padded on its
+  column axis, to ``(B, max(C_max, 2), D)``.
 * A replay allocates its own buffers and writes them through the shared
   ``out=`` kernels in :mod:`repro.nn.functional` (``softmax_`` in place
   in the attention scores, fused residual+``layer_norm_``, fused
@@ -29,12 +32,13 @@ trades that overhead for **replays** of a hand-written plan:
 Bitwise safety
 --------------
 The reference is the eager no-grad forward of each table alone, at its
-real widths (:func:`eager_rows`): the autograd model at one row, where
-the padding mask is all zeros. Replays equal it bit for bit:
+real widths, which the caller of :meth:`CompiledPlan.run` supplies
+(:func:`repro.sched.forward.eager_forward`): the autograd model at one
+row, where the padding mask is all zeros. Replays equal it bit for bit:
 
-1. Replays call the *same* raw-ndarray kernels the eager no-grad fast
-   paths call (``softmax_``/``layer_norm_``/``gelu_``/``relu_``), and
-   every remaining op is the identical ufunc/GEMM on the same live weight
+1. Replays call the *same* raw-ndarray kernels the autograd ops compute
+   their forwards with (``softmax_``/``layer_norm_``/``gelu_``/``relu_``),
+   and every remaining op is the identical ufunc/GEMM on the same live weight
    arrays. Per-row ops (attention, pooling) run at the reference's exact
    shapes. A packed token-wise GEMM relies on the BLAS computing each
    row of a product independently of the rows around it, which OpenBLAS
@@ -68,7 +72,7 @@ import functools
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -79,17 +83,13 @@ from .functional import (
     relu_,
     softmax_,
 )
-from .tensor import Tensor, no_grad
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..features.encoding import Batch
+    from ..features.encoding import EncodedTable
 
 __all__ = [
     "CompileConfig",
     "CompiledPlan",
-    "eager_phase1",
-    "eager_phase2",
-    "eager_rows",
     "packs_exactly",
     "plan_cache",
 ]
@@ -131,14 +131,16 @@ class _Rows:
 
 
 class _Stream:
-    """The real tokens of one of a batch's token streams, row after row."""
+    """One token stream of several tables (their metadata or their
+    content tokens), concatenated row after row."""
 
-    def __init__(self, batch: "Batch", name: str, mask: np.ndarray) -> None:
-        self.ids = getattr(batch, f"{name}_ids")[mask]
-        self.segments = getattr(batch, f"{name}_segments")[mask]
-        self.column_ids = getattr(batch, f"{name}_column_ids")[mask]
-        self.positions = np.nonzero(mask)[1]
-        self.rows = _Rows(mask.sum(axis=1))
+    def __init__(self, tokens: list) -> None:
+        lengths = np.array([len(row.token_ids) for row in tokens], dtype=np.int64)
+        self.ids = np.concatenate([row.token_ids for row in tokens])
+        self.segments = np.concatenate([row.segment_ids for row in tokens])
+        self.column_ids = np.concatenate([row.column_ids for row in tokens])
+        self.positions = np.concatenate([np.arange(n) for n in lengths])
+        self.rows = _Rows(lengths)
 
 
 class CompiledPlan:
@@ -260,22 +262,25 @@ class CompiledPlan:
             outputs.append(hidden)
         return outputs
 
-    def _features(self, batch: "Batch", pooled: int) -> np.ndarray:
-        """The classifier input: ``pooled`` zeros per column, then its
-        numeric features, at the batch's column width."""
-        size, columns, numeric_dim = batch.numeric.shape
-        features = np.zeros((size, columns, pooled + numeric_dim), np.float32)
-        features[..., pooled:] = batch.numeric
+    def _features(self, encoded: "list[EncodedTable]", pooled: int) -> np.ndarray:
+        """The classifier input, ``(B, max(C_max, 2), pooled + F)``:
+        ``pooled`` zeros per column, then its numeric features; padded
+        columns are all zeros."""
+        columns = max(max(table.num_columns for table in encoded), 2)
+        numeric_dim = encoded[0].numeric.shape[1]
+        features = np.zeros((len(encoded), columns, pooled + numeric_dim), np.float32)
+        for row, table in enumerate(encoded):
+            features[row, : table.num_columns, pooled:] = table.numeric
         return features
 
     def _pool(
         self, features: np.ndarray, offset: int, stream: _Stream, hidden: np.ndarray,
-        num_columns: np.ndarray,
+        num_columns: list[int],
     ) -> None:
         """Mean-pool each row's column spans into ``features[row, :, offset:]``,
         at the column width ``collate`` gives the row's table alone."""
         for row, span in enumerate(stream.rows.spans):
-            columns = max(int(num_columns[row]), 2)
+            columns = max(num_columns[row], 2)
             column_ids = stream.column_ids[span][None]
             pooling = column_pooling_matrix(column_ids, np.ones_like(column_ids, bool), columns)
             np.matmul(pooling[0], hidden[span], out=features[row, :columns, offset : offset + self.hidden])
@@ -288,11 +293,11 @@ class CompiledPlan:
         logits += head.output.bias.data
         return logits
 
-    def _replay_phase1(self, model: Any, batch: "Batch", cached: None) -> list:
-        meta = _Stream(batch, "meta", batch.meta_mask)
+    def _replay_phase1(self, model: Any, encoded: "list[EncodedTable]", cached: None) -> list:
+        meta = _Stream([table.meta for table in encoded])
         layers = self._meta_tower(model, meta)
-        num_columns = batch.column_mask.sum(axis=1)
-        features = self._features(batch, self.hidden)
+        num_columns = [table.num_columns for table in encoded]
+        features = self._features(encoded, self.hidden)
         self._pool(features, 0, meta, layers[-1], num_columns)
         logits = self._classifier(features, model.meta_classifier)
         return [
@@ -300,18 +305,20 @@ class CompiledPlan:
             for row, (span, columns) in enumerate(zip(meta.rows.spans, num_columns))
         ]
 
-    def _replay_phase2(self, model: Any, batch: "Batch", cached: list) -> list:
-        meta = _Stream(batch, "meta", batch.meta_mask)
-        content = _Stream(batch, "content", batch.content_mask)
+    def _replay_phase2(self, model: Any, encoded: "list[EncodedTable]", cached: list) -> list:
+        meta = _Stream([table.meta for table in encoded])
+        content = _Stream([table.content for table in encoded])
         # The metadata tower runs only for the rows without kept latents.
-        missing = np.array([encoding is None for encoding in cached])
-        recompute = _Stream(batch, "meta", batch.meta_mask & missing[:, None])
-        tower = self._meta_tower(model, recompute) if missing.any() else None
+        missing = [row for row, encoding in enumerate(cached) if encoding is None]
+        if missing:
+            recompute = _Stream([encoded[row].meta for row in missing])
+            tower = self._meta_tower(model, recompute)
+            spans = dict(zip(missing, recompute.rows.spans))
 
         def meta_layer(index: int, row: int) -> np.ndarray:
             if cached[row] is not None:
                 return cached[row].layer_outputs[index][0]
-            return tower[index][recompute.rows.spans[row]]
+            return tower[index][spans[row]]
 
         kv_rows = _Rows(meta.rows.lengths + content.rows.lengths)
         hidden = self._embed(model, content)
@@ -325,10 +332,10 @@ class CompiledPlan:
                 ]
             )
             hidden = self._attention_block(block, hidden, content.rows, kv_input, kv_rows)
-        num_columns = batch.column_mask.sum(axis=1)
-        features = self._features(batch, 2 * self.hidden)
+        num_columns = [table.num_columns for table in encoded]
+        features = self._features(encoded, 2 * self.hidden)
         self._pool(features, 0, content, hidden, num_columns)
-        meta_last = np.concatenate([meta_layer(len(blocks), row) for row in range(batch.size)])
+        meta_last = np.concatenate([meta_layer(len(blocks), row) for row in range(len(encoded))])
         self._pool(features, self.hidden, meta, meta_last, num_columns)
         logits = self._classifier(features, model.content_classifier)
         return [logits[row, :columns] for row, columns in enumerate(num_columns)]
@@ -341,98 +348,60 @@ class CompiledPlan:
         return all(a.tobytes() == b.tobytes() for a, b in zip(outputs, reference))
 
     # ------------------------------------------------------------------
-    def run(self, model: Any, batch: "Batch", cached: "list | None", events: list) -> Any:
-        """Replay, and verify the rows of first-time keys.
+    def run(
+        self,
+        model: Any,
+        encoded: "list[EncodedTable]",
+        cached: "list | None",
+        events: list,
+        reference: Callable[["EncodedTable", Any], Any],
+    ) -> Any:
+        """Replay ``encoded``, one row per table, and verify the rows of
+        first-time keys.
 
         Returns one output per row, which the caller owns (phase 1:
         ``(logits, layer_arrays)``, phase 2: ``logits``, each at the row's
         real widths and column count), or ``None`` when a row is over
         ``max_seq_len`` and the caller must run the eager forward. A row
         whose key fails its verification, or was retired before, is
-        answered by its eager reference. ``cached`` is the per-row list of
-        latent-cache encodings (``None`` entries recompute that row's
-        metadata tower, like the eager path); phase 1 takes ``None``.
-        ``("replay", phase)`` and ``("fallback", reason)`` events are
-        appended to ``events`` for the caller to count.
+        answered by its eager reference, ``reference(encoded[row],
+        cached[row])`` (phase 1: ``reference(encoded[row], None)``).
+        ``cached`` is the per-row list of latent-cache encodings (``None``
+        entries recompute that row's metadata tower, like the eager path);
+        phase 1 takes ``None``. ``("replay", phase)`` and ``("fallback",
+        reason)`` events are appended to ``events`` for the caller to
+        count.
         """
-        meta_lengths = batch.meta_mask.sum(axis=1)
+        meta_lengths = [len(table.meta.token_ids) for table in encoded]
         if self.phase == 1:
-            keys = [(int(meta), "meta") for meta in meta_lengths]
-            longest = int(meta_lengths.max())
+            cached = [None] * len(encoded)
+            keys = [(meta, "meta") for meta in meta_lengths]
+            longest = max(meta_lengths)
         else:
-            content_lengths = batch.content_mask.sum(axis=1)
+            content_lengths = [len(table.content.token_ids) for table in encoded]
             keys = [
-                (int(meta), int(content), "recompute" if encoding is None else "cached")
+                (meta, content, "recompute" if encoding is None else "cached")
                 for meta, content, encoding in zip(meta_lengths, content_lengths, cached)
             ]
-            longest = max(int(meta_lengths.max()), int(content_lengths.max()))
+            longest = max(*meta_lengths, *content_lengths)
         if longest > self.max_width:
             # The eager forward raises its typed error for this width.
             events.append(("fallback", "too_long"))
             return None
         replay = self._replay_phase1 if self.phase == 1 else self._replay_phase2
-        outputs = replay(model, batch, cached)
+        outputs = replay(model, encoded, cached)
         for row, key in enumerate(keys):
             if key in self.verified:
                 continue
-            reference = reference_row(model, self.phase, batch, row, cached)
-            if key not in self.dead and self._matches(outputs[row], reference):
+            expected = reference(encoded[row], cached[row])
+            if key not in self.dead and self._matches(outputs[row], expected):
                 self.verified.add(key)
                 continue
             events.append(("fallback", "dead" if key in self.dead else "verify"))
             self.dead.add(key)
-            outputs[row] = reference
+            outputs[row] = expected
         events.append(("replay", self.phase))
         return outputs
-
-
-# ----------------------------------------------------------------------
-# The eager no-grad forward: the fallback path and the verify reference.
-# ----------------------------------------------------------------------
-def reference_row(model: Any, phase: int, batch: "Batch", row: int, cached: "list | None" = None) -> Any:
-    """Row ``row`` of ``batch`` as the eager forward of its table alone,
-    at its real widths, in the form :meth:`CompiledPlan.run` returns."""
-    alone = batch.row(row)
-    columns = int(batch.column_mask[row].sum())
-    if phase == 1:
-        logits, layers = eager_phase1(model, alone)
-        return logits[0, :columns], [layer[0] for layer in layers]
-    encoding = None if cached is None else cached[row]
-    return eager_phase2(model, alone, None if encoding is None else [encoding])[0, :columns]
-
-
-def eager_rows(model: Any, phase: int, batch: "Batch", cached: "list | None" = None) -> list:
-    """The eager forward of every table of ``batch``, each alone at its
-    real widths: the reference every replay equals bit for bit."""
-    return [reference_row(model, phase, batch, row, cached) for row in range(batch.size)]
-
-
-def eager_phase1(model: Any, batch: "Batch") -> tuple[np.ndarray, list[np.ndarray]]:
-    """Eager metadata-tower forward: ``(logits, layer_arrays)`` as arrays."""
-    with no_grad():
-        meta_layers = model.encode_metadata(batch)
-        logits = model.meta_logits(batch, meta_layers)
-    return logits.detach().numpy(), [layer.detach().numpy() for layer in meta_layers]
-
-
-def eager_phase2(model: Any, batch: "Batch", cached: "list | None") -> np.ndarray:
-    """Eager content-tower forward: the logits array.
-
-    ``cached`` is the per-request list of latent-cache encodings, or
-    ``None`` to recompute the metadata tower for the whole batch —
-    eval-mode recomputation is bitwise equal to the cached latents.
-    """
-    with no_grad():
-        if cached is not None:
-            meta_layers = [
-                Tensor(np.concatenate([enc.layer_outputs[i] for enc in cached], axis=0))
-                for i in range(len(cached[0].layer_outputs))
-            ]
-        else:
-            meta_layers = model.encode_metadata(batch)
-        content_hidden = model.encode_content(batch, meta_layers)
-        logits = model.content_logits(batch, meta_layers, content_hidden)
-    return logits.detach().numpy()
 
 
 # ----------------------------------------------------------------------

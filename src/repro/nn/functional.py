@@ -5,24 +5,18 @@ lookup, dropout) get hand-written backward rules rather than being composed
 from :class:`~repro.nn.tensor.Tensor` primitives; this keeps the graphs built
 for Transformer encoders small and fast, which matters on CPU.
 
-Every differentiable op here also has a **no-grad fast path**: when
-``is_grad_enabled()`` is false, the op skips allocating its backward
-closure and reuses intermediate buffers in place (``np.exp(..., out=)``,
-``/=``, ``*=``). The in-place variants perform the *same* floating-point
-operations on the same operands as the autograd versions — only the buffer
-bookkeeping changes — so eval-mode outputs stay bitwise identical to what
-the graph-recording path would produce. Inference is where the framework
-spends its life (the two-phase pipeline runs entirely under ``no_grad``),
-so these paths are the hot ones.
-
-The no-grad arithmetic lives in raw-ndarray kernels (``softmax_``,
-``layer_norm_``, ``gelu_``, ``relu_``) with optional ``out=``/``scratch=``
-buffers. The eager fast paths call them with fresh buffers; the compiled
-replay paths (:mod:`repro.nn.compile`) call the *same* kernels in place
-in the buffers a replay allocates — one implementation, so compiled and
-eager outputs are bitwise identical by construction. ``scratch`` must never
-alias ``x`` or ``out``; ``out`` may alias ``x`` (every kernel reads ``x``
-before, or in the same ufunc call as, the write).
+Each op's forward arithmetic is stated once, in a raw-ndarray kernel
+(``softmax_``, ``layer_norm_``, ``gelu_``, ``relu_``) with optional
+``out=``/``scratch=`` buffers. The autograd op computes its forward by
+calling the kernel with fresh buffers, in and out of ``no_grad`` alike
+(:meth:`Tensor._make <repro.nn.tensor.Tensor._make>` records no graph
+node when grad mode is off), and its backward recomputes from the input
+whatever intermediates it needs. The compiled replays
+(:mod:`repro.nn.compile`) call the *same* kernels in place in the buffers
+a replay allocates, so the autograd, eager no-grad and compiled forwards
+are bitwise identical by construction. ``scratch`` must never alias ``x``
+or ``out``; ``out`` may alias ``x`` (every kernel reads ``x`` before, or
+in the same ufunc call as, the write).
 """
 
 from __future__ import annotations
@@ -51,10 +45,8 @@ __all__ = [
 def softmax_(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """In-place-capable softmax kernel on a raw ndarray.
 
-    Same operand sequence as the autograd path (shift by max, exp,
-    normalize), so the result is bitwise identical to it. ``out=x`` is the
-    fully in-place form used by compiled replays to reuse the
-    attention-score buffer.
+    Shift by max, exp, normalize. ``out=x`` is the fully in-place form
+    used by compiled replays to reuse the attention-score buffer.
     """
     shifted = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
     np.exp(shifted, out=shifted)
@@ -64,11 +56,7 @@ def softmax_(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable softmax along ``axis``."""
-    if not is_grad_enabled():
-        return Tensor(softmax_(x.data, axis=axis))
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=axis, keepdims=True)
+    out_data = softmax_(x.data, axis=axis)
 
     def backward(grad: np.ndarray) -> None:
         # d softmax = s * (grad - sum(grad * s))
@@ -80,15 +68,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable log-softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_sum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    if not is_grad_enabled():
-        shifted -= log_sum
-        return Tensor(shifted)
-    out_data = shifted - log_sum
-    soft = np.exp(out_data)
+    out_data = x.data - x.data.max(axis=axis, keepdims=True)
+    out_data -= np.log(np.exp(out_data).sum(axis=axis, keepdims=True))
 
     def backward(grad: np.ndarray) -> None:
+        soft = np.exp(out_data)
         x._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True), own=True)
 
     return Tensor._make(out_data, (x,), backward)
@@ -104,10 +88,9 @@ def layer_norm_(
 ) -> np.ndarray:
     """In-place-capable layer-norm kernel on a raw ndarray.
 
-    ``x**2`` in the autograd path dispatches to ``np.square`` (numpy's
-    fast scalar-power path), which is what the kernel calls explicitly —
-    keeping the variance bitwise identical. ``scratch`` (same shape as
-    ``x``) holds the squared deviations; it must not alias ``x``/``out``.
+    The variance squares with ``np.square`` (what ``x**2`` dispatches
+    to). ``scratch`` (same shape as ``x``) holds the squared deviations;
+    it must not alias ``x``/``out``.
     """
     mean = x.mean(axis=-1, keepdims=True)
     centered = np.subtract(x, mean, out=out)
@@ -122,16 +105,12 @@ def layer_norm_(
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalization over the last axis with affine transform."""
-    if not is_grad_enabled():
-        return Tensor(layer_norm_(x.data, weight.data, bias.data, eps=eps))
-    mean = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mean
-    var = (centered**2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    normalized = centered * inv_std
-    out_data = normalized * weight.data + bias.data
+    out_data = layer_norm_(x.data, weight.data, bias.data, eps=eps)
 
     def backward(grad: np.ndarray) -> None:
+        centered = x.data - x.data.mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(np.square(centered).mean(axis=-1, keepdims=True) + eps)
+        normalized = centered * inv_std
         if weight.requires_grad:
             weight._accumulate((grad * normalized).reshape(-1, x.data.shape[-1]).sum(axis=0), own=True)
         if bias.requires_grad:
@@ -158,14 +137,11 @@ def gelu_(
 ) -> np.ndarray:
     """In-place-capable tanh-GELU kernel on a raw ndarray.
 
-    Same operand pairs as the autograd path, with the commuted forms
-    (``a*b`` vs ``b*a``, ``a+b`` vs ``b+a``) that are bitwise-exact in
-    IEEE. The cubic is ``square(x) * x`` — NOT ``np.power(x, 3)``, whose
+    The cubic is ``square(x) * x`` — NOT ``np.power(x, 3)``, whose
     generic pow loop is ~70x slower than two multiplies and rounds the
-    last bit differently — and the autograd forward computes the exact
-    same square-then-multiply sequence. ``scratch`` holds the cubic
-    polynomial and must not alias ``x``/``out``; ``out=x`` is safe (``x``
-    is last read in the ``0.5 * x`` multiply that writes ``out``).
+    last bit differently. ``scratch`` holds the cubic polynomial and must
+    not alias ``x``/``out``; ``out=x`` is safe (``x`` is last read in the
+    ``0.5 * x`` multiply that writes ``out``).
     """
     cubed = np.square(x, out=scratch)
     cubed *= x
@@ -196,16 +172,10 @@ def relu_(
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian Error Linear Unit, tanh approximation (as in BERT)."""
-    if not is_grad_enabled():
-        return Tensor(gelu_(x.data))
-    # square-then-multiply, matching gelu_ bit for bit (and ~70x faster
-    # than the np.power pow loop ``x**3`` dispatches to).
-    cubed = np.square(x.data) * x.data
-    inner = _GELU_COEFF * (x.data + 0.044715 * cubed)
-    tanh_inner = np.tanh(inner)
-    out_data = 0.5 * x.data * (1.0 + tanh_inner)
+    out_data = gelu_(x.data)
 
     def backward(grad: np.ndarray) -> None:
+        tanh_inner = np.tanh(_GELU_COEFF * (x.data + 0.044715 * (np.square(x.data) * x.data)))
         sech2 = 1.0 - tanh_inner**2
         d_inner = _GELU_COEFF * (1.0 + 3 * 0.044715 * x.data**2)
         x._accumulate(grad * (0.5 * (1.0 + tanh_inner) + 0.5 * x.data * sech2 * d_inner), own=True)
@@ -221,8 +191,6 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     """
     indices = np.asarray(indices)
     out_data = weight.data[indices]
-    if not is_grad_enabled():
-        return Tensor(out_data)
 
     def backward(grad: np.ndarray) -> None:
         full = np.zeros_like(weight.data)

@@ -13,6 +13,7 @@ per-detector counting.
 
 from __future__ import annotations
 
+import functools
 import sys
 import threading
 from dataclasses import replace
@@ -47,6 +48,7 @@ from repro.sched import (
     Phase1Result,
     Phase2Request,
 )
+from repro.sched import forward as sched_forward
 from repro.serve import DetectionService
 
 FAST = CostModel(time_scale=0.0)
@@ -227,6 +229,37 @@ class TestBitwiseEquivalence:
         assert not any(plan.packs for plan in nn_compile.plan_cache(untrained_model).values())
         _assert_bitwise(reference, compiled)
         assert _replays(metrics) > 0 and _fallbacks(metrics) == 0
+
+
+    def test_a_short_content_row_beside_longer_rows_replays_bitwise(
+        self, tiny_encoder, featurizer, tiny_corpus
+    ):
+        """At ``hidden_size=32, intermediate_size=40`` the BLAS of some
+        cores computes a 2- or 3-row slice of a product of ~800 rows or
+        more unlike the same rows multiplied alone, which
+        ``packs_exactly`` must find out. A Phase-2 forward whose 3-token
+        content stream rides beside longer rows, 1,500 content tokens in
+        all, still replays every row bitwise, in both latent modes, with
+        no fallback."""
+        config = ADTDConfig(
+            replace(tiny_encoder, intermediate_size=40),
+            num_labels=tiny_corpus.registry.num_labels,
+        )
+        model = ADTDModel(config, seed=0)
+        tables = _spread_tables(tiny_corpus.registry)
+        encoded1, encoded2, cached = _encodings(model, featurizer, tables)
+        short = featurizer.with_content(encoded1[0], {0: ["a"]})
+        assert 2 <= len(short.content.token_ids) <= 3
+        encoded = [encoded2[1], short, *encoded2[2:]]
+        assert sum(len(table.content.token_ids) for table in encoded) > 1000
+        plan = nn_compile.CompiledPlan(2, model.config)
+        for latents in ([cached[1], cached[0], *cached[2:]], [None] * len(encoded)):
+            events = []
+            replayed = _replay(plan, model, encoded, latents, events)
+            assert events == [("replay", 2)]
+            for row, table in enumerate(encoded):
+                expected = sched_forward.eager_forward(model, 2, table, latents[row])
+                assert replayed[row].tobytes() == expected.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -417,18 +450,17 @@ class TestPerShapeVerification:
         forward alone, and never again."""
         tables = _spread_tables(tiny_corpus.registry)
         verifies = []
-        reference_row = nn_compile.reference_row
+        eager_forward = sched_forward.eager_forward
 
-        def spy(model, phase, batch, row, cached=None):
-            alone = batch.row(row)
-            key = (alone.meta_ids.shape[1], "meta")
+        def spy(model, phase, encoded, cached=None):
+            key = (len(encoded.meta.token_ids), "meta")
             if phase == 2:
-                mode = "recompute" if cached is None or cached[row] is None else "cached"
-                key = (alone.meta_ids.shape[1], alone.content_ids.shape[1], mode)
+                mode = "recompute" if cached is None else "cached"
+                key = (len(encoded.meta.token_ids), len(encoded.content.token_ids), mode)
             verifies.append((phase, key))
-            return reference_row(model, phase, batch, row, cached)
+            return eager_forward(model, phase, encoded, cached)
 
-        monkeypatch.setattr(nn_compile, "reference_row", spy)
+        monkeypatch.setattr(sched_forward, "eager_forward", spy)
         metrics = MetricsRegistry()
         detector = TasteDetector(
             untrained_model,
@@ -451,57 +483,68 @@ class TestPerShapeVerification:
         assert _fallbacks(metrics) == 0
 
 
-def _batches(model, featurizer, tables):
-    """Phase-1 and Phase-2 batches of ``tables`` and each row's Phase-1
-    latents, from the eager forward of its table alone."""
-    batch1 = collate(
-        [featurizer.encode_offline(table, with_content=False, with_labels=False) for table in tables]
-    )
-    batch2 = collate([featurizer.encode_offline(table, with_labels=False) for table in tables])
-    cached = [
-        CachedEncoding([layer[None].copy() for layer in layers])
-        for _, layers in nn_compile.eager_rows(model, 1, batch1)
+def _encodings(model, featurizer, tables):
+    """Phase-1 and Phase-2 encodings of ``tables`` and each table's
+    Phase-1 latents, from the eager forward of its table alone."""
+    encoded1 = [
+        featurizer.encode_offline(table, with_content=False, with_labels=False) for table in tables
     ]
-    return batch1, batch2, cached
+    encoded2 = [featurizer.encode_offline(table, with_labels=False) for table in tables]
+    cached = [
+        CachedEncoding([layer[None].copy() for layer in sched_forward.eager_forward(model, 1, e)[1]])
+        for e in encoded1
+    ]
+    return encoded1, encoded2, cached
+
+
+def _replay(plan, model, encoded, latents, events):
+    """``plan.run`` with the eager forward of one table as its reference."""
+    reference = functools.partial(sched_forward.eager_forward, model, plan.phase)
+    return plan.run(model, encoded, latents, events, reference)
 
 
 class TestSlicedVerification:
     """The reference is the eager forward of each table alone, at its real
-    widths: a batch sliced one row at a time."""
+    widths, on the batch ``collate`` makes of that table."""
 
     @pytest.mark.parametrize("phase", [1, 2])
     @pytest.mark.parametrize("size", [1, 2, 5])
     def test_sliced_reference_equals_the_whole_batch_forward(
         self, untrained_model, featurizer, tiny_corpus, size, phase
     ):
-        """Each row of a whole-batch replay equals its row of the sliced
-        reference, which equals the eager forward of its table collated
-        alone."""
+        """Each row of a whole-batch replay equals its table's eager
+        reference, which equals the model's forward of that table
+        collated alone."""
         tables = _spread_tables(tiny_corpus.registry)[:size]
-        batch1, batch2, cached = _batches(untrained_model, featurizer, tables)
-        batch = batch1 if phase == 1 else batch2
+        encoded1, encoded2, cached = _encodings(untrained_model, featurizer, tables)
+        encoded = encoded1 if phase == 1 else encoded2
         modes = [None] if phase == 1 else [cached, [None] * size]
         for latents in modes:
-            sliced = nn_compile.eager_rows(untrained_model, phase, batch, latents)
             events = []
-            whole = nn_compile.CompiledPlan(phase, untrained_model.config).run(
-                untrained_model, batch, latents, events
+            whole = _replay(
+                nn_compile.CompiledPlan(phase, untrained_model.config),
+                untrained_model, encoded, latents, events,
             )
             assert events == [("replay", phase)]
-            for row, table in enumerate(tables):
-                encoded = featurizer.encode_offline(
-                    table, with_content=phase == 2, with_labels=False
+            for row, table in enumerate(encoded):
+                alone = collate([table])
+                columns = table.num_columns
+                reference = sched_forward.eager_forward(
+                    untrained_model, phase, table, None if latents is None else latents[row]
                 )
-                alone = collate([encoded])
-                columns = encoded.num_columns
+                with nn.no_grad():
+                    meta_layers = untrained_model.encode_metadata(alone)
+                    if phase == 1:
+                        logits = untrained_model.meta_logits(alone, meta_layers).data
+                        expected = [logits[0, :columns], *(layer.data[0] for layer in meta_layers)]
+                    else:
+                        content = untrained_model.encode_content(alone, meta_layers)
+                        logits = untrained_model.content_logits(alone, meta_layers, content).data
+                        expected = [logits[0, :columns]]
                 if phase == 1:
-                    logits, layers = nn_compile.eager_phase1(untrained_model, alone)
-                    expected = [logits[0, :columns], *(layer[0] for layer in layers)]
-                    got = [[whole[row][0], *whole[row][1]], [sliced[row][0], *sliced[row][1]]]
+                    got = [[whole[row][0], *whole[row][1]], [reference[0], *reference[1]]]
                 else:
-                    own = None if latents[row] is None else [latents[row]]
-                    expected = [nn_compile.eager_phase2(untrained_model, alone, own)[0, :columns]]
-                    got = [[whole[row]], [sliced[row]]]
+                    got = [[whole[row]], [reference]]
                 for arrays in got:
                     assert [a.tobytes() for a in arrays] == [a.tobytes() for a in expected]
 
@@ -513,8 +556,8 @@ class TestSlicedVerification:
         that row's key alone, and the forward hands back the correct eager
         outputs."""
         tables = tiny_corpus.tables[:5]
-        batch1, batch2, cached = _batches(untrained_model, featurizer, tables)
-        batch = batch1 if phase == 1 else batch2
+        encoded1, encoded2, cached = _encodings(untrained_model, featurizer, tables)
+        encoded = encoded1 if phase == 1 else encoded2
         name = "_replay_phase1" if phase == 1 else "_replay_phase2"
         replay = getattr(nn_compile.CompiledPlan, name)
 
@@ -526,16 +569,21 @@ class TestSlicedVerification:
 
         monkeypatch.setattr(nn_compile.CompiledPlan, name, planted)
         latents = None if phase == 1 else cached
-        expected = nn_compile.eager_rows(untrained_model, phase, batch, latents)
+        expected = [
+            sched_forward.eager_forward(
+                untrained_model, phase, table, None if latents is None else latents[row]
+            )
+            for row, table in enumerate(encoded)
+        ]
         events = []
         plan = nn_compile.plan_cache(untrained_model)[phase]
-        got = plan.run(untrained_model, batch, latents, events)
+        got = _replay(plan, untrained_model, encoded, latents, events)
         first = lambda out: out[0] if phase == 1 else out  # noqa: E731
         assert [first(out).tobytes() for out in got] == [first(out).tobytes() for out in expected]
-        last = batch.row(len(tables) - 1)
-        key = (last.meta_ids.shape[1], "meta")
+        last = encoded[-1]
+        key = (len(last.meta.token_ids), "meta")
         if phase == 2:
-            key = (last.meta_ids.shape[1], last.content_ids.shape[1], "cached")
+            key = (len(last.meta.token_ids), len(last.content.token_ids), "cached")
         assert key in plan.dead
         assert key not in plan.verified
         assert ("fallback", "verify") in events

@@ -127,6 +127,25 @@ class TestFeaturizerAndCollate:
         encoded = featurizer.encode_offline(sample_table, with_content=False)
         assert (encoded.content.val_positions == -1).all()
 
+    def test_phase2_encoding_reuses_phase1_and_equals_a_fresh_encode(
+        self, featurizer, sample_table
+    ):
+        """``with_content`` shares the Phase-1 metadata tokens and numeric
+        features and tokenizes only the content, and its arrays equal a
+        fresh ``encode`` of the same metadata and content."""
+        metadata = offline_metadata(sample_table)
+        content = {0: sample_table.columns[0].values[:10]}
+        phase1 = featurizer.encode(metadata)
+        phase2 = featurizer.with_content(phase1, content)
+        fresh = featurizer.encode(metadata, content)
+        assert phase2.meta is phase1.meta and phase2.numeric is phase1.numeric
+        for name in ("token_ids", "segment_ids", "column_ids", "col_positions"):
+            assert np.array_equal(getattr(phase2.meta, name), getattr(fresh.meta, name))
+        for name in ("token_ids", "segment_ids", "column_ids", "val_positions"):
+            assert np.array_equal(getattr(phase2.content, name), getattr(fresh.content, name))
+        assert phase2.numeric.tobytes() == fresh.numeric.tobytes()
+        assert (phase2.table_name, phase2.column_names) == (fresh.table_name, fresh.column_names)
+
     def test_label_mismatch_raises(self, featurizer, sample_table):
         metadata = offline_metadata(sample_table)
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +24,7 @@ from repro.features import (
 )
 from repro.nn import EncoderConfig
 from repro.nn import compile as nn_compile
+from repro.sched.forward import eager_forward
 from repro.text import Tokenizer
 
 REGISTRY = default_registry()
@@ -137,12 +140,13 @@ adtd_configs = st.builds(
 )
 
 
-def _compiled(model, phase, batch, cached=None):
-    """``CompiledPlan.run`` of one phase; the replay itself must pass
-    its own verification, not fall back to the eager reference."""
+def _compiled(model, phase, encoded, cached=None):
+    """``CompiledPlan.run`` of one phase over ``encoded``; the replay
+    itself must pass its own verification against the eager forward of
+    each table alone, not fall back to it."""
     plan = nn_compile.CompiledPlan(phase, model.config)
     events = []
-    outputs = plan.run(model, batch, cached, events)
+    outputs = plan.run(model, encoded, cached, events, functools.partial(eager_forward, model, phase))
     assert events == [("replay", phase)]
     return outputs
 
@@ -191,14 +195,16 @@ def test_grad_eager_and_compiled_forwards_agree_bitwise(config, model_seed, spec
     one-column chunks and one-token content streams among them."""
     model = ADTDModel(config, seed=model_seed)
     chunks = [chunk for index, spec in enumerate(specs) for chunk in _chunks(index, spec)]
-    batch = collate(chunks)
-    assume(max(batch.meta_ids.shape[1], batch.content_ids.shape[1]) <= 512)
-    mates_p1 = _compiled(model, 1, batch)
+    assume(
+        max(max(len(chunk.meta.token_ids), len(chunk.content.token_ids)) for chunk in chunks)
+        <= 512
+    )
+    mates_p1 = _compiled(model, 1, chunks)
     eager_cached = [
         CachedEncoding([layer[None].copy() for layer in layers]) for _, layers in mates_p1
     ]
     mates_p2 = {
-        mode: _compiled(model, 2, batch, latents)
+        mode: _compiled(model, 2, chunks, latents)
         for mode, latents in (("cached", eager_cached), ("recompute", [None] * len(chunks)))
     }
     for row, chunk in enumerate(chunks):
@@ -209,20 +215,20 @@ def test_grad_eager_and_compiled_forwards_agree_bitwise(config, model_seed, spec
         grad_p2 = model.content_logits(alone, grad_layers, model.encode_content(alone, grad_layers))
         assert grad_p1.requires_grad and grad_p2.requires_grad
 
-        eager_p1, eager_layers = nn_compile.eager_phase1(model, alone)
-        compiled_p1, compiled_layers = _compiled(model, 1, alone)[0]
-        assert _same_bits(grad_p1.data[0, :columns], eager_p1[0, :columns], compiled_p1, mates_p1[row][0])
+        eager_p1, eager_layers = eager_forward(model, 1, chunk)
+        compiled_p1, compiled_layers = _compiled(model, 1, [chunk])[0]
+        assert _same_bits(grad_p1.data[0, :columns], eager_p1, compiled_p1, mates_p1[row][0])
         assert len(grad_layers) == len(eager_layers) == len(compiled_layers) == config.encoder.num_layers + 1
         for layers in zip(grad_layers, eager_layers, compiled_layers, mates_p1[row][1]):
-            assert _same_bits(layers[0].data[0], layers[1][0], *layers[2:])
+            assert _same_bits(layers[0].data[0], *layers[1:])
 
-        cached = [CachedEncoding([layer.copy() for layer in eager_layers])]
+        cached = CachedEncoding([layer[None].copy() for layer in eager_layers])
         assert _same_bits(
             grad_p2.data[0, :columns],
-            nn_compile.eager_phase2(model, alone, cached)[0, :columns],
-            nn_compile.eager_phase2(model, alone, None)[0, :columns],
-            _compiled(model, 2, alone, cached)[0],
-            _compiled(model, 2, alone, [None])[0],
+            eager_forward(model, 2, chunk, cached),
+            eager_forward(model, 2, chunk, None),
+            _compiled(model, 2, [chunk], [cached])[0],
+            _compiled(model, 2, [chunk], [None])[0],
             mates_p2["cached"][row],
             mates_p2["recompute"][row],
         )

@@ -158,7 +158,15 @@ class TestFairness:
             while any(t.completed_stages < 1 for t in low._job.table_jobs):
                 assert time.monotonic() < deadline
                 time.sleep(0.001)
+            prep_in_flight = detector.metrics.gauge("pipeline.in_flight", pool="prep")
             with source.condition:
+                # A prep worker counts its stage done before it re-takes
+                # the condition and frees its slot; until every slot is
+                # free, the high job's second prep stage could lose one to
+                # the next round.
+                assert source.condition.wait_for(
+                    lambda: prep_in_flight.value == 0, timeout=60.0
+                )
                 mark = len(dispatched)
                 high = service.submit("tenant-b", server, names[:2], priority=10)
             release.set()
