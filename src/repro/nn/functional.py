@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, is_grad_enabled
+from . import tensor as _tensor
+from .tensor import Tensor
 
 __all__ = [
     "softmax",
@@ -202,7 +203,7 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
     """Inverted dropout: active only in training mode."""
-    if not training or p <= 0.0 or not is_grad_enabled():
+    if not training or p <= 0.0 or not _tensor.is_grad_enabled():
         return x
     keep = 1.0 - p
     mask = (rng.random(x.data.shape) < keep).astype(x.data.dtype) / keep
